@@ -1,9 +1,7 @@
 """Command-line surface: fit, predict, ablate, noise-sweep, bench, synth,
 export-belief-map.
 
-Exit codes: 0 success, 1 internal error, 2 usage or I/O problem. The
-FPFUSE_THREADS environment variable caps worker parallelism (the current
-implementation is single-threaded, which satisfies any cap of at least 1).
+Exit codes: 0 success, 1 internal error, 2 usage or I/O problem.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,14 +23,6 @@ from .fuse import write_belief_csv, write_belief_pgm
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
-
-
-def max_threads(default: int = 1) -> int:
-    raw = os.environ.get("FPFUSE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
 
 
 class UsageError(ValueError):

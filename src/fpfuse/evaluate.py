@@ -351,6 +351,9 @@ def filter_streams_by_rp(matrix: np.ndarray, rp_ids: np.ndarray,
     return out
 
 
+DST_POINT_MODES = ("belief_weighted", "argmax_centroid")
+
+
 def fuse_point(r_rf: Position, r_knn: Position, grid: GridSpec, alpha: float,
                theta_discount: float, mode: str) -> Position:
     m = dempster_combine(bba_from_point(r_rf, grid, alpha, theta_discount),

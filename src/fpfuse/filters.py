@@ -130,7 +130,9 @@ def ukf_step(state: KfState, z: float, q: float, r: float,
     # identity dynamics; recompute predicted moments from the points
     x_pred = float(wm @ chi)
     p_pred = float(wc @ (chi - x_pred) ** 2) + q
-    assert p_pred > 0, "predicted variance must stay positive"
+    if not p_pred > 0:
+        raise ValueError(f"ukf_step: predicted variance {p_pred!r} is not "
+                         "positive")
 
     spread = math.sqrt(c * p_pred)
     chi = np.array([x_pred, x_pred + spread, x_pred - spread])

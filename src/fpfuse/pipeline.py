@@ -24,6 +24,7 @@ from .fuse import (ChoquetMeasure, GridSpec, argmax_belief, bba_from_point,
                    choquet, confidence, convex_combo, dempster_combine,
                    fit_choquet_measure, make_grid, weighted_centroid,
                    write_belief_csv, write_belief_pgm)
+from .preprocess import MODES as NORM_MODES
 from .preprocess import (ChannelVariances, NormStats, apply_norm,
                          fit_channel_variances, fit_norm_stats,
                          fit_zscore_stats, normalize_matrix)
@@ -65,6 +66,17 @@ class PipelineConfig:
     seed: int = 0
     grids: ev.SearchGrids | None = None  # None skips cross-validated search
     convex_lambda: float = 0.5
+
+    def __post_init__(self):
+        for name, allowed in (("fusion_mode", FUSION_MODES),
+                              ("dst_point_mode", ev.DST_POINT_MODES),
+                              ("norm_mode", NORM_MODES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"PipelineConfig.{name} must be one of "
+                                 f"{allowed}, got {getattr(self, name)!r}")
+        if not 0.0 <= self.convex_lambda <= 1.0:
+            raise ValueError("PipelineConfig.convex_lambda must be in [0, 1], "
+                             f"got {self.convex_lambda!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,11 +481,11 @@ def bench_pipeline(artifact: PipelineArtifact, n_queries: int = 50,
     report["stages_ns"]["dst"] = _time_stage(lambda: dst_once(a.grid), n_queries)
 
     # scaling in T (trees used), M_p (particles), S (cells)
-    tree_counts = [t for t in (25, 50, 100, 200, 400) if t <= len(a.rf.trees)]
+    tree_counts = [t for t in (25, 50, 100, 200, 400) if t <= a.rf.n_trees]
     if len(tree_counts) >= 2:
         lat = []
         for t in tree_counts:
-            sub = RfModel(a.rf.config, a.rf.n_features, a.rf.trees[:t])
+            sub = a.rf.prefix(t)
             lat.append(_time_stage(
                 lambda m=sub: m.predict_batch(feats[0].reshape(1, -1)),
                 max(15, n_queries // 2)))

@@ -1,15 +1,20 @@
 """Coordinate regressors: multi-target CART random forest and weighted kNN.
 
 The forest predicts both coordinates with one set of trees (split quality is
-the summed per-coordinate variance reduction). The kNN index pre-divides every
-feature by its channel std so Euclidean search in the scaled space equals the
-diagonal Mahalanobis distance; queries go through an exact kd-tree.
+the summed per-coordinate variance reduction). Its trees are packed into one
+node table with child indices global to the table, so prediction steps every
+(row, tree) pair down together, one vectorized step per depth level, instead
+of walking the trees one by one. The kNN index pre-divides every feature by
+its channel std so Euclidean search in the scaled space equals the diagonal
+Mahalanobis distance; queries go through an exact kd-tree.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -18,6 +23,9 @@ from .datamodel import Position
 from .preprocess import ChannelVariances
 
 _PURITY_EPS = 1e-12  # stop splitting once a node's target variance is gone
+# (row, tree) pairs per traversal pass: bounds its memory and keeps the
+# working arrays in cache (larger passes measured slower per row)
+_PAIRS_PER_PASS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -35,59 +43,137 @@ class RfConfig:
             raise ValueError("max_depth must be >= 1 or None")
 
 
-class _Tree:
-    """Flat node arrays: feature < 0 marks a leaf holding its target mean."""
+class Tree(NamedTuple):
+    """One tree's node arrays. Children index the tree's own nodes from 0; a
+    leaf has feature -1 and children -1 and holds its target mean."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_xy")
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_xy: np.ndarray
 
-    def __init__(self, feature, threshold, left, right, leaf_xy):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.leaf_xy = np.asarray(leaf_xy, dtype=float)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        node = np.zeros(len(X), dtype=np.int32)
-        while True:
-            feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            go_right = X[rows, feat[rows]] > self.threshold[node[rows]]
-            node[rows] = np.where(go_right, self.right[node[rows]],
-                                  self.left[node[rows]])
-        return self.leaf_xy[node]
-
-    def to_dict(self) -> dict:
-        return {"feature": self.feature.tolist(),
-                "threshold": self.threshold.tolist(),
-                "left": self.left.tolist(),
-                "right": self.right.tolist(),
-                "leaf_xy": self.leaf_xy.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "_Tree":
-        return cls(d["feature"], d["threshold"], d["left"], d["right"],
-                   d["leaf_xy"])
+def _renumber(children: np.ndarray, shift: int) -> np.ndarray:
+    return np.where(children >= 0, children + shift, -1)
 
 
 @dataclass(frozen=True, eq=False)
 class RfModel:
+    """A forest packed into one node table.
+
+    Tree t owns nodes offsets[t]:offsets[t + 1] and its root is offsets[t].
+    Children are node indices into the whole table, so every (row, tree)
+    pair steps down in the same numpy operation.
+    """
+
     config: RfConfig
     n_features: int
-    trees: tuple[_Tree, ...]
+    feature: np.ndarray  # (N,) split feature, -1 at a leaf
+    threshold: np.ndarray  # (N,) x[feature] <= threshold goes left
+    left: np.ndarray  # (N,) table index of the left child, -1 at a leaf
+    right: np.ndarray  # (N,)
+    leaf_xy: np.ndarray  # (N, 2) target mean of the node's samples
+    offsets: np.ndarray  # (T + 1,) first node of each tree, then N
+
+    def __post_init__(self):
+        for name in ("feature", "threshold", "left", "right", "leaf_xy",
+                     "offsets"):
+            getattr(self, name).setflags(write=False)
+        n = len(self.feature)
+        if not (len(self.offsets) >= 2 and self.offsets[0] == 0
+                and self.offsets[-1] == n and self.leaf_xy.shape == (n, 2)
+                and len(self.threshold) == len(self.left)
+                == len(self.right) == n):
+            raise ValueError("forest node arrays have inconsistent lengths")
+
+    @classmethod
+    def from_trees(cls, config: RfConfig, n_features: int,
+                   trees) -> "RfModel":
+        """Pack per-tree node arrays (anything with Tree's fields, in tree
+        order) into one table."""
+        trees = list(trees)
+        if not trees:
+            raise ValueError("a forest needs at least one tree")
+        sizes = [len(t.feature) for t in trees]
+        offsets = np.zeros(len(trees) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=offsets[1:])
+        shift = np.repeat(offsets[:-1], sizes)
+        chain = itertools.chain.from_iterable
+
+        def column(name, dtype):
+            return np.fromiter(chain(getattr(t, name) for t in trees), dtype)
+
+        leaf_xy = np.fromiter(chain(chain(t.leaf_xy for t in trees)), float)
+        return cls(config, n_features, column("feature", np.int32),
+                   column("threshold", float),
+                   _renumber(column("left", np.intp), shift),
+                   _renumber(column("right", np.intp), shift),
+                   leaf_xy.reshape(-1, 2), offsets)
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def trees(self) -> tuple[Tree, ...]:
+        """Per-tree views: read-only slices of the table, with children
+        numbered from the tree's root."""
+        out = []
+        for a, b in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()):
+            out.append(Tree(self.feature[a:b], self.threshold[a:b],
+                            _renumber(self.left[a:b], -a),
+                            _renumber(self.right[a:b], -a),
+                            self.leaf_xy[a:b]))
+        return tuple(out)
+
+    def prefix(self, t: int) -> "RfModel":
+        """The first t trees. Their children all lie below offsets[t], so
+        the prefix is a slice of the table."""
+        if not 1 <= t <= self.n_trees:
+            raise ValueError(f"t must be in [1, {self.n_trees}]")
+        end = self.offsets[t]
+        return RfModel(replace(self.config, n_trees=t), self.n_features,
+                       self.feature[:end], self.threshold[:end],
+                       self.left[:end], self.right[:end], self.leaf_xy[:end],
+                       self.offsets[:t + 1])
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """Mean over trees of the leaf each row reaches."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_features:
             raise ValueError("query dimension does not match training data")
-        acc = np.zeros((len(X), 2))
-        for tree in self.trees:
-            acc += tree.predict(X)
-        return acc / len(self.trees)
+        out = np.empty((len(X), 2))
+        step = max(1, _PAIRS_PER_PASS // self.n_trees)
+        for i in range(0, len(X), step):
+            out[i:i + step] = self._descend(X[i:i + step])
+        return out
+
+    def _descend(self, X: np.ndarray) -> np.ndarray:
+        """All (row, tree) pairs descend together, one numpy step per depth
+        level over the pairs not yet at a leaf. Leaf values are then summed
+        sequentially in tree order from +0.0, exactly as a per-tree loop
+        accumulating into zeros would."""
+        n, n_trees = len(X), self.n_trees
+        flat = X.ravel()
+        # pair p is (row p // T, tree p % T); `cur` is the node of each pair
+        # in `pair` and `base` the offset of its row in `flat`
+        pair = np.arange(n * n_trees)
+        cur = np.tile(self.offsets[:-1], n)
+        base = np.repeat(np.arange(n) * self.n_features, n_trees)
+        node = np.empty_like(cur)  # the leaf each pair ends at
+        while len(pair):
+            feat = self.feature[cur]
+            at_leaf = feat < 0
+            if at_leaf.any():
+                node[pair[at_leaf]] = cur[at_leaf]
+                inner = ~at_leaf
+                pair, cur, base, feat = (pair[inner], cur[inner],
+                                         base[inner], feat[inner])
+            go_right = flat[base + feat] > self.threshold[cur]
+            cur = np.where(go_right, self.right[cur], self.left[cur])
+        leaves = self.leaf_xy[node].reshape(n, n_trees, 2)
+        return (0.0 + np.cumsum(leaves, axis=1)[:, -1]) / n_trees
 
     def to_dict(self) -> dict:
         return {"n_features": self.n_features,
@@ -96,13 +182,14 @@ class RfModel:
                            "max_features": self.config.max_features,
                            "min_leaf": self.config.min_leaf,
                            "seed": self.config.seed},
-                "trees": [t.to_dict() for t in self.trees]}
+                "trees": [{name: col.tolist()
+                           for name, col in zip(Tree._fields, tree)}
+                          for tree in self.trees]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RfModel":
-        cfg = RfConfig(**d["config"])
-        trees = tuple(_Tree.from_dict(t) for t in d["trees"])
-        return cls(cfg, d["n_features"], trees)
+        trees = [Tree(**t) for t in d["trees"]]
+        return cls.from_trees(RfConfig(**d["config"]), d["n_features"], trees)
 
 
 def _best_split(X, Y, idx, features, min_leaf):
@@ -171,7 +258,7 @@ def _grow_tree(X, Y, boot_idx, cfg, mtry, rng):
         return node
 
     build(boot_idx, 0)
-    return _Tree(feature, threshold, left, right, leaf_xy)
+    return Tree(feature, threshold, left, right, leaf_xy)
 
 
 def train_rf(X: np.ndarray, Y: np.ndarray, config: RfConfig = RfConfig()) -> RfModel:
@@ -196,7 +283,7 @@ def train_rf(X: np.ndarray, Y: np.ndarray, config: RfConfig = RfConfig()) -> RfM
             np.random.SeedSequence(config.seed, spawn_key=(t,)))
         boot = rng.integers(0, m, size=m)
         trees.append(_grow_tree(X, Y, boot, config, mtry, rng))
-    return RfModel(config, d, tuple(trees))
+    return RfModel.from_trees(config, d, trees)
 
 
 def predict_rf(model: RfModel, x: np.ndarray) -> Position:

@@ -3,8 +3,9 @@
 Each oracle re-implements the mathematics from first principles with the
 slowest, most transparent algorithm available, sharing no code path with the
 implementation under test: an exhaustive scan for kNN, full enumeration of
-sign assignments for the Wilcoxon distribution, and reduction of the complete
-boundary matrix for Rips persistence.
+sign assignments for the Wilcoxon distribution, reduction of the complete
+boundary matrix for Rips persistence, and a row-by-row, tree-by-tree node
+walk for the random forest.
 """
 
 from __future__ import annotations
@@ -23,6 +24,27 @@ def brute_force_knn(points: np.ndarray, var: np.ndarray, query: np.ndarray,
     deltas = ((points - query) ** 2 / var).sum(axis=1)
     order = sorted(range(len(points)), key=lambda i: (deltas[i], i))[:k]
     return deltas[order], np.array(order)
+
+
+def forest_walk(trees, X) -> np.ndarray:
+    """Forest prediction from serialized tree dicts, one row and one tree at
+    a time: x[f] <= threshold goes left, and leaf means are summed tree by
+    tree from 0.0 in plain Python floats, then divided by the tree count."""
+    out = []
+    for x in np.atleast_2d(X).tolist():
+        sx = sy = 0.0
+        for tree in trees:
+            node = 0
+            while tree["feature"][node] >= 0:
+                f = tree["feature"][node]
+                if x[f] <= tree["threshold"][node]:
+                    node = tree["left"][node]
+                else:
+                    node = tree["right"][node]
+            sx += tree["leaf_xy"][node][0]
+            sy += tree["leaf_xy"][node][1]
+        out.append((sx / len(trees), sy / len(trees)))
+    return np.array(out)
 
 
 def wilcoxon_exhaustive(a, b) -> float:

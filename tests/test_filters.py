@@ -61,6 +61,12 @@ class TestUkf:
         s = ukf_step(KfState(0.0, 1e-12), 2.0, 0.0, 1.0)
         assert np.isfinite(s.x_hat) and np.isfinite(s.p) and s.p > 0
 
+    def test_vanishing_predicted_variance_raises(self):
+        # the smallest subnormal variance underflows in the sigma spread, so
+        # with q = 0 the predicted variance is exactly 0
+        with pytest.raises(ValueError, match="ukf_step"):
+            ukf_step(KfState(0.0, 5e-324), 2.0, 0.0, 1.0)
+
 
 class TestPf:
     def test_all_particles_at_measurement(self):

@@ -34,6 +34,20 @@ def probe_scans():
     return rng.uniform(-85.0, -35.0, size=(100, 6))
 
 
+class TestPipelineConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("fusion_mode", "bogus"), ("dst_point_mode", "centroid"),
+        ("norm_mode", "linear"), ("convex_lambda", 3.0),
+        ("convex_lambda", -0.1), ("convex_lambda", float("nan"))])
+    def test_rejects_unknown_or_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"PipelineConfig.{field}"):
+            small_cfg(**{field: value})
+
+    def test_accepts_lambda_bounds(self):
+        assert small_cfg(convex_lambda=0.0).convex_lambda == 0.0
+        assert small_cfg(convex_lambda=1.0).convex_lambda == 1.0
+
+
 class TestFitPipeline:
     def test_artifact_fields_populated(self, artifact):
         assert artifact.version == "1"
@@ -248,12 +262,6 @@ class TestCli:
                        "--queries", "5", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "bench.json").exists()
-
-    def test_thread_cap_parsing(self, monkeypatch):
-        monkeypatch.setenv("FPFUSE_THREADS", "4")
-        assert cli.max_threads() == 4
-        monkeypatch.setenv("FPFUSE_THREADS", "junk")
-        assert cli.max_threads() == 1
 
     def test_predict_scans_file_stream(self, tmp_path, artifact, capsys):
         art_path = tmp_path / "artifact.json"

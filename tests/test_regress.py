@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import brute_force_knn  # noqa: E402
+from oracles import brute_force_knn, forest_walk  # noqa: E402
 
 from fpfuse.preprocess import ChannelVariances  # noqa: E402
-from fpfuse.regress import (RfConfig, build_knn_index, predict_rf,  # noqa: E402
-                            predict_wknn, query_knn, train_rf)
+from fpfuse.regress import (RfConfig, RfModel, build_knn_index,  # noqa: E402
+                            predict_rf, predict_wknn, query_knn, train_rf)
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = XOR_X.copy()
@@ -58,18 +58,17 @@ class TestRandomForest:
         X = rng.normal(size=(30, 3))
         Y = rng.normal(size=(30, 2))
         model = train_rf(X, Y, RfConfig(n_trees=1, max_depth=3, seed=7))
-        x = X[4]
-        assert np.array_equal(model.predict_batch(x.reshape(1, -1))[0],
-                              model.trees[0].predict(x.reshape(1, -1))[0])
+        x = X[4].reshape(1, -1)
+        assert np.array_equal(model.predict_batch(x),
+                              forest_walk(model.to_dict()["trees"], x))
 
     def test_prediction_permutation_invariant_in_tree_order(self):
-        from fpfuse.regress import RfModel
         rng = np.random.default_rng(2)
         X = rng.normal(size=(50, 4))
         Y = rng.normal(size=(50, 2))
         model = train_rf(X, Y, RfConfig(20, 6, seed=3))
         perm = tuple(model.trees[i] for i in rng.permutation(20))
-        shuffled = RfModel(model.config, model.n_features, perm)
+        shuffled = RfModel.from_trees(model.config, model.n_features, perm)
         probe = rng.normal(size=(10, 4))
         assert np.allclose(model.predict_batch(probe),
                            shuffled.predict_batch(probe), atol=1e-12)
@@ -80,8 +79,43 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             train_rf(np.zeros((4, 2)), np.zeros((4, 3)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_trees=st.integers(1, 40),
+           max_depth=st.sampled_from([None, 1, 3]), constant=st.booleans(),
+           batch=st.sampled_from([1, 50]))
+    def test_packed_traversal_matches_node_walk(self, seed, n_trees,
+                                                max_depth, constant, batch):
+        # small integer features repeat, so split thresholds fall between
+        # duplicated values; constant targets leave every tree a single leaf
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, size=(30, 3)).astype(float)
+        Y = (np.full((30, 2), 1.5) if constant
+             else rng.normal(size=(30, 2)))
+        model = train_rf(X, Y, RfConfig(n_trees, max_depth, seed=seed))
+        trees = model.to_dict()["trees"]
+        queries = X[rng.integers(0, 30, size=batch)]
+        splits = [(f, t) for tree in trees
+                  for f, t in zip(tree["feature"], tree["threshold"]) if f >= 0]
+        for row in queries[::2]:  # put half the queries exactly on a split
+            if splits:
+                f, t = splits[rng.integers(len(splits))]
+                row[f] = t
+        assert np.array_equal(model.predict_batch(queries),
+                              forest_walk(trees, queries))
+
+    def test_prefix_equals_forest_of_first_trees(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40, 3))
+        Y = rng.normal(size=(40, 2))
+        model = train_rf(X, Y, RfConfig(12, 5, seed=1))
+        probe = rng.normal(size=(9, 3))
+        for t in (1, 5, 12):
+            first = RfModel.from_trees(model.config, model.n_features,
+                                       model.trees[:t])
+            assert np.array_equal(model.prefix(t).predict_batch(probe),
+                                  first.predict_batch(probe))
+
     def test_serialization_round_trip(self):
-        from fpfuse.regress import RfModel
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
         Y = rng.normal(size=(40, 2))
