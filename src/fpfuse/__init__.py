@@ -15,13 +15,14 @@ from .evaluate import (AblationConfig, EvalReport, FilterSpec, NoiseSpec,
                        wilcoxon_signed_rank)
 from .filters import (FilterConfig, KfState, PfParams, PfState, UkfParams,
                       effective_sample_size, filter_stream, kf_step, pf_step,
-                      systematic_resample, ukf_step)
+                      start_filter, step_filter, systematic_resample,
+                      ukf_step)
 from .fuse import (Bba, ChoquetMeasure, ConflictError, GridSpec,
                    argmax_belief, bba_from_point, choquet, confidence,
                    convex_combo, dempster_combine, fit_choquet_measure,
                    make_grid, weighted_centroid)
 from .pipeline import (PipelineArtifact, PipelineConfig, PredictorSession,
-                       bench_pipeline, fit_pipeline, load_artifact,
+                       ScanError, bench_pipeline, fit_pipeline, load_artifact,
                        predict_one, save_artifact)
 from .preprocess import (ChannelVariances, NormStats, apply_norm,
                          fit_channel_variances, fit_norm_stats,

@@ -18,7 +18,6 @@ from . import evaluate as ev
 from . import pipeline as pl
 from .datamodel import (Bounds, SynthSpec, load_radio_map, save_radio_map,
                         synth_radio_map)
-from .fuse import write_belief_csv, write_belief_pgm
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -141,14 +140,8 @@ def cmd_predict(args) -> int:
         print(json.dumps({"x": res.position.x, "y": res.position.y,
                           "confidence": res.fused_confidence}))
         if args.belief_map:
-            bba = res.bba
-            if bba is None:  # non-DST fusion still exports the DST map
-                res = pl.PredictorSession(artifact).predict(
-                    scan, fusion_mode="dst", keep_bba=True)
-                bba = res.bba
-            write_belief_pgm(bba, artifact.grid, args.belief_map)
-            write_belief_csv(bba, artifact.grid,
-                             str(args.belief_map) + ".csv")
+            pl.write_belief_map(res.bba, artifact.grid, args.belief_map,
+                                str(args.belief_map) + ".csv")
     return EXIT_OK
 
 
@@ -300,7 +293,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+    except (UsageError, pl.ScanError, FileNotFoundError, PermissionError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except pl.StageError as exc:

@@ -16,9 +16,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .datamodel import Position, RadioMap, SplitSpec, stratified_split
+from .filters import METHODS as FILTER_METHODS
 from .filters import FilterConfig, PfParams, filter_stream
-from .fuse import (GridSpec, argmax_belief, bba_from_point, dempster_combine,
-                   make_grid, weighted_centroid)
+from .fuse import (Bba, GridSpec, argmax_belief, bba_from_point,
+                   dempster_combine, make_grid, weighted_centroid)
+from .preprocess import MODES as NORM_MODES
 from .preprocess import (dbm_to_mw, fit_channel_variances,
                          fit_norm_stats, fit_zscore_stats, normalize_matrix)
 from .regress import RfConfig, build_knn_index, predict_wknn_batch, train_rf
@@ -355,13 +357,15 @@ DST_POINT_MODES = ("belief_weighted", "argmax_centroid")
 
 
 def fuse_point(r_rf: Position, r_knn: Position, grid: GridSpec, alpha: float,
-               theta_discount: float, mode: str) -> Position:
+               theta_discount: float, mode: str) -> tuple[Position, Bba]:
+    """Dempster-combine the two sources' cell masses and read a point off
+    the fused mass: (point, fused Bba)."""
     m = dempster_combine(bba_from_point(r_rf, grid, alpha, theta_discount),
                          bba_from_point(r_knn, grid, alpha, theta_discount))
     if mode == "argmax_centroid":
-        return argmax_belief(m, grid)[1]
+        return argmax_belief(m, grid)[1], m
     if mode == "belief_weighted":
-        return weighted_centroid(m, grid)
+        return weighted_centroid(m, grid), m
     raise ValueError(f"unknown dst point mode {mode!r}")
 
 
@@ -370,8 +374,8 @@ def fuse_points_batch(pred_rf: np.ndarray, pred_knn: np.ndarray,
                       mode: str) -> np.ndarray:
     out = np.empty_like(pred_rf)
     for i in range(len(pred_rf)):
-        p = fuse_point(Position(*pred_rf[i]), Position(*pred_knn[i]),
-                       grid, alpha, theta_discount, mode)
+        p, _ = fuse_point(Position(*pred_rf[i]), Position(*pred_knn[i]),
+                          grid, alpha, theta_discount, mode)
         out[i] = (p.x, p.y)
     return out
 
@@ -485,9 +489,8 @@ def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
                          "index": build_knn_index(xtr, xy[tr], variances)})
 
     def filter_cfg(gamma, n_particles, ess_tau, ctx):
-        return FilterConfig(filter_method, gamma, ctx["var"].var,
-                            pf=PfParams(n_particles, ess_tau, 1.0,
-                                        seed=derive_seed(seed, 7)))
+        return FilterSpec(filter_method, gamma, n_particles,
+                          ess_tau).config(ctx["var"].var, derive_seed(seed, 7))
 
     tables: dict[str, list] = {}
 
@@ -577,11 +580,25 @@ def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
 
 @dataclass(frozen=True)
 class FilterSpec:
+    """The user-set filter choices; the measurement variances and the PF seed
+    come from the fit (see config)."""
+
     method: str = "pf"
     gamma: float = 0.5
     n_particles: int = 10_000
     ess_tau: float = 0.3
     predict_sigma: float = 1.0
+
+    def __post_init__(self):
+        if self.method not in FILTER_METHODS:
+            raise ValueError(f"FilterSpec.method must be one of "
+                             f"{FILTER_METHODS}, got {self.method!r}")
+
+    def config(self, r: np.ndarray, seed: int) -> FilterConfig:
+        """The runnable filter for channel variances r and PF seed."""
+        return FilterConfig(self.method, self.gamma, r,
+                            pf=PfParams(self.n_particles, self.ess_tau,
+                                        self.predict_sigma, seed=seed))
 
 
 @dataclass(frozen=True)
@@ -600,6 +617,16 @@ class AblationConfig:
     dst_point_mode: str = "belief_weighted"
     noise: tuple = (NoiseSpec(),)
     norm_mode: str = "dbm_zscore"
+
+    def __post_init__(self):
+        for name, allowed in (("dst_point_mode", DST_POINT_MODES),
+                              ("norm_mode", NORM_MODES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"AblationConfig.{name} must be one of "
+                                 f"{allowed}, got {getattr(self, name)!r}")
+        if self.n_splits < 1:
+            raise ValueError("AblationConfig.n_splits must be >= 1, "
+                             f"got {self.n_splits!r}")
 
 
 def variant_names(filter_method: str) -> tuple[str, str, str, str]:
@@ -657,10 +684,7 @@ def _fit_split_models(train, val, cfg: AblationConfig, seed: int):
     variances = fit_channel_variances(xtr)
     ytr = train.xy_matrix()
 
-    fcfg = FilterConfig(cfg.filter.method, cfg.filter.gamma, variances.var,
-                        pf=PfParams(cfg.filter.n_particles, cfg.filter.ess_tau,
-                                    cfg.filter.predict_sigma,
-                                    seed=derive_seed(seed, 101)))
+    fcfg = cfg.filter.config(variances.var, derive_seed(seed, 101))
 
     ph_train = features_matrix(xtr)
     ph_stats = fit_zscore_stats(ph_train)

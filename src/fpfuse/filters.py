@@ -6,6 +6,10 @@ The measurement variance r comes from training-set channel statistics and
 q = gamma * r. The particle filter uses the same Gaussian likelihood and
 triggers systematic resampling when the effective sample size drops below
 tau * n_particles.
+
+One function pair filters a scan: start_filter on a stream's first scan,
+step_filter on each later one; both return (state, estimate). filter_stream
+runs the pair over a recorded stream, PredictorSession over live scans.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+METHODS = ("kf", "ukf", "pf", "none")
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class FilterConfig:
     ukf: UkfParams = field(default_factory=UkfParams)
 
     def __post_init__(self):
-        if self.method not in ("kf", "ukf", "pf", "none"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown filter method {self.method!r}")
         if self.r is not None:
             arr = np.asarray(self.r, dtype=float)
@@ -186,56 +192,73 @@ def pf_step(state: PfState, z: float, r: float, tau: float,
     return PfState(particles, weights, degenerate)
 
 
-def _filter_channel_kf(series: np.ndarray, q: float, r: float,
-                       method: str, ukf: UkfParams) -> np.ndarray:
-    out = np.empty_like(series)
-    state = KfState(float(series[0]), r)  # init at first observation
-    out[0] = state.x_hat
-    for t in range(1, len(series)):
-        if method == "kf":
-            state = kf_step(state, float(series[t]), q, r)
+def start_filter(cfg: FilterConfig, z: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Start every channel's filter at the first scan z: (state, estimate).
+
+    The state has one entry per channel: for KF/UKF a KfState at the
+    observation with p0 = r_i; for PF a cloud drawn from N(z_i, 1), the
+    channel's own generator, seeded by (pf.seed, i), and that generator's
+    bit state after the draw. Method 'none' keeps no state and passes z
+    through.
+    """
+    if cfg.method == "none":
+        return (), z
+    if cfg.r is None or cfg.r.size != len(z):
+        raise ValueError("cfg.r must hold one variance per channel")
+    if cfg.method != "pf":
+        return (tuple(KfState(float(z_i), float(r_i))
+                      for z_i, r_i in zip(z, cfg.r)), z.copy())
+    m = cfg.pf.n_particles
+    state = []
+    for i in range(len(z)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.pf.seed, spawn_key=(i,)))
+        cloud = PfState(rng.normal(float(z[i]), 1.0, m), np.full(m, 1.0 / m))
+        state.append((cloud, rng, rng.bit_generator.state))
+    return tuple(state), np.array([entry[0].estimate for entry in state])
+
+
+def step_filter(cfg: FilterConfig, state: tuple,
+                z: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Advance every channel by one scan z: (new state, estimate).
+
+    The result depends only on the given state and z, and that state stays
+    valid: a caller that drops the result (because a later stage rejected
+    the scan) goes on from the old state. A PF channel's generator is reset
+    to the entry's bit state before it draws, so the states of one stream
+    share generators and must be stepped from one thread.
+    """
+    if cfg.method == "none":
+        return state, z
+    out = np.empty(len(z))
+    new = []
+    if cfg.method == "pf":
+        for i, (cloud, rng, bits) in enumerate(state):
+            rng.bit_generator.state = bits
+            cloud = pf_step(cloud, float(z[i]), float(cfg.r[i]),
+                            cfg.pf.ess_tau, cfg.pf.predict_sigma, rng)
+            new.append((cloud, rng, rng.bit_generator.state))
+            out[i] = cloud.estimate
+        return tuple(new), out
+    for i, s in enumerate(state):
+        r = float(cfg.r[i])
+        if cfg.method == "kf":
+            s = kf_step(s, float(z[i]), cfg.q_gamma * r, r)
         else:
-            state = ukf_step(state, float(series[t]), q, r, ukf)
-        out[t] = state.x_hat
-    return out
-
-
-def _filter_channel_pf(series: np.ndarray, r: float, pf: PfParams,
-                       rng: np.random.Generator) -> np.ndarray:
-    out = np.empty_like(series)
-    particles = rng.normal(float(series[0]), 1.0, size=pf.n_particles)
-    state = PfState(particles, np.full(pf.n_particles, 1.0 / pf.n_particles))
-    out[0] = state.estimate
-    for t in range(1, len(series)):
-        state = pf_step(state, float(series[t]), r, pf.ess_tau,
-                        pf.predict_sigma, rng)
-        out[t] = state.estimate
-    return out
+            s = ukf_step(s, float(z[i]), cfg.q_gamma * r, r, cfg.ukf)
+        new.append(s)
+        out[i] = s.x_hat
+    return tuple(new), out
 
 
 def filter_stream(series: np.ndarray, cfg: FilterConfig) -> np.ndarray:
-    """Denoise a (T, d) stream channel by channel; method 'none' is identity.
-
-    KF/UKF start at the first observation with p0 = r_i; the particle filter
-    seeds its cloud from N(z_1, 1). Channel i of a PF run uses an independent
-    generator derived from (pf.seed, i) so results do not depend on channel
-    evaluation order.
-    """
+    """Denoise a (T, d) stream: start_filter on the first row, then
+    step_filter on each later one. Method 'none' is the identity."""
     series = np.asarray(series, dtype=float)
     if series.ndim != 2 or series.shape[0] < 1:
         raise ValueError("series must be a (T, d) matrix with T >= 1")
-    if cfg.method == "none":
-        return series.copy()
-    if cfg.r is None or cfg.r.size != series.shape[1]:
-        raise ValueError("cfg.r must hold one variance per channel")
     out = np.empty_like(series)
-    for i in range(series.shape[1]):
-        r_i = float(cfg.r[i])
-        if cfg.method in ("kf", "ukf"):
-            out[:, i] = _filter_channel_kf(series[:, i], cfg.q_gamma * r_i,
-                                           r_i, cfg.method, cfg.ukf)
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(cfg.pf.seed, spawn_key=(i,)))
-            out[:, i] = _filter_channel_pf(series[:, i], r_i, cfg.pf, rng)
+    state, out[0] = start_filter(cfg, series[0])
+    for t in range(1, len(series)):
+        state, out[t] = step_filter(cfg, state, series[t])
     return out

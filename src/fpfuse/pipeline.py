@@ -1,6 +1,10 @@
 """End-to-end pipeline: calibration to a JSON artifact, per-scan prediction,
 and the latency benchmark.
 
+Prediction reuses the harness's pieces: a session keeps the state of the
+filters' start_filter/step_filter pair, and evaluate.fuse_point is the one
+DST step, so a streamed session and the batch evaluation agree bit for bit.
+
 The artifact stores everything a deployment needs (normalization statistics,
 metric variances, filter covariances, the forest's node arrays, the kNN
 points/labels, topological feature statistics, fusion parameters, and the
@@ -19,8 +23,9 @@ import numpy as np
 
 from . import evaluate as ev
 from .datamodel import Bounds, Position, RadioMap, SplitSpec, stratified_split
-from .filters import FilterConfig, KfState, PfParams, PfState, kf_step, pf_step, ukf_step
-from .fuse import (ChoquetMeasure, GridSpec, argmax_belief, bba_from_point,
+from .filters import (FilterConfig, KfState, PfParams, PfState, kf_step, pf_step,
+                      start_filter, step_filter)
+from .fuse import (Bba, ChoquetMeasure, GridSpec, argmax_belief, bba_from_point,
                    choquet, confidence, convex_combo, dempster_combine,
                    fit_choquet_measure, make_grid, weighted_centroid,
                    write_belief_csv, write_belief_pgm)
@@ -226,10 +231,7 @@ def fit_pipeline(data: RadioMap, cfg: PipelineConfig = PipelineConfig()) -> Pipe
         k, n_trees, max_depth = sel.k, sel.n_trees, sel.max_depth
         alpha, cell_width = sel.alpha, sel.cell_width
 
-    filter_cfg = FilterConfig(fspec.method, fspec.gamma, variances.var,
-                              pf=PfParams(fspec.n_particles, fspec.ess_tau,
-                                          fspec.predict_sigma,
-                                          seed=ev.derive_seed(cfg.seed, 101)))
+    filter_cfg = fspec.config(variances.var, ev.derive_seed(cfg.seed, 101))
 
     ph_stats = None
     features = xtr
@@ -300,7 +302,12 @@ class PredictResult:
     confidence_rf: float
     confidence_knn: float
     fused_confidence: float
-    bba: object | None = None
+    bba: Bba | None = None
+
+
+class ScanError(ValueError):
+    """A scan PredictorSession.predict rejects before it touches any state:
+    the wrong shape, or a channel (named in the message) that is not finite."""
 
 
 class PredictorSession:
@@ -312,62 +319,36 @@ class PredictorSession:
 
     def __init__(self, artifact: PipelineArtifact):
         self.artifact = artifact
-        self._kf: list[KfState] | None = None
-        self._pf: list[PfState] | None = None
-        self._pf_rngs = None
-
-    def _filter_scan(self, z: np.ndarray) -> np.ndarray:
-        a = self.artifact
-        cfg = a.filter_cfg
-        if cfg.method == "none":
-            return z
-        if cfg.method in ("kf", "ukf"):
-            if self._kf is None:
-                self._kf = [KfState(float(z[i]), float(cfg.r[i]))
-                            for i in range(len(z))]
-                return z.copy()
-            out = np.empty_like(z)
-            for i, state in enumerate(self._kf):
-                r = float(cfg.r[i])
-                if cfg.method == "kf":
-                    new = kf_step(state, float(z[i]), cfg.q_gamma * r, r)
-                else:
-                    new = ukf_step(state, float(z[i]), cfg.q_gamma * r, r,
-                                   cfg.ukf)
-                self._kf[i] = new
-                out[i] = new.x_hat
-            return out
-        if self._pf is None:
-            self._pf_rngs = [np.random.default_rng(
-                np.random.SeedSequence(cfg.pf.seed, spawn_key=(i,)))
-                for i in range(len(z))]
-            m = cfg.pf.n_particles
-            self._pf = [PfState(self._pf_rngs[i].normal(float(z[i]), 1.0, m),
-                                np.full(m, 1.0 / m)) for i in range(len(z))]
-            return np.array([s.estimate for s in self._pf])
-        out = np.empty_like(z)
-        for i, state in enumerate(self._pf):
-            new = pf_step(state, float(z[i]), float(cfg.r[i]),
-                          cfg.pf.ess_tau, cfg.pf.predict_sigma,
-                          self._pf_rngs[i])
-            self._pf[i] = new
-            out[i] = new.estimate
-        return out
+        self._filter_state: tuple | None = None  # None until the first scan
 
     def predict(self, raw_scan, fusion_mode: str | None = None,
                 convex_lambda: float | None = None,
                 keep_bba: bool = False) -> PredictResult:
+        """Locate one raw dBm scan and advance the session's filter.
+
+        The scan is checked before any state is touched. The new filter
+        state is kept only once the whole prediction has succeeded, so a call
+        that raises leaves the session as it was. With keep_bba the result
+        carries the fused DST mass whatever the fusion mode.
+        """
         a = self.artifact
         scan = np.asarray(raw_scan, dtype=float)
         if scan.shape != (a.d,):
-            raise ValueError(f"scan must have {a.d} channels, got {scan.shape}")
+            raise ScanError(f"scan must have {a.d} channels, got {scan.shape}")
+        finite = np.isfinite(scan)
+        if not finite.all():
+            i = int(np.argmin(finite))  # the first non-finite channel
+            raise ScanError(f"scan channel {i} is not finite ({scan[i]})")
         mode = fusion_mode or a.fusion_mode
         if mode not in FUSION_MODES:
             raise ValueError(f"unknown fusion mode {mode!r}")
         lam = a.convex_lambda if convex_lambda is None else convex_lambda
 
         z = apply_norm(scan, a.norm)
-        z = self._filter_scan(z)
+        if self._filter_state is None:
+            state, z = start_filter(a.filter_cfg, z)
+        else:
+            state, z = step_filter(a.filter_cfg, self._filter_state, z)
         feat = z
         if a.ph_stats is not None:
             feat = augment(z, features_for_vector(z), a.ph_stats)
@@ -378,21 +359,17 @@ class PredictorSession:
         fused_conf = choquet(s_rf, s_knn, a.measure)
 
         bba = None
-        if mode == "dst":
-            m1 = bba_from_point(r_rf, a.grid, a.alpha, a.theta_discount)
-            m2 = bba_from_point(r_knn, a.grid, a.alpha, a.theta_discount)
-            bba = dempster_combine(m1, m2)
-            if a.dst_point_mode == "argmax_centroid":
-                position = argmax_belief(bba, a.grid)[1]
-            else:
-                position = weighted_centroid(bba, a.grid)
-        elif mode == "choquet":
+        if mode == "dst" or keep_bba:
+            position, bba = ev.fuse_point(r_rf, r_knn, a.grid, a.alpha,
+                                          a.theta_discount, a.dst_point_mode)
+        if mode == "choquet":
             num = s_rf * a.measure.mu1
             den = num + s_knn * a.measure.mu2
             lam_star = 0.5 if den <= 0 else min(1.0, max(0.0, num / den))
             position = convex_combo(r_rf, r_knn, lam_star)
-        else:
+        elif mode == "convex":
             position = convex_combo(r_rf, r_knn, lam)
+        self._filter_state = state
         return PredictResult(position, r_rf, r_knn, s_rf, s_knn, fused_conf,
                              bba if keep_bba else None)
 
@@ -401,24 +378,25 @@ def predict_one(artifact: PipelineArtifact, raw_scan, **kwargs) -> PredictResult
     return PredictorSession(artifact).predict(raw_scan, **kwargs)
 
 
+def write_belief_map(bba: Bba, grid: GridSpec, pgm_path,
+                     csv_path=None) -> tuple[int, Position]:
+    """Write a fused mass as PGM (and CSV); returns the argmax cell."""
+    write_belief_pgm(bba, grid, pgm_path)
+    if csv_path is not None:
+        write_belief_csv(bba, grid, csv_path)
+    return argmax_belief(bba, grid)
+
+
 def export_belief_map(artifact: PipelineArtifact, raw_scan, pgm_path,
                       csv_path=None) -> tuple[int, Position]:
     """Write the fused belief map for one scan; returns the argmax cell."""
-    res = PredictorSession(artifact).predict(raw_scan, fusion_mode="dst",
-                                             keep_bba=True)
-    write_belief_pgm(res.bba, artifact.grid, pgm_path)
-    if csv_path is not None:
-        write_belief_csv(res.bba, artifact.grid, csv_path)
-    return argmax_belief(res.bba, artifact.grid)
+    res = predict_one(artifact, raw_scan, keep_bba=True)
+    return write_belief_map(res.bba, artifact.grid, pgm_path, csv_path)
 
 
 # ---------------------------------------------------------------------------
 # latency benchmark (per-update cost model validation)
 # ---------------------------------------------------------------------------
-
-def _median_ns(samples) -> float:
-    return float(np.median(np.asarray(samples)))
-
 
 def _time_stage(fn, n: int) -> float:
     out = []
@@ -426,7 +404,7 @@ def _time_stage(fn, n: int) -> float:
         t0 = time.perf_counter_ns()
         fn()
         out.append(time.perf_counter_ns() - t0)
-    return _median_ns(out)
+    return float(np.median(out))
 
 
 def bench_pipeline(artifact: PipelineArtifact, n_queries: int = 50,
@@ -438,8 +416,8 @@ def bench_pipeline(artifact: PipelineArtifact, n_queries: int = 50,
     scans = rng.uniform(-90.0, -30.0, size=(n_queries, a.d))
     z_all = normalize_matrix(scans, a.norm)
 
-    session = PredictorSession(a)
-    session.predict(scans[0])  # warm state so the filter stage is a step
+    # the filter stage is one step from the state the first scan starts
+    state, _ = start_filter(a.filter_cfg, z_all[0])
 
     report: dict = {"stages_ns": {}, "scaling": {}}
 
@@ -451,7 +429,7 @@ def bench_pipeline(artifact: PipelineArtifact, n_queries: int = 50,
 
     z0 = z_all[0]
     report["stages_ns"]["filter"] = _time_stage(
-        lambda: session._filter_scan(z0), n_queries)
+        lambda: step_filter(a.filter_cfg, state, z0), n_queries)
     if a.ph_stats is not None:
         report["stages_ns"]["ph"] = _time_stage(
             lambda: features_for_vector(next_z()), n_queries)

@@ -84,8 +84,26 @@ class RfModel:
         if not (len(self.offsets) >= 2 and self.offsets[0] == 0
                 and self.offsets[-1] == n and self.leaf_xy.shape == (n, 2)
                 and len(self.threshold) == len(self.left)
-                == len(self.right) == n):
+                == len(self.right) == n and np.all(np.diff(self.offsets) > 0)):
             raise ValueError("forest node arrays have inconsistent lengths")
+        # children after their node and inside its tree: every descent ends
+        node = np.arange(n)
+        end = np.repeat(self.offsets[1:], np.diff(self.offsets))
+        inner = self.feature >= 0
+        bad = np.where(
+            inner,
+            (self.feature >= self.n_features) | (self.left <= node)
+            | (self.left >= end) | (self.right <= node) | (self.right >= end),
+            (self.feature != -1) | (self.left != -1) | (self.right != -1))
+        if bad.any():
+            j = int(np.argmax(bad))
+            t = int(np.searchsorted(self.offsets, j, side="right")) - 1
+            raise ValueError(
+                f"forest tree {t} node {j - self.offsets[t]}: feature "
+                f"{self.feature[j]}, children {self.left[j]}, {self.right[j]} "
+                f"(table indices); an inner node needs 0 <= feature < "
+                f"{self.n_features} and both children after it inside its "
+                "tree, a leaf needs feature = left = right = -1")
 
     @classmethod
     def from_trees(cls, config: RfConfig, n_features: int,

@@ -284,6 +284,27 @@ class TestCvGridSearch:
             assert fwd.k == rev.k
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("dst_point_mode", "centroid"), ("norm_mode", "linear"),
+        ("n_splits", 0), ("n_splits", -1)])
+    def test_ablation_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"AblationConfig.{field}"):
+            fast_cfg(**{field: value})
+
+    def test_filter_spec_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="FilterSpec.method"):
+            FilterSpec(method="ekf")
+
+    def test_filter_spec_config_carries_fields(self):
+        spec = FilterSpec("pf", 0.25, 500, 0.4, 2.0)
+        cfg = spec.config(np.array([1.0, 2.0]), seed=9)
+        assert (cfg.method, cfg.q_gamma) == ("pf", 0.25)
+        assert (cfg.pf.n_particles, cfg.pf.ess_tau, cfg.pf.predict_sigma,
+                cfg.pf.seed) == (500, 0.4, 2.0, 9)
+        assert np.array_equal(cfg.r, [1.0, 2.0])
+
+
 @pytest.fixture(scope="module")
 def report():
     return run_ablation_ladder(tiny_map(), fast_cfg(n_splits=2))

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from fpfuse.filters import (FilterConfig, KfState, PfParams, PfState,
                             effective_sample_size, filter_stream, kf_step,
-                            pf_step, systematic_resample, ukf_step)
+                            pf_step, start_filter, step_filter,
+                            systematic_resample, ukf_step)
 
 
 class TestKf:
@@ -165,3 +166,16 @@ class TestFilterStream:
         series = np.array([[4.0], [4.5]])
         out = filter_stream(series, FilterConfig("ukf", 0.5, np.array([1.0])))
         assert out[0, 0] == 4.0
+
+    @pytest.mark.parametrize("method", ["kf", "ukf", "pf", "none"])
+    def test_step_leaves_its_state_unchanged(self, method):
+        cfg = FilterConfig(method, 0.5, np.array([1.0, 2.0]),
+                           pf=PfParams(200, 0.9, 1.0, seed=1))
+        state, _ = start_filter(cfg, np.array([0.5, -1.0]))
+        z = np.array([3.0, -0.2])  # far from the cloud: the PF resamples
+        first = step_filter(cfg, state, z)
+        again = step_filter(cfg, state, z)
+        assert np.array_equal(first[1], again[1])
+        _, next_est = step_filter(cfg, first[0], z)
+        expect = filter_stream(np.array([[0.5, -1.0], z, z]), cfg)
+        assert np.array_equal(next_est, expect[2])

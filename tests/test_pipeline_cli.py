@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from fpfuse import cli
+from fpfuse import pipeline as pl
 from fpfuse.datamodel import SynthSpec, synth_radio_map
-from fpfuse.evaluate import FilterSpec, SearchGrids
-from fpfuse.pipeline import (PipelineConfig, PredictorSession, StageError,
-                             bench_pipeline, export_belief_map, fit_pipeline,
-                             load_artifact, predict_one, save_artifact)
+from fpfuse.evaluate import FilterSpec, SearchGrids, fuse_points_batch
+from fpfuse.filters import filter_stream
+from fpfuse.fuse import write_belief_csv, write_belief_pgm
+from fpfuse.pipeline import (PipelineConfig, PredictorSession, ScanError,
+                             StageError, bench_pipeline, export_belief_map,
+                             fit_pipeline, load_artifact, predict_one,
+                             save_artifact)
+from fpfuse.preprocess import normalize_matrix
+from fpfuse.regress import predict_wknn_batch
+from fpfuse.topo import features_matrix
 
 
 def small_data(seed=0):
@@ -26,6 +33,12 @@ def small_cfg(**kwargs):
 @pytest.fixture(scope="module")
 def artifact():
     return fit_pipeline(small_data(), small_cfg())
+
+
+@pytest.fixture(scope="module")
+def pf_artifact():
+    return fit_pipeline(small_data(), small_cfg(
+        filter=FilterSpec(method="pf", n_particles=300)))
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +172,93 @@ class TestPredict:
         assert len(pixels) == artifact.grid.n_cells
 
 
+def outputs(res):
+    return (res.position.xy.tobytes(), res.rf_position.xy.tobytes(),
+            res.knn_position.xy.tobytes(), res.confidence_rf,
+            res.confidence_knn, res.fused_confidence)
+
+
+class TestScanContract:
+    @pytest.mark.parametrize("method", ["kf", "pf"])
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_bad_scan_leaves_session_as_it_was(self, artifact, pf_artifact,
+                                               method, bad_value, at):
+        art = artifact if method == "kf" else pf_artifact
+        scans = np.random.default_rng(4).uniform(-80, -40, size=(5, 6))
+        never_bad = PredictorSession(art)
+        expected = [outputs(never_bad.predict(s)) for s in scans]
+        session = PredictorSession(art)
+        got = []
+        for i, scan in enumerate(scans):
+            if i == at:
+                bad = scan.copy()
+                bad[3] = bad_value
+                with pytest.raises(ScanError, match="channel 3"):
+                    session.predict(bad)
+            got.append(outputs(session.predict(scan)))
+        assert got == expected
+
+    def test_failure_after_the_filter_commits_nothing(self, pf_artifact,
+                                                      monkeypatch):
+        scans = np.random.default_rng(5).uniform(-80, -40, size=(4, 6))
+        never_failed = PredictorSession(pf_artifact)
+        expected = [outputs(never_failed.predict(s)) for s in scans]
+        session = PredictorSession(pf_artifact)
+        got = [outputs(session.predict(scans[0]))]
+        with monkeypatch.context() as m:
+            m.setattr(pl, "predict_wknn", lambda *a: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                session.predict(scans[1])
+        got += [outputs(session.predict(s)) for s in scans[1:]]
+        assert got == expected
+
+    def test_shape_error_is_a_scan_error(self, artifact):
+        with pytest.raises(ScanError, match="6 channels"):
+            predict_one(artifact, np.zeros(7))
+
+    def test_cli_bad_scan_exits_2(self, artifact, tmp_path, capsys):
+        art_path = tmp_path / "artifact.json"
+        save_artifact(artifact, art_path)
+        rc = cli.main(["predict", "--artifact", str(art_path),
+                       "--scan=-60,nan,-62,-63,-64,-65"])
+        assert rc == 2
+        assert "channel 1" in capsys.readouterr().err
+
+
+class TestSessionMatchesBatch:
+    @pytest.mark.parametrize("method", ["kf", "ukf", "pf", "none"])
+    def test_replayed_streams_equal_batch_path(self, method):
+        data = small_data()
+        art = fit_pipeline(data, small_cfg(
+            filter=FilterSpec(method=method, n_particles=300)))
+        raw, rp = data.rss_matrix(), data.rp_ids()
+        for r in np.unique(rp):
+            rows = np.nonzero(rp == r)[0][:6]
+            session = PredictorSession(art)
+            results = [session.predict(raw[i]) for i in rows]
+            z = filter_stream(normalize_matrix(raw[rows], art.norm),
+                              art.filter_cfg)
+            ph = features_matrix(z)
+            x = np.hstack([z, (ph - art.ph_stats.mu) / art.ph_stats.sigma])
+            p_rf = art.rf.predict_batch(x)
+            p_knn = predict_wknn_batch(art.knn, x, min(art.k, art.knn.m),
+                                       art.eps)
+            fused = fuse_points_batch(p_rf, p_knn, art.grid, art.alpha,
+                                      art.theta_discount, art.dst_point_mode)
+            got = np.array([[res.rf_position.xy, res.knn_position.xy,
+                             res.position.xy] for res in results])
+            assert np.array_equal(got, np.stack([p_rf, p_knn, fused], axis=1))
+
+    def test_keep_bba_is_the_dst_mass_in_every_mode(self, artifact):
+        scan = np.full(6, -58.0)
+        want = predict_one(artifact, scan, fusion_mode="dst", keep_bba=True)
+        for mode in ("choquet", "convex"):
+            got = predict_one(artifact, scan, fusion_mode=mode, keep_bba=True)
+            assert np.array_equal(got.bba.singleton, want.bba.singleton)
+            assert got.bba.theta_mass == want.bba.theta_mass
+
+
 class TestBench:
     def test_report_shape_and_ratio(self, artifact):
         rep = bench_pipeline(artifact, n_queries=10, seed=0)
@@ -274,6 +374,30 @@ class TestCli:
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert len(lines) == 2
         assert all(np.isfinite([l["x"], l["y"]]).all() for l in lines)
+
+    def test_predict_stream_belief_map_follows_session(self, tmp_path,
+                                                       artifact):
+        art_path = tmp_path / "artifact.json"
+        save_artifact(artifact, art_path)
+        scans = np.array([[-60.0, -61, -62, -63, -64, -65],
+                          [-50.0, -70, -55, -75, -52, -68]])
+        scans_path = tmp_path / "scans.txt"
+        scans_path.write_text("".join(",".join(map(str, s)) + "\n"
+                                      for s in scans))
+        rc = cli.main(["predict", "--artifact", str(art_path),
+                       "--scans", str(scans_path), "--stream",
+                       "--fusion", "choquet",
+                       "--belief-map", str(tmp_path / "cli.pgm")])
+        assert rc == 0
+        session = PredictorSession(load_artifact(art_path))
+        session.predict(scans[0])
+        bba = session.predict(scans[1], fusion_mode="dst", keep_bba=True).bba
+        write_belief_pgm(bba, artifact.grid, tmp_path / "want.pgm")
+        write_belief_csv(bba, artifact.grid, tmp_path / "want.csv")
+        assert (tmp_path / "cli.pgm").read_bytes() == \
+            (tmp_path / "want.pgm").read_bytes()
+        assert (tmp_path / "cli.pgm.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
 
     def test_export_belief_map_command(self, tmp_path, artifact, capsys):
         art_path = tmp_path / "artifact.json"

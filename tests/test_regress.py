@@ -125,6 +125,28 @@ class TestRandomForest:
         assert np.array_equal(model.predict_batch(probe),
                               clone.predict_batch(probe))
 
+    @pytest.mark.parametrize("column,value,match", [
+        ("left", 0, "tree 0 node 0"),  # a cycle back to the root
+        ("feature", 3, "tree 0 node 0"),  # feature == n_features
+        ("right", 99, "tree 0 node 0"),  # child outside the tree
+    ])
+    def test_from_dict_rejects_bad_node(self, column, value, match):
+        rng = np.random.default_rng(4)
+        model = train_rf(rng.normal(size=(30, 3)), rng.normal(size=(30, 2)),
+                         RfConfig(1, 3, seed=2))
+        d = model.to_dict()
+        assert d["trees"][0]["feature"][0] >= 0  # the root is an inner node
+        d["trees"][0][column][0] = value
+        with pytest.raises(ValueError, match=match):
+            RfModel.from_dict(d)
+
+    def test_from_dict_rejects_leaf_with_child(self):
+        d = {"n_features": 2, "config": {"n_trees": 1},
+             "trees": [{"feature": [-1], "threshold": [0.0], "left": [0],
+                        "right": [-1], "leaf_xy": [[0.0, 0.0]]}]}
+        with pytest.raises(ValueError, match="tree 0 node 0"):
+            RfModel.from_dict(d)
+
 
 def toy_index(m=40, d=4, seed=0):
     rng = np.random.default_rng(seed)
