@@ -21,9 +21,9 @@ from .fuse import (Bba, ChoquetMeasure, ConflictError, GridSpec,
                    argmax_belief, bba_from_point, choquet, confidence,
                    convex_combo, dempster_combine, fit_choquet_measure,
                    make_grid, weighted_centroid)
-from .pipeline import (PipelineArtifact, PipelineConfig, PredictorSession,
-                       ScanError, bench_pipeline, fit_pipeline, load_artifact,
-                       predict_one, save_artifact)
+from .pipeline import (ArtifactError, PipelineArtifact, PipelineConfig,
+                       PredictorSession, ScanError, bench_pipeline,
+                       fit_pipeline, load_artifact, predict_one, save_artifact)
 from .preprocess import (ChannelVariances, NormStats, apply_norm,
                          fit_channel_variances, fit_norm_stats,
                          normalize_matrix)

@@ -1,7 +1,8 @@
 """Command-line surface: fit, predict, ablate, noise-sweep, bench, synth,
 export-belief-map.
 
-Exit codes: 0 success, 1 internal error, 2 usage or I/O problem.
+Exit codes: 0 success, 1 internal error, 2 usage, input or I/O problem
+(including a rejected scan or an artifact that does not load).
 """
 
 from __future__ import annotations
@@ -293,8 +294,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, pl.ScanError, FileNotFoundError, PermissionError,
-            IsADirectoryError) as exc:
+    except (UsageError, pl.ScanError, pl.ArtifactError, FileNotFoundError,
+            PermissionError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except pl.StageError as exc:

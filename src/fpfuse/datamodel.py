@@ -16,6 +16,7 @@ import numpy as np
 
 DBM_FLOOR = -120.0
 DBM_CEIL = 0.0
+DBM_TOL = 1e-9  # readings this far outside [DBM_FLOOR, DBM_CEIL] still pass
 MISSING_RSS_DBM = -100.0  # sentinel for empty CSV cells, below every observed value
 
 
@@ -101,7 +102,7 @@ class Fingerprint:
             raise ValueError("channel kinds must be 'wifi' or 'ble'")
         if not np.all(np.isfinite(arr)):
             raise ValueError("rss values must be finite")
-        if arr.min() < DBM_FLOOR - 1e-9 or arr.max() > DBM_CEIL + 1e-9:
+        if arr.min() < DBM_FLOOR - DBM_TOL or arr.max() > DBM_CEIL + DBM_TOL:
             raise ValueError(
                 f"rss outside plausible dBm range [{DBM_FLOOR}, {DBM_CEIL}]")
         arr.setflags(write=False)

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import evaluate as ev
-from .datamodel import Bounds, Position, RadioMap, SplitSpec, stratified_split
+from .datamodel import (DBM_CEIL, DBM_FLOOR, DBM_TOL, Bounds, Position,
+                        RadioMap, SplitSpec, stratified_split)
 from .filters import (FilterConfig, KfState, PfParams, PfState, kf_step, pf_step,
                       start_filter, step_filter)
 from .fuse import (Bba, ChoquetMeasure, GridSpec, argmax_belief, bba_from_point,
@@ -39,6 +40,11 @@ from .topo import augment, features_for_vector, features_matrix
 ARTIFACT_VERSION = "1"
 
 FUSION_MODES = ("dst", "choquet", "convex")
+
+
+class ArtifactError(ValueError):
+    """An artifact that cannot be loaded: an unsupported version, or a field
+    (named in the message) that is missing or holds a value out of range."""
 
 
 class StageError(RuntimeError):
@@ -158,8 +164,14 @@ def artifact_to_dict(a: PipelineArtifact) -> dict:
 
 def artifact_from_dict(d: dict) -> PipelineArtifact:
     if d.get("version") != ARTIFACT_VERSION:
-        raise ValueError(f"artifact version {d.get('version')!r} is not "
-                         f"supported (expected {ARTIFACT_VERSION!r})")
+        raise ArtifactError(f"artifact version {d.get('version')!r} is not "
+                            f"supported (expected {ARTIFACT_VERSION!r})")
+    fusion = d["fusion"]
+    for name, allowed in (("mode", FUSION_MODES),
+                          ("dst_point_mode", ev.DST_POINT_MODES)):
+        if fusion[name] not in allowed:
+            raise ArtifactError(f"artifact field fusion.{name} must be one "
+                                f"of {allowed}, got {fusion[name]!r}")
     norm = NormStats(d["norm"]["mode"], np.array(d["norm"]["mu"]),
                      np.array(d["norm"]["sigma"]),
                      np.array(d["norm"]["floored"], dtype=bool))
@@ -177,7 +189,6 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
         ph_stats = NormStats("dbm_zscore", np.array(d["ph_stats"]["mu"]),
                              np.array(d["ph_stats"]["sigma"]),
                              np.array(d["ph_stats"]["floored"], dtype=bool))
-    fusion = d["fusion"]
     grid = make_grid(Bounds(*fusion["bounds"]), fusion["cell_width"])
     return PipelineArtifact(
         version=d["version"], meta=d["meta"], config=d["config"], norm=norm,
@@ -200,8 +211,16 @@ def save_artifact(a: PipelineArtifact, path) -> None:
 
 
 def load_artifact(path) -> PipelineArtifact:
+    """Read an artifact; any content that does not load is an ArtifactError
+    naming the file."""
     with open(path) as fh:
-        return artifact_from_dict(json.load(fh))
+        try:
+            return artifact_from_dict(json.load(fh))
+        except ArtifactError as exc:
+            raise ArtifactError(f"{path}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArtifactError(f"{path}: malformed artifact "
+                                f"({type(exc).__name__}: {exc})") from exc
 
 
 def fit_pipeline(data: RadioMap, cfg: PipelineConfig = PipelineConfig()) -> PipelineArtifact:
@@ -307,7 +326,8 @@ class PredictResult:
 
 class ScanError(ValueError):
     """A scan PredictorSession.predict rejects before it touches any state:
-    the wrong shape, or a channel (named in the message) that is not finite."""
+    the wrong shape, or a channel (named in the message) that is not a finite
+    value in the dBm range the survey loader accepts."""
 
 
 class PredictorSession:
@@ -335,10 +355,11 @@ class PredictorSession:
         scan = np.asarray(raw_scan, dtype=float)
         if scan.shape != (a.d,):
             raise ScanError(f"scan must have {a.d} channels, got {scan.shape}")
-        finite = np.isfinite(scan)
-        if not finite.all():
-            i = int(np.argmin(finite))  # the first non-finite channel
-            raise ScanError(f"scan channel {i} is not finite ({scan[i]})")
+        ok = (scan >= DBM_FLOOR - DBM_TOL) & (scan <= DBM_CEIL + DBM_TOL)
+        if not ok.all():  # NaN compares False, so it fails here too
+            i = int(np.argmin(ok))  # the first bad channel
+            raise ScanError(f"scan channel {i} is {scan[i]}, not a dBm value "
+                            f"in [{DBM_FLOOR}, {DBM_CEIL}]")
         mode = fusion_mode or a.fusion_mode
         if mode not in FUSION_MODES:
             raise ValueError(f"unknown fusion mode {mode!r}")

@@ -4,9 +4,12 @@ The forest predicts both coordinates with one set of trees (split quality is
 the summed per-coordinate variance reduction). Its trees are packed into one
 node table with child indices global to the table, so prediction steps every
 (row, tree) pair down together, one vectorized step per depth level, instead
-of walking the trees one by one. The kNN index pre-divides every feature by
-its channel std so Euclidean search in the scaled space equals the diagonal
-Mahalanobis distance; queries go through an exact kd-tree.
+of walking the trees one by one. A tree grows from its bootstrap sorted once
+per feature: each split partitions the node's sorted lists stably, so no
+node sorts, and one pass scores every split of all candidate features. The
+kNN index pre-divides every feature by its channel std so Euclidean search
+in the scaled space equals the diagonal Mahalanobis distance; queries go
+through an exact kd-tree.
 """
 
 from __future__ import annotations
@@ -210,72 +213,82 @@ class RfModel:
         return cls.from_trees(RfConfig(**d["config"]), d["n_features"], trees)
 
 
-def _best_split(X, Y, idx, features, min_leaf):
-    """Scan candidate features for the threshold minimizing child SSE."""
-    best = None  # (cost, feature, threshold)
-    n = len(idx)
-    for f in features:
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="stable")
-        xs_s = xs[order]
-        ys = Y[idx][order]
-        csum = np.cumsum(ys, axis=0)
-        csq = np.cumsum(ys * ys, axis=0)
-        tot, totsq = csum[-1], csq[-1]
-        pos = np.arange(1, n)
-        nl = pos.astype(float)
-        nr = (n - pos).astype(float)
-        sse_l = (csq[:-1] - csum[:-1] ** 2 / nl[:, None]).sum(axis=1)
-        sse_r = ((totsq - csq[:-1])
-                 - (tot - csum[:-1]) ** 2 / nr[:, None]).sum(axis=1)
-        cost = sse_l + sse_r
-        valid = (xs_s[1:] > xs_s[:-1]) & (pos >= min_leaf) & (n - pos >= min_leaf)
-        if not valid.any():
-            continue
-        cost = np.where(valid, cost, np.inf)
-        j = int(np.argmin(cost))  # first minimum wins ties
-        if best is None or cost[j] < best[0]:
-            a, b = xs_s[j], xs_s[j + 1]
-            thr = a + (b - a) / 2.0
-            if not (a <= thr < b):  # adjacent floats: keep split non-empty
-                thr = a
-            best = (float(cost[j]), int(f), float(thr))
-    return best
+def _best_split(XbT, YbT, order, cand, min_leaf):
+    """Lowest child SSE over all candidate features of one node, in one pass.
+
+    order[f] holds the node's bootstrap positions sorted by feature f, ties by
+    position; the first minimum along a feature wins, then the first candidate
+    with the strictly smallest one. Returns (feature, threshold) or None."""
+    n = order.shape[1]
+    lo, hi = min_leaf - 1, n - min_leaf  # split after sorted index j in [lo, hi)
+    oc = order[cand]
+    xs = XbT[cand[:, None], oc]
+    c = np.empty((4, len(cand), n))  # y0, y1, y0*y0, y1*y1, sorted per row
+    np.take(YbT, oc, axis=1, out=c[:2])
+    np.multiply(c[:2], c[:2], out=c[2:])
+    np.cumsum(c, axis=2, out=c)
+    s, q = c[:2, :, lo:hi], c[2:, :, lo:hi]  # left sums through index j
+    t, u = c[:2, :, -1:], c[2:, :, -1:]  # node totals
+    nl = np.arange(lo + 1, hi + 1, dtype=float)
+    sse_l = q - s ** 2 / nl  # per coordinate
+    sse_r = (u - q) - (t - s) ** 2 / (n - nl)
+    cost = (sse_l[0] + sse_l[1]) + (sse_r[0] + sse_r[1])
+    cost[xs[:, lo + 1:hi + 1] <= xs[:, lo:hi]] = np.inf  # no gap to split in
+    j = cost.argmin(axis=1)
+    b = int(cost[np.arange(len(cand)), j].argmin())
+    if cost[b, j[b]] == np.inf:
+        return None
+    a, z = xs[b, lo + j[b]], xs[b, lo + j[b] + 1]
+    thr = a + (z - a) / 2.0
+    if not (a <= thr < z):  # adjacent floats: keep split non-empty
+        thr = a
+    return int(cand[b]), float(thr)
 
 
-def _grow_tree(X, Y, boot_idx, cfg, mtry, rng):
+def _grow_tree(X, Y, boot, cfg, mtry, rng):
+    """Grow one tree on the bootstrap rows, numbering nodes in preorder. A
+    node holds `pos`, its bootstrap positions ascending, and `order`, those
+    positions sorted per feature; a split compresses `order` stably, so only
+    the root sorts, and pending nodes wait on a stack that holds just these."""
+    XbT = X[boot].T.copy()  # (d, nb)
+    Yb = Y[boot]  # node means add these (nb, 2) rows in position order
+    YbT = Yb.T.copy()
+    d = len(XbT)
+    goes_left = np.empty(len(boot), dtype=bool)  # by position, per split
     feature, threshold, left, right, leaf_xy = [], [], [], [], []
-
-    def new_node():
+    # (pos, order, depth, parent's child list, parent)
+    stack = [(np.arange(len(boot)), np.argsort(XbT, axis=1, kind="stable"),
+              0, None, None)]
+    while stack:
+        pos, order, depth, link, parent = stack.pop()
+        node = len(feature)
+        if link is not None:
+            link[parent] = node
+        y = Yb[pos]
+        mean = y.mean(axis=0)
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        leaf_xy.append((0.0, 0.0))
-        return len(feature) - 1
-
-    def build(idx, depth):
-        node = new_node()
-        y = Y[idx]
-        mean = y.mean(axis=0)
-        leaf_xy[node] = (float(mean[0]), float(mean[1]))
+        leaf_xy.append((float(mean[0]), float(mean[1])))
         sse = float(((y - mean) ** 2).sum())
-        if (len(idx) < 2 * cfg.min_leaf or sse <= _PURITY_EPS
+        if (len(pos) < 2 * cfg.min_leaf or sse <= _PURITY_EPS
                 or (cfg.max_depth is not None and depth >= cfg.max_depth)):
-            return node
-        cand = rng.choice(X.shape[1], size=mtry, replace=False)
-        split = _best_split(X, Y, idx, cand, cfg.min_leaf)
+            continue
+        cand = rng.choice(d, size=mtry, replace=False)
+        split = _best_split(XbT, YbT, order, cand, cfg.min_leaf)
         if split is None:
-            return node
-        _, f, thr = split
-        mask = X[idx, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = build(idx[mask], depth + 1)
-        right[node] = build(idx[~mask], depth + 1)
-        return node
-
-    build(boot_idx, 0)
+            continue
+        feature[node], threshold[node] = split
+        mask = XbT[split[0], pos] <= split[1]
+        goes_left[pos] = mask
+        go = goes_left[order]
+        # the left child is popped next, so its whole subtree precedes the
+        # right child in preorder
+        stack.append((pos[~mask], order[~go].reshape(d, -1), depth + 1,
+                      right, node))
+        stack.append((pos[mask], order[go].reshape(d, -1), depth + 1,
+                      left, node))
     return Tree(feature, threshold, left, right, leaf_xy)
 
 

@@ -4,13 +4,15 @@ Each oracle re-implements the mathematics from first principles with the
 slowest, most transparent algorithm available, sharing no code path with the
 implementation under test: an exhaustive scan for kNN, full enumeration of
 sign assignments for the Wilcoxon distribution, reduction of the complete
-boundary matrix for Rips persistence, and a row-by-row, tree-by-tree node
-walk for the random forest.
+boundary matrix for Rips persistence, a row-by-row, tree-by-tree node walk
+for random-forest prediction, and a grower that sorts every candidate feature
+afresh at every node for random-forest training.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -45,6 +47,86 @@ def forest_walk(trees, X) -> np.ndarray:
             sy += tree["leaf_xy"][node][1]
         out.append((sx / len(trees), sy / len(trees)))
     return np.array(out)
+
+
+def _reference_split(X, Y, idx, features, min_leaf):
+    """Scan candidate features one at a time for the threshold minimizing
+    the summed per-coordinate child SSE; returns (cost, feature, threshold)."""
+    best = None
+    n = len(idx)
+    for f in features:
+        xs = X[idx, f]
+        order = np.argsort(xs, kind="stable")
+        xs_s = xs[order]
+        ys = Y[idx][order]
+        csum = np.cumsum(ys, axis=0)
+        csq = np.cumsum(ys * ys, axis=0)
+        tot, totsq = csum[-1], csq[-1]
+        pos = np.arange(1, n)
+        nl = pos.astype(float)
+        nr = (n - pos).astype(float)
+        sse_l = (csq[:-1] - csum[:-1] ** 2 / nl[:, None]).sum(axis=1)
+        sse_r = ((totsq - csq[:-1])
+                 - (tot - csum[:-1]) ** 2 / nr[:, None]).sum(axis=1)
+        cost = sse_l + sse_r
+        valid = ((xs_s[1:] > xs_s[:-1]) & (pos >= min_leaf)
+                 & (n - pos >= min_leaf))
+        if not valid.any():
+            continue
+        cost = np.where(valid, cost, np.inf)
+        j = int(np.argmin(cost))  # first minimum wins ties
+        if best is None or cost[j] < best[0]:
+            a, b = xs_s[j], xs_s[j + 1]
+            thr = a + (b - a) / 2.0
+            if not (a <= thr < b):  # adjacent floats: keep split non-empty
+                thr = a
+            best = (float(cost[j]), int(f), float(thr))
+    return best
+
+
+def reference_forest(X, Y, n_trees, max_depth, max_features, min_leaf, seed):
+    """Tree dicts as train_rf grows them, with the same random draws: tree t
+    seeds a generator with (seed, t), draws its bootstrap, then one feature
+    subset per splittable node in preorder. Each node sorts the rows it holds
+    (in bootstrap order) by each candidate feature, stably."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    m, d = X.shape
+    mtry = min(max_features or int(math.ceil(math.sqrt(d))), d)
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+        boot = rng.integers(0, m, size=m)
+        tree = {"feature": [], "threshold": [], "left": [], "right": [],
+                "leaf_xy": []}
+
+        def build(idx, depth):
+            node = len(tree["feature"])
+            for name, empty in (("feature", -1), ("threshold", 0.0),
+                                ("left", -1), ("right", -1)):
+                tree[name].append(empty)
+            y = Y[idx]
+            mean = y.mean(axis=0)
+            tree["leaf_xy"].append([float(mean[0]), float(mean[1])])
+            sse = float(((y - mean) ** 2).sum())
+            if (len(idx) < 2 * min_leaf or sse <= 1e-12
+                    or (max_depth is not None and depth >= max_depth)):
+                return node
+            cand = rng.choice(d, size=mtry, replace=False)
+            split = _reference_split(X, Y, idx, cand, min_leaf)
+            if split is None:
+                return node
+            _, f, thr = split
+            mask = X[idx, f] <= thr
+            tree["feature"][node] = f
+            tree["threshold"][node] = thr
+            tree["left"][node] = build(idx[mask], depth + 1)
+            tree["right"][node] = build(idx[~mask], depth + 1)
+            return node
+
+        build(boot, 0)
+        trees.append(tree)
+    return trees
 
 
 def wilcoxon_exhaustive(a, b) -> float:

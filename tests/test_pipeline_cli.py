@@ -9,10 +9,10 @@ from fpfuse.datamodel import SynthSpec, synth_radio_map
 from fpfuse.evaluate import FilterSpec, SearchGrids, fuse_points_batch
 from fpfuse.filters import filter_stream
 from fpfuse.fuse import write_belief_csv, write_belief_pgm
-from fpfuse.pipeline import (PipelineConfig, PredictorSession, ScanError,
-                             StageError, bench_pipeline, export_belief_map,
-                             fit_pipeline, load_artifact, predict_one,
-                             save_artifact)
+from fpfuse.pipeline import (ArtifactError, PipelineConfig, PredictorSession,
+                             ScanError, StageError, bench_pipeline,
+                             export_belief_map, fit_pipeline, load_artifact,
+                             predict_one, save_artifact)
 from fpfuse.preprocess import normalize_matrix
 from fpfuse.regress import predict_wknn_batch
 from fpfuse.topo import features_matrix
@@ -117,6 +117,28 @@ class TestArtifactRoundTrip:
         with pytest.raises(ValueError, match="version"):
             load_artifact(path)
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("mode", "bogus", "fusion.mode"),
+        ("dst_point_mode", "bogus", "fusion.dst_point_mode"),
+        ("cell_width", None, "malformed artifact"),
+    ])
+    def test_malformed_artifact_exits_2(self, artifact, tmp_path, capsys,
+                                        field, value, match):
+        path = tmp_path / "artifact.json"
+        save_artifact(artifact, path)
+        blob = json.loads(path.read_text())
+        if value is None:
+            del blob["fusion"][field]
+        else:
+            blob["fusion"][field] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ArtifactError, match=match):
+            load_artifact(path)
+        rc = cli.main(["predict", "--artifact", str(path),
+                       "--scan=-60,-61,-62,-63,-64,-65"])
+        assert rc == 2
+        assert match in capsys.readouterr().err
+
 
 class TestPredict:
     def test_convex_lambda_one_is_pure_rf(self, artifact):
@@ -180,7 +202,8 @@ def outputs(res):
 
 class TestScanContract:
     @pytest.mark.parametrize("method", ["kf", "pf"])
-    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, 50.0,
+                                           1e-8, -120.00001, -1e6])
     @pytest.mark.parametrize("at", [0, 2])
     def test_bad_scan_leaves_session_as_it_was(self, artifact, pf_artifact,
                                                method, bad_value, at):
@@ -212,6 +235,22 @@ class TestScanContract:
                 session.predict(scans[1])
         got += [outputs(session.predict(s)) for s in scans[1:]]
         assert got == expected
+
+    def test_range_edges_pass(self, artifact):
+        # the survey loader's tolerance: 1e-9 dBm past either end still passes
+        for value in (0.0, 5e-10, -120.0, -120.0 - 5e-10):
+            res = predict_one(artifact, np.full(6, value))
+            assert np.isfinite(res.position.xy).all()
+
+    def test_cli_huge_scan_exits_2_under_mw_zscore(self, tmp_path, capsys):
+        # 4000 dBm overflows to inf in milliwatts; it must not get that far
+        art_path = tmp_path / "artifact.json"
+        save_artifact(fit_pipeline(small_data(),
+                                   small_cfg(norm_mode="mw_zscore")), art_path)
+        rc = cli.main(["predict", "--artifact", str(art_path),
+                       "--scan=4000,-61,-62,-63,-64,-65"])
+        assert rc == 2
+        assert "channel 0" in capsys.readouterr().err
 
     def test_shape_error_is_a_scan_error(self, artifact):
         with pytest.raises(ScanError, match="6 channels"):

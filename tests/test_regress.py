@@ -3,11 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import brute_force_knn, forest_walk  # noqa: E402
+from oracles import brute_force_knn, forest_walk, reference_forest  # noqa: E402
 
 from fpfuse.preprocess import ChannelVariances  # noqa: E402
 from fpfuse.regress import (RfConfig, RfModel, build_knn_index,  # noqa: E402
@@ -102,6 +102,63 @@ class TestRandomForest:
                 row[f] = t
         assert np.array_equal(model.predict_batch(queries),
                               forest_walk(trees, queries))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 40),
+           columns=st.lists(st.sampled_from(["normal", "count", "wide count",
+                                             "constant", "copy"]),
+                            min_size=1, max_size=5),
+           labels=st.sampled_from(["integer RPs", "decimal RPs", "distinct"]),
+           duplicate_rows=st.booleans(), min_leaf=st.sampled_from([1, 2, 3]),
+           max_depth=st.sampled_from([None, 1, 3]),
+           all_features=st.booleans(), n_trees=st.integers(1, 6))
+    # found by search: each fails if ties are not broken by bootstrap
+    # position or if a later equal cost replaces the first minimum
+    @example(seed=9887, n=32, columns=["normal", "copy", "count"],
+             labels="decimal RPs", duplicate_rows=False, min_leaf=1,
+             max_depth=None, all_features=True, n_trees=6)
+    @example(seed=2610, n=26, columns=["normal", "count", "constant"],
+             labels="decimal RPs", duplicate_rows=False, min_leaf=1,
+             max_depth=None, all_features=True, n_trees=6)
+    @example(seed=3544, n=10, columns=["normal", "copy"],
+             labels="integer RPs", duplicate_rows=False, min_leaf=1,
+             max_depth=None, all_features=False, n_trees=6)
+    def test_growth_matches_reference_grower(self, seed, n, columns, labels,
+                                             duplicate_rows, min_leaf,
+                                             max_depth, all_features, n_trees):
+        # Integer columns (like PH counts), constants and copies of column 0
+        # tie values within a feature and costs across features. Targets are
+        # a few survey points: integer coordinates sum exactly, so equal
+        # costs stay equal (first-minimum rule); decimal ones round, so the
+        # order tied values are summed in decides near-equal costs (stable
+        # tie rule).
+        rng = np.random.default_rng(seed)
+        make = {"normal": lambda: rng.normal(size=n),
+                "count": lambda: rng.integers(0, 4, size=n).astype(float),
+                "wide count": lambda: rng.integers(0, 10, size=n).astype(float),
+                "constant": lambda: np.full(n, -61.0)}
+        X = np.column_stack([make[c]() for c in columns if c != "copy"]
+                            or [make["count"]()])
+        X = np.column_stack([X] + [X[:, :1]] * columns.count("copy"))
+        points = {"integer RPs": rng.integers(0, 3, size=(3, 2)) * 1.0,
+                  "decimal RPs": rng.integers(1, 12, size=(3, 2)) * 0.1,
+                  "distinct": rng.normal(size=(n, 2))}[labels]
+        Y = points[rng.integers(0, len(points), size=n)]
+        if duplicate_rows:
+            rows = rng.integers(0, max(1, n // 3), size=n)
+            X, Y = X[rows], Y[rows]
+        d = X.shape[1]
+        mtry = d if all_features else None
+        model = train_rf(X, Y, RfConfig(n_trees, max_depth, mtry, min_leaf,
+                                        seed))
+        ref = reference_forest(X, Y, n_trees, max_depth, mtry, min_leaf, seed)
+        assert len(model.trees) == len(ref)
+        for tree, want in zip(model.trees, ref):
+            for name in ("feature", "left", "right"):
+                assert getattr(tree, name).tolist() == want[name]
+            for name in ("threshold", "leaf_xy"):  # bit for bit, sign of 0
+                assert (getattr(tree, name).tobytes()
+                        == np.asarray(want[name], dtype=float).tobytes())
 
     def test_prefix_equals_forest_of_first_trees(self):
         rng = np.random.default_rng(3)
