@@ -601,6 +601,23 @@ class FilterSpec:
                                         self.predict_sigma, seed=seed))
 
 
+def check_fit_ranges(cfg, owner: str) -> None:
+    """Range checks of the fit fields PipelineConfig and AblationConfig
+    share; each error names owner.field and the value it got."""
+    rules = (("theta_discount", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
+             ("cell_width", "> 0", lambda v: v > 0),
+             ("k", ">= 1", lambda v: v >= 1),
+             ("n_trees", ">= 1", lambda v: v >= 1),
+             ("max_depth", "None or >= 1", lambda v: v is None or v >= 1),
+             ("eps", "> 0", lambda v: v > 0),
+             ("alpha_grid", "a non-empty tuple of values > 0",
+              lambda v: len(v) > 0 and all(a > 0 for a in v)))
+    for name, rule, ok in rules:
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise ValueError(f"{owner}.{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AblationConfig:
     ratios: tuple = (0.70, 0.15, 0.15)
@@ -627,6 +644,7 @@ class AblationConfig:
         if self.n_splits < 1:
             raise ValueError("AblationConfig.n_splits must be >= 1, "
                              f"got {self.n_splits!r}")
+        check_fit_ranges(self, "AblationConfig")
 
 
 def variant_names(filter_method: str) -> tuple[str, str, str, str]:

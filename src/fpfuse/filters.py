@@ -7,6 +7,12 @@ q = gamma * r. The particle filter uses the same Gaussian likelihood and
 triggers systematic resampling when the effective sample size drops below
 tau * n_particles.
 
+pf_step works in place on its fresh noise draw and one weight buffer, and
+systematic_resample finds each position's particle in one linear pass (an
+arithmetic guess stepped to the exact count) instead of a binary search.
+Both equal the out-of-place, binary-search forms bit for bit, random draws
+included, so a stream's estimates do not depend on which form ran.
+
 One function pair filters a scan: start_filter on a stream's first scan,
 step_filter on each later one; both return (state, estimate). filter_stream
 runs the pair over a recorded stream, PredictorSession over live scans.
@@ -14,6 +20,7 @@ runs the pair over a recorded stream, PredictorSession over live scans.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -157,15 +164,46 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return 1.0 / float(w @ w)
 
 
+@functools.lru_cache(maxsize=8)
+def _strides(m: int) -> np.ndarray:
+    """k / m for k < m, read-only and shared by every resample of m."""
+    out = np.arange(m) / m
+    out.setflags(write=False)
+    return out
+
+
 def systematic_resample(particles: np.ndarray, weights: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
-    """Stride resampling from one uniform offset u ~ U[0, 1/m)."""
+    """Stride resampling from one uniform offset u ~ U[0, 1/m).
+
+    Position p_k = u + k/m takes the first particle whose cumulative weight
+    exceeds it, or the last particle when no earlier one does: the result
+    of searchsorted(cumsum(weights), p, side="right") clipped to m - 1
+    whenever that cumulative sum is sorted. It is found in linear time.
+    below[i], the number of positions under cumulative[i], starts from the
+    arithmetic guess ceil((cumulative[i] - u) * m) and is stepped down, then
+    up, until position below[i] - 1 lies under cumulative[i] and position
+    below[i] does not; particle i then takes below[i] - below[i - 1]
+    positions and the last particle the rest.
+    """
     m = len(particles)
-    positions = (rng.uniform(0.0, 1.0 / m) + np.arange(m) / m)
-    cumulative = np.cumsum(weights)
-    cumulative[-1] = 1.0  # guard against fp undershoot in the last bin
-    idx = np.searchsorted(cumulative, positions, side="right")
-    return particles[np.minimum(idx, m - 1)]
+    u = rng.uniform(0.0, 1.0 / m)
+    positions = u + _strides(m)
+    cumulative = np.cumsum(weights[:-1])
+    guess = (cumulative - u) * m
+    np.ceil(guess, out=guess)
+    np.clip(guess, 0, m, out=guess)
+    bounds = np.empty(m + 1, dtype=np.intp)  # 0, below[0], ..., below[m-2], m
+    bounds[0], bounds[m] = 0, m
+    below = bounds[1:m]
+    below[:] = guess
+    # ext[b] is position b - 1, with -inf and +inf past either end
+    ext = np.concatenate(([-np.inf], positions, [np.inf]))
+    while (over := ext[below] >= cumulative).any():
+        below -= over
+    while (under := cumulative > ext[1:][below]).any():
+        below += under
+    return np.repeat(particles, np.diff(bounds))
 
 
 def pf_step(state: PfState, z: float, r: float, tau: float,
@@ -173,22 +211,30 @@ def pf_step(state: PfState, z: float, r: float, tau: float,
     """One particle-filter cycle: predict, weight, normalize, maybe resample.
 
     If every likelihood underflows to zero the weights reset to uniform and
-    the returned state is flagged degenerate.
+    the returned state is flagged degenerate. The step works in place on
+    the fresh noise draw and on one weight buffer; each operation is the
+    same IEEE operation on the same operands as its out-of-place form.
     """
     m = len(state.particles)
-    particles = state.particles + rng.normal(0.0, predict_sigma, size=m)
-    logw = -((particles - z) ** 2) / (2.0 * r)
-    weights = state.weights * np.exp(logw - logw.max())
+    particles = rng.normal(0.0, predict_sigma, size=m)
+    particles += state.particles
+    weights = particles - z
+    np.square(weights, out=weights)
+    np.negative(weights, out=weights)
+    weights /= 2.0 * r  # the log-likelihood
+    weights -= weights.max()
+    np.exp(weights, out=weights)
+    weights *= state.weights
     total = weights.sum()
     degenerate = False
     if total <= 0.0 or not np.isfinite(total):
-        weights = np.full(m, 1.0 / m)
+        weights.fill(1.0 / m)
         degenerate = True
     else:
-        weights = weights / total
+        weights /= total
     if effective_sample_size(weights) < tau * m:
         particles = systematic_resample(particles, weights, rng)
-        weights = np.full(m, 1.0 / m)
+        weights.fill(1.0 / m)
     return PfState(particles, weights, degenerate)
 
 

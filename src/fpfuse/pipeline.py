@@ -88,6 +88,10 @@ class PipelineConfig:
         if not 0.0 <= self.convex_lambda <= 1.0:
             raise ValueError("PipelineConfig.convex_lambda must be in [0, 1], "
                              f"got {self.convex_lambda!r}")
+        ev.check_fit_ranges(self, "PipelineConfig")
+        if self.alpha is not None and not self.alpha > 0:
+            raise ValueError("PipelineConfig.alpha must be None or > 0, "
+                             f"got {self.alpha!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,15 +184,35 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
     f = d["filter"]
     filter_cfg = FilterConfig(f["method"], f["q_gamma"], np.array(f["r"]),
                               pf=PfParams(**f["pf"]))
-    rf = RfModel.from_dict(d["rf"])
-    knn_var = ChannelVariances(np.array(d["knn"]["var"]))
-    knn = build_knn_index(np.array(d["knn"]["points"]),
-                          np.array(d["knn"]["labels"]), knn_var)
+    for name, arr in (("norm.sigma", norm.sigma), ("norm.floored", norm.floored),
+                      ("variances.var", variances.var),
+                      ("filter.r", filter_cfg.r)):
+        if np.shape(arr) != (norm.d,):
+            raise ArtifactError(f"artifact field {name} has shape "
+                                f"{np.shape(arr)}, expected ({norm.d},) as "
+                                "norm.mu")
     ph_stats = None
     if d["ph_stats"] is not None:
         ph_stats = NormStats("dbm_zscore", np.array(d["ph_stats"]["mu"]),
                              np.array(d["ph_stats"]["sigma"]),
                              np.array(d["ph_stats"]["floored"], dtype=bool))
+        for name in ("mu", "sigma", "floored"):
+            shape = np.shape(getattr(ph_stats, name))
+            if shape != (4,):
+                raise ArtifactError(f"artifact field ph_stats.{name} has "
+                                    f"shape {shape}, expected (4,)")
+    rf = RfModel.from_dict(d["rf"])
+    n_features = norm.d + (4 if ph_stats is not None else 0)
+    if rf.n_features != n_features:
+        raise ArtifactError(f"artifact field rf.n_features is {rf.n_features}"
+                            f", expected {n_features} (channels plus 4 "
+                            "with ph_stats)")
+    points = np.array(d["knn"]["points"])
+    if points.ndim != 2 or points.shape[1] != n_features:
+        raise ArtifactError(f"artifact field knn.points has shape "
+                            f"{points.shape}, expected rows of {n_features}")
+    knn_var = ChannelVariances(np.array(d["knn"]["var"]))
+    knn = build_knn_index(points, np.array(d["knn"]["labels"]), knn_var)
     grid = make_grid(Bounds(*fusion["bounds"]), fusion["cell_width"])
     return PipelineArtifact(
         version=d["version"], meta=d["meta"], config=d["config"], norm=norm,

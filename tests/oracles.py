@@ -7,6 +7,11 @@ sign assignments for the Wilcoxon distribution, reduction of the complete
 boundary matrix for Rips persistence, a row-by-row, tree-by-tree node walk
 for random-forest prediction, and a grower that sorts every candidate feature
 afresh at every node for random-forest training.
+
+The reference_* functions further down are the library's earlier one-cloud,
+loop-based persistence features and its out-of-place particle-filter step
+with binary-search resampling. The batched and in-place versions must equal
+them bit for bit, random draws included.
 """
 
 from __future__ import annotations
@@ -224,3 +229,137 @@ def rips_diagrams_bruteforce(cloud: np.ndarray):
     h1.sort()
     return (np.array(h0, dtype=float).reshape(-1, 2),
             np.array(h1, dtype=float).reshape(-1, 2))
+
+
+def _reference_distances(cloud: np.ndarray) -> np.ndarray:
+    dx = cloud[:, 0][:, None] - cloud[:, 0][None, :]
+    dy = cloud[:, 1][:, None] - cloud[:, 1][None, :]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def reference_mst_weights(dist: np.ndarray) -> np.ndarray:
+    """Prim's algorithm on one complete graph; returns sorted edge weights."""
+    n = len(dist)
+    best = dist[0].copy()
+    best[0] = np.inf
+    weights = np.empty(n - 1)
+    for k in range(n - 1):
+        j = int(np.argmin(best))
+        weights[k] = best[j]
+        best[j] = np.inf
+        np.minimum(best, dist[j], out=best, where=np.isfinite(best))
+    weights.sort()
+    return weights
+
+
+def reference_h1_pairs(dist: np.ndarray) -> list[tuple[float, float]]:
+    """Reduce triangle columns over edge rows of one cloud (Z/2), with
+    edges enumerated row by row and sorted as (weight, i, j) tuples,
+    triangles as (filtration, i, j, k) tuples, columns as frozensets."""
+    n = len(dist)
+    if n < 3:
+        return []
+    enclosing = float(np.min(np.max(dist + np.diag(np.full(n, -np.inf)), axis=1)))
+
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = dist[i, j]
+            if w <= enclosing:
+                edges.append((w, i, j))
+    edges.sort()
+    edge_rank = {(i, j): r for r, (_, i, j) in enumerate(edges)}
+    edge_weight = [w for w, _, _ in edges]
+
+    triangles = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            dij = dist[i, j]
+            if dij > enclosing:
+                continue
+            for k in range(j + 1, n):
+                filt = max(dij, dist[i, k], dist[j, k])
+                if filt <= enclosing:
+                    triangles.append((filt, i, j, k))
+    triangles.sort()
+
+    low_to_col: dict[int, frozenset] = {}
+    pairs = []
+    for filt, i, j, k in triangles:
+        col = frozenset((edge_rank[(i, j)], edge_rank[(i, k)],
+                         edge_rank[(j, k)]))
+        while col:
+            low = max(col)
+            other = low_to_col.get(low)
+            if other is None:
+                break
+            col = col ^ other
+        if col:
+            low = max(col)
+            low_to_col[low] = col
+            birth = edge_weight[low]
+            if filt > birth:
+                pairs.append((birth, filt))
+    pairs.sort()
+    return pairs
+
+
+def reference_vr_persistence(cloud: np.ndarray):
+    """(h0, h1) of one planar cloud through the reference helpers."""
+    cloud = np.asarray(cloud, dtype=float)
+    dist = _reference_distances(cloud)
+    h0 = np.column_stack([np.zeros(len(cloud) - 1),
+                          reference_mst_weights(dist)])
+    h1 = np.array(reference_h1_pairs(dist), dtype=float).reshape(-1, 2)
+    return h0, h1
+
+
+def _reference_entropy(lengths: np.ndarray) -> float:
+    lengths = lengths[lengths > 0]
+    total = lengths.sum()
+    if lengths.size == 0 or total <= 0:
+        return 0.0
+    p = lengths / total
+    return float(-(p * np.log(p)).sum())
+
+
+def reference_features(f_norm) -> np.ndarray:
+    """[count_h0, entropy_h0, count_h1, entropy_h1] of one vector's curve
+    {(i, f_i)}, i from 1, through the reference helpers."""
+    f = np.asarray(f_norm, dtype=float)
+    cloud = np.column_stack([np.arange(1, f.size + 1, dtype=float), f])
+    h0, h1 = reference_vr_persistence(cloud)
+    pe0 = _reference_entropy(h0[:, 1] - h0[:, 0]) if h0.size else 0.0
+    pe1 = _reference_entropy(h1[:, 1] - h1[:, 0]) if h1.size else 0.0
+    return np.array([len(h0), pe0, len(h1), pe1], dtype=float)
+
+
+def reference_systematic_resample(particles, weights, rng) -> np.ndarray:
+    """Stride resampling by binary search of the positions u + k/m in the
+    cumulative weights (last entry forced to 1.0), clipped to m - 1."""
+    m = len(particles)
+    positions = (rng.uniform(0.0, 1.0 / m) + np.arange(m) / m)
+    cumulative = np.cumsum(weights)
+    cumulative[-1] = 1.0
+    idx = np.searchsorted(cumulative, positions, side="right")
+    return particles[np.minimum(idx, m - 1)]
+
+
+def reference_pf_step(particles, weights, z, r, tau, predict_sigma, rng):
+    """One out-of-place particle-filter cycle; returns (particles, weights,
+    degenerate), drawing from rng in the library's order."""
+    m = len(particles)
+    particles = particles + rng.normal(0.0, predict_sigma, size=m)
+    logw = -((particles - z) ** 2) / (2.0 * r)
+    weights = weights * np.exp(logw - logw.max())
+    total = weights.sum()
+    degenerate = False
+    if total <= 0.0 or not np.isfinite(total):
+        weights = np.full(m, 1.0 / m)
+        degenerate = True
+    else:
+        weights = weights / total
+    if 1.0 / float(weights @ weights) < tau * m:
+        particles = reference_systematic_resample(particles, weights, rng)
+        weights = np.full(m, 1.0 / m)
+    return particles, weights, degenerate

@@ -287,7 +287,9 @@ class TestCvGridSearch:
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("dst_point_mode", "centroid"), ("norm_mode", "linear"),
-        ("n_splits", 0), ("n_splits", -1)])
+        ("n_splits", 0), ("n_splits", -1), ("theta_discount", 1.5),
+        ("cell_width", 0.0), ("k", 0), ("n_trees", 0), ("max_depth", 0),
+        ("eps", -1e-9), ("alpha_grid", ()), ("alpha_grid", (1.0, -0.5))])
     def test_ablation_config_rejects(self, field, value):
         with pytest.raises(ValueError, match=f"AblationConfig.{field}"):
             fast_cfg(**{field: value})

@@ -1,12 +1,18 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import reference_pf_step, reference_systematic_resample  # noqa: E402
+
 from fpfuse.filters import (FilterConfig, KfState, PfParams, PfState,
                             effective_sample_size, filter_stream, kf_step,
                             pf_step, start_filter, step_filter,
-                            systematic_resample, ukf_step)
+                            systematic_resample, ukf_step)  # noqa: E402
 
 
 class TestKf:
@@ -179,3 +185,92 @@ class TestFilterStream:
         _, next_est = step_filter(cfg, first[0], z)
         expect = filter_stream(np.array([[0.5, -1.0], z, z]), cfg)
         assert np.array_equal(next_est, expect[2])
+
+
+class _Offset:
+    """Stands in for the generator of systematic_resample: uniform(low,
+    high) returns low + frac * (high - low), so a test fixes the offset."""
+
+    def __init__(self, frac: float):
+        self.frac = frac
+
+    def uniform(self, low, high):
+        return low + self.frac * (high - low)
+
+
+PARTICLE_COUNTS = [2, 3, 7, 10_000]
+
+
+def _weights(rng, particles, kind):
+    m = len(particles)
+    if kind == "flat":
+        return np.full(m, 1.0 / m)
+    if kind == "peaked":  # exact zeros where the likelihood underflows
+        w = np.exp(-((particles - particles[0]) ** 2) / 1e-3)
+        return w / w.sum()
+    if kind == "one-hot":
+        w = np.zeros(m)
+        w[rng.integers(m)] = 1.0
+        return w
+    return rng.dirichlet(np.full(m, 0.05 if kind == "sparse" else 1.0))
+
+
+class TestPfMatchesReference:
+    """The in-place step and the linear resample equal the out-of-place step
+    and binary-search resampling bit for bit, random draws included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from(PARTICLE_COUNTS),
+           kind=st.sampled_from(["flat", "peaked", "one-hot", "sparse",
+                                 "dirichlet", "on-positions"]),
+           frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+    def test_resample(self, seed, m, kind, frac):
+        rng = np.random.default_rng(seed)
+        particles = np.arange(m, dtype=float)  # the output names the indices
+        if kind == "on-positions":
+            # cumulative weights that land exactly on resampling positions
+            positions = frac / m + np.arange(m) / m
+            cuts = np.sort(rng.choice(positions, size=m - 1))
+            w = np.diff(np.concatenate(([0.0], cuts, [1.0])))
+        else:
+            w = _weights(rng, rng.normal(size=m), kind)
+        got = systematic_resample(particles, w, _Offset(frac))
+        expect = reference_systematic_resample(particles, w, _Offset(frac))
+        assert got.tobytes() == expect.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from(PARTICLE_COUNTS),
+           kind=st.sampled_from(["flat", "peaked", "one-hot", "sparse",
+                                 "dirichlet"]),
+           z=st.floats(-5.0, 5.0), r=st.sampled_from([1e-4, 0.05, 1.0, 30.0]),
+           tau=st.sampled_from([1e-12, 0.3, 0.9, 1.0 - 1e-12]),
+           sigma=st.sampled_from([0.0, 1.0]))
+    def test_pf_step(self, seed, m, kind, z, r, tau, sigma):
+        init = np.random.default_rng(seed)
+        particles = init.normal(size=m)
+        state = PfState(particles, _weights(init, particles, kind))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref = (state.particles, state.weights)
+        for _ in range(3):
+            state = pf_step(state, z, r, tau, sigma, ours)
+            p, w, degenerate = reference_pf_step(*ref, z, r, tau, sigma, theirs)
+            assert state.particles.tobytes() == p.tobytes()
+            assert state.weights.tobytes() == w.tobytes()
+            assert state.degenerate_reset == degenerate
+            ref = (p, w)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("m", PARTICLE_COUNTS)
+    @pytest.mark.parametrize("tau", [1e-12, 1.0 - 1e-12])
+    def test_full_underflow(self, m, tau):
+        # all mass on the particle farthest from z: every weight underflows
+        particles = np.linspace(0.0, 1.0, m)
+        weights = np.zeros(m)
+        weights[-1] = 1.0
+        out = pf_step(PfState(particles, weights), -1000.0, 1e-4, tau, 0.0,
+                      np.random.default_rng(m))
+        p, w, degenerate = reference_pf_step(particles, weights, -1000.0, 1e-4,
+                                             tau, 0.0, np.random.default_rng(m))
+        assert out.degenerate_reset and degenerate
+        assert out.particles.tobytes() == p.tobytes()
+        assert out.weights.tobytes() == w.tobytes()

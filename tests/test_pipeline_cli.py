@@ -51,7 +51,13 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("field,value", [
         ("fusion_mode", "bogus"), ("dst_point_mode", "centroid"),
         ("norm_mode", "linear"), ("convex_lambda", 3.0),
-        ("convex_lambda", -0.1), ("convex_lambda", float("nan"))])
+        ("convex_lambda", -0.1), ("convex_lambda", float("nan")),
+        ("theta_discount", 1.5), ("theta_discount", 1.0),
+        ("theta_discount", -0.01), ("theta_discount", float("nan")),
+        ("cell_width", 0.0), ("cell_width", -1.0), ("k", 0), ("n_trees", 0),
+        ("max_depth", 0), ("eps", 0.0), ("eps", float("nan")),
+        ("alpha", 0.0), ("alpha", -2.0), ("alpha_grid", ()),
+        ("alpha_grid", (0.5, 0.0)), ("alpha_grid", (float("nan"),))])
     def test_rejects_unknown_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=f"PipelineConfig.{field}"):
             small_cfg(**{field: value})
@@ -59,6 +65,12 @@ class TestPipelineConfig:
     def test_accepts_lambda_bounds(self):
         assert small_cfg(convex_lambda=0.0).convex_lambda == 0.0
         assert small_cfg(convex_lambda=1.0).convex_lambda == 1.0
+
+    def test_accepts_range_edges(self):
+        cfg = small_cfg(theta_discount=0.0, max_depth=None, alpha=None, k=1,
+                        n_trees=1, alpha_grid=(1e-3,))
+        assert (cfg.theta_discount, cfg.max_depth, cfg.alpha) == (0.0, None,
+                                                                  None)
 
 
 class TestFitPipeline:
@@ -131,6 +143,30 @@ class TestArtifactRoundTrip:
             del blob["fusion"][field]
         else:
             blob["fusion"][field] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ArtifactError, match=match):
+            load_artifact(path)
+        rc = cli.main(["predict", "--artifact", str(path),
+                       "--scan=-60,-61,-62,-63,-64,-65"])
+        assert rc == 2
+        assert match in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("match,edit", [
+        ("filter.r", lambda b: b["filter"]["r"].pop()),
+        ("variances.var", lambda b: b["variances"]["var"].pop()),
+        ("norm.sigma", lambda b: b["norm"]["sigma"].append(1.0)),
+        ("ph_stats.mu", lambda b: b["ph_stats"]["mu"].pop()),
+        ("rf.n_features", lambda b: b["rf"].update(
+            n_features=b["rf"]["n_features"] + 1)),
+        ("knn.points", lambda b: [row.pop() for row in b["knn"]["points"]]),
+    ])
+    def test_inconsistent_dimensions_exit_2(self, artifact, tmp_path, capsys,
+                                            match, edit):
+        path = tmp_path / "artifact.json"
+        save_artifact(artifact, path)
+        blob = json.loads(path.read_text())
+        edit(blob)
         path.write_text(json.dumps(blob))
         with pytest.raises(ArtifactError, match=match):
             load_artifact(path)

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import rips_diagrams_bruteforce  # noqa: E402
+from oracles import (reference_features, reference_vr_persistence,  # noqa: E402
+                     rips_diagrams_bruteforce)
 
+from fpfuse import topo  # noqa: E402
 from fpfuse.preprocess import fit_zscore_stats  # noqa: E402
 from fpfuse.topo import (PersistenceDiagram, PhFeatures, augment, embed_curve,  # noqa: E402
-                         features_matrix, ph_features, vr_persistence)
+                         features_for_vector, features_matrix, ph_features,
+                         vr_persistence)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -167,3 +170,60 @@ class TestAugment:
         zs = (feats - stats.mu) / stats.sigma
         keep = ~stats.floored  # constant descriptors stay exactly zero
         assert np.all(np.abs(zs.mean(axis=0)[keep]) < 1e-9)
+
+
+def _tied_values(rng, shape, kind, decimals):
+    """Values with many exact ties in their pairwise distances."""
+    if kind == "normal":
+        return rng.normal(size=shape) * 2.0
+    if kind == "rounded":
+        return np.round(rng.normal(size=shape) * 2.0, decimals)
+    if kind == "constant":
+        return np.repeat(np.round(rng.normal(size=(shape[0], 1)), decimals),
+                         shape[1], axis=1)
+    # repeated entries drawn from a handful of values
+    return rng.choice(np.round(rng.normal(size=3), decimals), size=shape)
+
+
+class TestBatchedMatchesReference:
+    """The batched features equal the loop-based reference bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 16),
+           n_rows=st.integers(1, 50),
+           kind=st.sampled_from(["normal", "rounded", "constant", "repeated"]),
+           decimals=st.integers(0, 2))
+    def test_features_matrix(self, seed, d, n_rows, kind, decimals):
+        F = _tied_values(np.random.default_rng(seed), (n_rows, d), kind,
+                         decimals)
+        expect = np.array([reference_features(row) for row in F])
+        assert features_matrix(F).tobytes() == expect.tobytes()
+        one = features_for_vector(F[-1]).as_array()
+        assert one.tobytes() == expect[-1].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 16),
+           kind=st.sampled_from(["normal", "rounded", "repeated"]),
+           decimals=st.integers(0, 1))
+    def test_vr_persistence(self, seed, n, kind, decimals):
+        # arbitrary clouds, coincident points and zero-length bars included
+        cloud = _tied_values(np.random.default_rng(seed), (n, 2), kind,
+                             decimals)
+        diag = vr_persistence(cloud)
+        h0, h1 = reference_vr_persistence(cloud)
+        assert diag.h0.tobytes() == h0.tobytes()
+        assert diag.h1.tobytes() == h1.tobytes()
+
+    def test_rows_split_over_passes(self, monkeypatch):
+        F = _tied_values(np.random.default_rng(5), (40, 12), "rounded", 1)
+        whole = features_matrix(F)
+        monkeypatch.setattr(topo, "_CHUNK_CELLS", 700)  # 3 rows per pass
+        assert features_matrix(F).tobytes() == whole.tobytes()
+
+    def test_rejects_bad_input(self):
+        for bad in (np.array([[0.0, np.nan, 1.0]]), np.array([[np.inf, 0.0]]),
+                    np.zeros((2, 1)), np.zeros((2, 65))):
+            with pytest.raises(ValueError):
+                features_matrix(bad)
+        with pytest.raises(ValueError):
+            features_for_vector(np.zeros((2, 3)))
