@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 internal error, 2 usage, input or I/O problem
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -34,6 +35,19 @@ def _load_json(path):
         return json.load(fh)
 
 
+@contextlib.contextmanager
+def _config_section(name: str):
+    """A value of --config section `name` that its config type rejects
+    (ValueError or TypeError, e.g. an unknown key) is a usage error that
+    names the section."""
+    try:
+        yield
+    except UsageError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"--config section {name!r}: {exc}") from exc
+
+
 def _config_overrides(args) -> dict:
     if getattr(args, "config", None):
         return _load_json(args.config)
@@ -41,12 +55,13 @@ def _config_overrides(args) -> dict:
 
 
 def _synth_spec_from(overrides: dict, seed) -> SynthSpec:
-    kwargs = dict(overrides.get("synth", {}))
-    if "bounds" in kwargs:
-        kwargs["bounds"] = Bounds(*kwargs["bounds"])
-    if seed is not None:
-        kwargs["seed"] = seed
-    return SynthSpec(**kwargs)
+    with _config_section("synth"):
+        kwargs = dict(overrides.get("synth", {}))
+        if "bounds" in kwargs:
+            kwargs["bounds"] = Bounds(*kwargs["bounds"])
+        if seed is not None:
+            kwargs["seed"] = seed
+        return SynthSpec(**kwargs)
 
 
 def _ingest(args, overrides: dict):
@@ -62,14 +77,16 @@ def _ingest(args, overrides: dict):
 
 
 def _filter_spec(overrides: dict) -> ev.FilterSpec:
-    return ev.FilterSpec(**overrides.get("filter", {}))
+    with _config_section("filter"):
+        return ev.FilterSpec(**overrides.get("filter", {}))
 
 
-def _noise_specs(overrides: dict) -> tuple:
+def _noise_specs(overrides: dict, default: tuple) -> tuple:
     specs = overrides.get("noise")
     if not specs:
-        return (ev.NoiseSpec(),)
-    return tuple(ev.NoiseSpec(**s) for s in specs)
+        return default
+    with _config_section("noise"):
+        return tuple(ev.NoiseSpec(**s) for s in specs)
 
 
 def _out_dir(args) -> Path:
@@ -91,19 +108,20 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     overrides = _config_overrides(args)
     data = _ingest(args, overrides)
-    pcfg_kwargs = dict(overrides.get("pipeline", {}))
-    if "filter" in pcfg_kwargs:
-        pcfg_kwargs["filter"] = ev.FilterSpec(**pcfg_kwargs["filter"])
-    if pcfg_kwargs.get("grids"):
-        grids = pcfg_kwargs["grids"]
-        pcfg_kwargs["grids"] = ev.SearchGrids(
-            **{key: tuple(v) for key, v in grids.items()})
-    for key in ("ratios", "alpha_grid"):
-        if key in pcfg_kwargs:
-            pcfg_kwargs[key] = tuple(pcfg_kwargs[key])
-    if args.seed is not None:
-        pcfg_kwargs["seed"] = args.seed
-    cfg = pl.PipelineConfig(**pcfg_kwargs)
+    with _config_section("pipeline"):
+        pcfg_kwargs = dict(overrides.get("pipeline", {}))
+        if "filter" in pcfg_kwargs:
+            pcfg_kwargs["filter"] = ev.FilterSpec(**pcfg_kwargs["filter"])
+        if pcfg_kwargs.get("grids"):
+            grids = pcfg_kwargs["grids"]
+            pcfg_kwargs["grids"] = ev.SearchGrids(
+                **{key: tuple(v) for key, v in grids.items()})
+        for key in ("ratios", "alpha_grid"):
+            if key in pcfg_kwargs:
+                pcfg_kwargs[key] = tuple(pcfg_kwargs[key])
+        if args.seed is not None:
+            pcfg_kwargs["seed"] = args.seed
+        cfg = pl.PipelineConfig(**pcfg_kwargs)
     artifact = pl.fit_pipeline(data, cfg)
     out = _out_dir(args) / (args.name or "artifact.json")
     pl.save_artifact(artifact, out)
@@ -154,24 +172,27 @@ def _write_report(report: ev.EvalReport, out: Path, stem: str) -> None:
 
 
 def _ablation_config(args, overrides: dict, noise) -> ev.AblationConfig:
-    kwargs = dict(overrides.get("ablation", {}))
-    kwargs["filter"] = _filter_spec(overrides)
-    kwargs["noise"] = noise
-    if "ratios" in kwargs:
-        kwargs["ratios"] = tuple(kwargs["ratios"])
-    if "alpha_grid" in kwargs:
-        kwargs["alpha_grid"] = tuple(kwargs["alpha_grid"])
-    if args.seed is not None:
-        kwargs["base_seed"] = args.seed
-    if getattr(args, "splits", None):
-        kwargs["n_splits"] = args.splits
-    return ev.AblationConfig(**kwargs)
+    filter_spec = _filter_spec(overrides)
+    with _config_section("ablation"):
+        kwargs = dict(overrides.get("ablation", {}))
+        kwargs["filter"] = filter_spec
+        kwargs["noise"] = noise
+        if "ratios" in kwargs:
+            kwargs["ratios"] = tuple(kwargs["ratios"])
+        if "alpha_grid" in kwargs:
+            kwargs["alpha_grid"] = tuple(kwargs["alpha_grid"])
+        if args.seed is not None:
+            kwargs["base_seed"] = args.seed
+        if getattr(args, "splits", None):
+            kwargs["n_splits"] = args.splits
+        return ev.AblationConfig(**kwargs)
 
 
 def cmd_ablate(args) -> int:
     overrides = _config_overrides(args)
     data = _ingest(args, overrides)
-    cfg = _ablation_config(args, overrides, _noise_specs(overrides))
+    cfg = _ablation_config(args, overrides,
+                           _noise_specs(overrides, (ev.NoiseSpec(),)))
     report = ev.run_ablation_ladder(data, cfg)
     out = _out_dir(args)
     _write_report(report, out, "ablation")
@@ -184,16 +205,12 @@ def cmd_ablate(args) -> int:
 def cmd_noise_sweep(args) -> int:
     overrides = _config_overrides(args)
     data = _ingest(args, overrides)
-    specs = overrides.get("noise")
-    if specs:
-        noise = tuple(ev.NoiseSpec(**s) for s in specs)
-    else:
-        noise = tuple(
-            [ev.NoiseSpec("gauss_jitter", eta=e, seed=123)
-             for e in (0.05, 0.10, 0.20)]
-            + [ev.NoiseSpec("bursty", p=p, kappa=k, seed=123)
-               for p in (0.02, 0.05) for k in (2.0, 3.0)]
-            + [ev.NoiseSpec("dbm_10pct", level=0.10, seed=123)])
+    noise = _noise_specs(overrides, tuple(
+        [ev.NoiseSpec("gauss_jitter", eta=e, seed=123)
+         for e in (0.05, 0.10, 0.20)]
+        + [ev.NoiseSpec("bursty", p=p, kappa=k, seed=123)
+           for p in (0.02, 0.05) for k in (2.0, 3.0)]
+        + [ev.NoiseSpec("dbm_10pct", level=0.10, seed=123)]))
     cfg = _ablation_config(args, overrides, noise)
     report = ev.run_ablation_ladder(data, cfg)
     _write_report(report, _out_dir(args), "noise_sweep")

@@ -98,12 +98,26 @@ class PfState:
         w = np.asarray(self.weights, dtype=float)
         if p.shape != w.shape or p.ndim != 1:
             raise ValueError("particles and weights must be matching 1-D arrays")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):  # NaN fails
             raise ValueError("weights must be a probability vector")
         p.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "particles", p)
         object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def _trusted(cls, particles: np.ndarray, weights: np.ndarray,
+                 degenerate_reset: bool) -> "PfState":
+        """A state from float arrays that pf_step has just built, weights
+        already normalized: the weight checks are skipped (about 17 us at
+        10 000 particles), the arrays still become read-only."""
+        particles.setflags(write=False)
+        weights.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "particles", particles)
+        object.__setattr__(state, "weights", weights)
+        object.__setattr__(state, "degenerate_reset", degenerate_reset)
+        return state
 
     @property
     def estimate(self) -> float:
@@ -235,7 +249,7 @@ def pf_step(state: PfState, z: float, r: float, tau: float,
     if effective_sample_size(weights) < tau * m:
         particles = systematic_resample(particles, weights, rng)
         weights.fill(1.0 / m)
-    return PfState(particles, weights, degenerate)
+    return PfState._trusted(particles, weights, degenerate)
 
 
 def start_filter(cfg: FilterConfig, z: np.ndarray) -> tuple[tuple, np.ndarray]:

@@ -138,7 +138,9 @@ def _jsonable(obj):
 
 
 def artifact_to_dict(a: PipelineArtifact) -> dict:
-    return _jsonable({
+    # the forest's dict already holds plain Python values: _jsonable would
+    # only walk its ~100k node values one by one
+    return {"rf": a.rf.to_dict()} | _jsonable({
         "version": a.version,
         "meta": a.meta,
         "config": a.config,
@@ -151,7 +153,6 @@ def artifact_to_dict(a: PipelineArtifact) -> dict:
                           "ess_tau": a.filter_cfg.pf.ess_tau,
                           "predict_sigma": a.filter_cfg.pf.predict_sigma,
                           "seed": a.filter_cfg.pf.seed}},
-        "rf": a.rf.to_dict(),
         "knn": {"points": a.knn.points, "labels": a.knn.labels,
                 "var": a.knn.metric.var, "k": a.k, "eps": a.eps},
         "ph_stats": (None if a.ph_stats is None else
@@ -164,6 +165,15 @@ def artifact_to_dict(a: PipelineArtifact) -> dict:
                    "measure": {"mu1": a.measure.mu1, "mu2": a.measure.mu2},
                    "convex_lambda": a.convex_lambda},
     })
+
+
+def _field(name: str, build, *args):
+    """build(*args), its ValueError raised again as an ArtifactError that
+    names the artifact field the arguments come from."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ArtifactError(f"artifact field {name}: {exc}") from exc
 
 
 def artifact_from_dict(d: dict) -> PipelineArtifact:
@@ -179,8 +189,9 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
     norm = NormStats(d["norm"]["mode"], np.array(d["norm"]["mu"]),
                      np.array(d["norm"]["sigma"]),
                      np.array(d["norm"]["floored"], dtype=bool))
-    variances = ChannelVariances(np.array(d["variances"]["var"]),
-                                 d["variances"]["shrinkage"])
+    variances = _field("variances.var", ChannelVariances,
+                       np.array(d["variances"]["var"]),
+                       d["variances"]["shrinkage"])
     f = d["filter"]
     filter_cfg = FilterConfig(f["method"], f["q_gamma"], np.array(f["r"]),
                               pf=PfParams(**f["pf"]))
@@ -211,9 +222,18 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
     if points.ndim != 2 or points.shape[1] != n_features:
         raise ArtifactError(f"artifact field knn.points has shape "
                             f"{points.shape}, expected rows of {n_features}")
-    knn_var = ChannelVariances(np.array(d["knn"]["var"]))
-    knn = build_knn_index(points, np.array(d["knn"]["labels"]), knn_var)
-    grid = make_grid(Bounds(*fusion["bounds"]), fusion["cell_width"])
+    knn_var = _field("knn.var", ChannelVariances, np.array(d["knn"]["var"]))
+    if knn_var.var.shape != (n_features,):
+        raise ArtifactError(f"artifact field knn.var has shape "
+                            f"{knn_var.var.shape}, expected ({n_features},)")
+    labels = np.array(d["knn"]["labels"])
+    if labels.shape != (len(points), 2):
+        raise ArtifactError(f"artifact field knn.labels has shape "
+                            f"{labels.shape}, expected ({len(points)}, 2)")
+    knn = build_knn_index(points, labels, knn_var)
+    grid = _field("fusion.cell_width", make_grid,
+                  _field("fusion.bounds", Bounds, *fusion["bounds"]),
+                  fusion["cell_width"])
     return PipelineArtifact(
         version=d["version"], meta=d["meta"], config=d["config"], norm=norm,
         variances=variances, filter_cfg=filter_cfg, rf=rf, knn=knn,

@@ -53,7 +53,7 @@ class ChannelVariances:
 
     def __post_init__(self):
         arr = np.asarray(self.var, dtype=float)
-        if np.any(arr <= 0):
+        if not np.all(arr > 0):  # NaN fails
             raise ValueError("metric variances must be positive")
         arr.setflags(write=False)
         object.__setattr__(self, "var", arr)

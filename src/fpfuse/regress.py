@@ -4,9 +4,14 @@ The forest predicts both coordinates with one set of trees (split quality is
 the summed per-coordinate variance reduction). Its trees are packed into one
 node table with child indices global to the table, so prediction steps every
 (row, tree) pair down together, one vectorized step per depth level, instead
-of walking the trees one by one. A tree grows from its bootstrap sorted once
-per feature: each split partitions the node's sorted lists stably, so no
-node sorts, and one pass scores every split of all candidate features. The
+of walking the trees one by one. The trees also grow together: each keeps
+its own generator, bootstrap and preorder stack, and one lockstep step pops
+the next node of every tree, so each tree draws its candidate features in
+its own preorder, while the popped nodes' means, split searches and
+partitions run in shared numpy passes. A node is a range of its bootstrap
+positions, kept ascending; a split search sorts each candidate feature's
+(value rank, position) keys, so ties keep bootstrap order, and scores every
+split of all candidates of all nodes of a pass in one padded block. The
 kNN index pre-divides every feature by its channel std so Euclidean search
 in the scaled space equals the diagonal Mahalanobis distance; queries go
 through an exact kd-tree.
@@ -29,6 +34,13 @@ _PURITY_EPS = 1e-12  # stop splitting once a node's target variance is gone
 # (row, tree) pairs per traversal pass: bounds its memory and keeps the
 # working arrays in cache (larger passes measured slower per row)
 _PAIRS_PER_PASS = 1 << 14
+# Growth averages, scores and partitions nodes in passes of at most this many
+# block cells: a scoring pass holds about a dozen arrays of this size, 256 KB
+# each, and larger passes measured no faster.
+_GROW_CELLS = 1 << 15
+# At most this many bootstrap positions (trees x rows) grow together; each
+# holds an X row index and a slot in its node's range, 12 bytes in all.
+_GROW_POSITIONS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,10 @@ class Tree(NamedTuple):
     left: np.ndarray
     right: np.ndarray
     leaf_xy: np.ndarray
+
+
+def _int_or_none(v):
+    return None if v is None else int(v)
 
 
 def _renumber(children: np.ndarray, shift: int) -> np.ndarray:
@@ -197,12 +213,14 @@ class RfModel:
         return (0.0 + np.cumsum(leaves, axis=1)[:, -1]) / n_trees
 
     def to_dict(self) -> dict:
-        return {"n_features": self.n_features,
-                "config": {"n_trees": self.config.n_trees,
-                           "max_depth": self.config.max_depth,
-                           "max_features": self.config.max_features,
-                           "min_leaf": self.config.min_leaf,
-                           "seed": self.config.seed},
+        """Plain Python values only, ready for json."""
+        cfg = self.config
+        return {"n_features": int(self.n_features),
+                "config": {"n_trees": int(cfg.n_trees),
+                           "max_depth": _int_or_none(cfg.max_depth),
+                           "max_features": _int_or_none(cfg.max_features),
+                           "min_leaf": int(cfg.min_leaf),
+                           "seed": int(cfg.seed)},
                 "trees": [{name: col.tolist()
                            for name, col in zip(Tree._fields, tree)}
                           for tree in self.trees]}
@@ -213,83 +231,248 @@ class RfModel:
         return cls.from_trees(RfConfig(**d["config"]), d["n_features"], trees)
 
 
-def _best_split(XbT, YbT, order, cand, min_leaf):
-    """Lowest child SSE over all candidate features of one node, in one pass.
+def _rank_keys(X: np.ndarray) -> np.ndarray:
+    """Per feature, each row's rank among the column's distinct values, then
+    a column of m for the padding position: (rank, position) sorts a node's
+    positions exactly as a stable sort of their values does."""
+    m, d = X.shape
+    keys = np.empty((d, m + 1), dtype=np.intp)
+    for f in range(d):
+        keys[f, :m] = np.unique(X[:, f], return_inverse=True)[1]
+    keys[:, m] = m
+    return keys
 
-    order[f] holds the node's bootstrap positions sorted by feature f, ties by
-    position; the first minimum along a feature wins, then the first candidate
-    with the strictly smallest one. Returns (feature, threshold) or None."""
-    n = order.shape[1]
-    lo, hi = min_leaf - 1, n - min_leaf  # split after sorted index j in [lo, hi)
-    oc = order[cand]
-    xs = XbT[cand[:, None], oc]
-    c = np.empty((4, len(cand), n))  # y0, y1, y0*y0, y1*y1, sorted per row
-    np.take(YbT, oc, axis=1, out=c[:2])
+
+def _passes(size: np.ndarray, width: int) -> list[np.ndarray]:
+    """Nodes in passes, each pass sorted largest first and padded to its
+    first node. A pass holds at most _GROW_CELLS cells of `width` each per
+    padded position (or one node), and pads at most as many positions as it
+    holds plus a small allowance, so padding stays cheap."""
+    order = np.argsort(-size, kind="stable")
+    s = size[order].tolist()
+    slack = _GROW_CELLS // (8 * width)
+    out, i = [], 0
+    while i < len(s):
+        top, held, j = s[i], s[i], i + 1
+        while j < len(s):
+            cells = (j - i + 1) * top
+            if (cells * width > _GROW_CELLS
+                    or cells > 2 * (held + s[j]) + slack):
+                break
+            held += s[j]
+            j += 1
+        out.append(order[i:j])
+        i = j
+    return out
+
+
+def _padded_columns(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """(nodes, first node's size) columns of each node of a pass; past a
+    node's end, -1: the last slot of `pos`, which holds the padding
+    position (X row m, zero targets, a key above every real one)."""
+    j = np.arange(size[0])
+    return np.where(j < size[:, None], start[:, None] + j, -1)
+
+
+def _node_stats(YT, rows, pos, start, size):
+    """Each node's target mean and whether its SSE is at most _PURITY_EPS.
+
+    The mean is y.mean(axis=0) for y = Y[rows[p]], the node's targets in
+    position order: a mean along axis 0 of a C-ordered (n, 2) array adds row
+    after row to +0.0, as cumsum does along each padded row once +0.0 is
+    added to its first entry (which only turns -0.0 into +0.0), then
+    divides by n. The SSE is ((y - mean) ** 2).sum(), a pairwise sum. Any
+    order of summing the same 2n non-negative terms is within a relative
+    (2n - 1) * 2**-53 of the exact sum, so the padded rows' sum decides
+    every node but those within a relative n * 2**-40 of the threshold,
+    which are summed again as a pairwise sum."""
+    mean = np.empty((len(start), 2))
+    sse = np.empty(len(start))
+    for g in _passes(size, 2):
+        n = size[g]
+        y = YT.take(rows[pos[_padded_columns(start[g], n)]], axis=1)
+        y[:, :, 0] += 0.0
+        run = np.cumsum(y, axis=2)
+        mean[g] = (run[:, np.arange(len(g)), n - 1] / n).T
+        y -= mean[g].T[:, :, None]
+        np.square(y, out=y)
+        np.copyto(y, 0.0, where=np.arange(n[0]) >= n[:, None])  # padding
+        sse[g] = y.sum(axis=(0, 2))
+    near = np.abs(sse - _PURITY_EPS) <= size * 2.0 ** -40 * _PURITY_EPS
+    for i in np.flatnonzero(near):
+        y = YT[:, rows[pos[start[i]:start[i] + size[i]]]].T.copy()
+        sse[i] = ((y - mean[i]) ** 2).sum()
+    return mean, sse <= _PURITY_EPS
+
+
+def _best_splits(XT, YT, keys, rows, pos, start, size, cand, min_leaf,
+                 shift):
+    """Lowest child SSE over the candidate features of each node of a pass,
+    all in one padded (4, nodes, candidates, largest size) block.
+
+    Each (node, candidate) row sorts the keys rank << shift | position, so
+    its positions come out sorted by value, ties by position, and padding
+    last. The block holds y0, y1, y0*y0, y1*y1 in that order; padding
+    follows each row's end, so the running sums through a row's own entries
+    are bit-equal to an unpadded node's, and costs past a node's last
+    allowed split are masked. The first minimum along a feature wins, then
+    the first candidate with the strictly smallest one. Returns (feature,
+    threshold) per node, feature -1 where no split exists."""
+    n_nodes, k = cand.shape
+    width = int(size[0])
+    n = size[:, None, None]
+    lo = min_leaf - 1  # split after sorted index lo + j, j < w
+    w = width - 2 * min_leaf + 1
+    p = pos[_padded_columns(start, size)]
+    key = keys.take(cand[:, :, None] * keys.shape[1] + rows[p][:, None, :])
+    key <<= shift
+    key |= p[:, None, :]
+    key.sort(axis=2)
+    rank = key >> shift
+    key &= (1 << shift) - 1  # now the sorted positions
+    c = np.empty((4,) + key.shape)
+    np.take(YT, rows[key], axis=1, out=c[:2], mode="clip")  # unbuffered
     np.multiply(c[:2], c[:2], out=c[2:])
-    np.cumsum(c, axis=2, out=c)
-    s, q = c[:2, :, lo:hi], c[2:, :, lo:hi]  # left sums through index j
-    t, u = c[:2, :, -1:], c[2:, :, -1:]  # node totals
-    nl = np.arange(lo + 1, hi + 1, dtype=float)
-    sse_l = q - s ** 2 / nl  # per coordinate
-    sse_r = (u - q) - (t - s) ** 2 / (n - nl)
-    cost = (sse_l[0] + sse_l[1]) + (sse_r[0] + sse_r[1])
-    cost[xs[:, lo + 1:hi + 1] <= xs[:, lo:hi]] = np.inf  # no gap to split in
-    j = cost.argmin(axis=1)
-    b = int(cost[np.arange(len(cand)), j].argmin())
-    if cost[b, j[b]] == np.inf:
-        return None
-    a, z = xs[b, lo + j[b]], xs[b, lo + j[b] + 1]
+    np.cumsum(c, axis=3, out=c)
+    s, q = c[:2, ..., lo:lo + w], c[2:, ..., lo:lo + w]  # left sums through j
+    last = np.arange(n_nodes * k).reshape(n_nodes, k) * width + n[:, :, 0] - 1
+    total = c.reshape(4, -1).take(last, axis=1)[..., None]  # node totals
+    t, u = total[:2], total[2:]
+    # cost = (sse_l[0] + sse_l[1]) + (sse_r[0] + sse_r[1]) with, per
+    # coordinate, sse_l = q - s ** 2 / nl and sse_r = (u - q) - (t - s) ** 2
+    # / nr, each operation in that order
+    nl = np.arange(lo + 1, lo + w + 1, dtype=float)
+    nr = np.maximum(n - nl, 1.0)  # n - nl >= min_leaf at every allowed split
+    sse_l = np.square(s)
+    sse_l /= nl
+    np.subtract(q, sse_l, out=sse_l)
+    sse_r = np.subtract(t, s)
+    np.square(sse_r, out=sse_r)
+    sse_r /= nr
+    np.subtract(u - q, sse_r, out=sse_r)
+    cost = sse_l[0] + sse_l[1]
+    cost += sse_r[0] + sse_r[1]
+    shut = rank[..., lo + 1:lo + w + 1] == rank[..., lo:lo + w]  # no gap
+    shut |= np.arange(w) >= n - 2 * min_leaf + 1  # past the node's end
+    np.copyto(cost, np.inf, where=shut)
+    r = np.arange(n_nodes)
+    b = cost.min(axis=2).argmin(axis=1)
+    row = cost[r, b]
+    j = row.argmin(axis=1)
+    f, at = cand[r, b], lo + j
+    a, z = XT[f, rows[key[r, b, at]]], XT[f, rows[key[r, b, at + 1]]]
     thr = a + (z - a) / 2.0
-    if not (a <= thr < z):  # adjacent floats: keep split non-empty
-        thr = a
-    return int(cand[b]), float(thr)
+    thr = np.where((a <= thr) & (thr < z), thr, a)  # adjacent floats: keep
+    return np.where(row[r, j] == np.inf, -1, f), thr  # both sides non-empty
 
 
-def _grow_tree(X, Y, boot, cfg, mtry, rng):
-    """Grow one tree on the bootstrap rows, numbering nodes in preorder. A
-    node holds `pos`, its bootstrap positions ascending, and `order`, those
-    positions sorted per feature; a split compresses `order` stably, so only
-    the root sorts, and pending nodes wait on a stack that holds just these."""
-    XbT = X[boot].T.copy()  # (d, nb)
-    Yb = Y[boot]  # node means add these (nb, 2) rows in position order
-    YbT = Yb.T.copy()
-    d = len(XbT)
-    goes_left = np.empty(len(boot), dtype=bool)  # by position, per split
-    feature, threshold, left, right, leaf_xy = [], [], [], [], []
-    # (pos, order, depth, parent's child list, parent)
-    stack = [(np.arange(len(boot)), np.argsort(XbT, axis=1, kind="stable"),
-              0, None, None)]
-    while stack:
-        pos, order, depth, link, parent = stack.pop()
-        node = len(feature)
-        if link is not None:
-            link[parent] = node
-        y = Yb[pos]
-        mean = y.mean(axis=0)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        leaf_xy.append((float(mean[0]), float(mean[1])))
-        sse = float(((y - mean) ** 2).sum())
-        if (len(pos) < 2 * cfg.min_leaf or sse <= _PURITY_EPS
-                or (cfg.max_depth is not None and depth >= cfg.max_depth)):
+def _partition(XT, rows, pos, start, size, feature, threshold):
+    """Split each node's positions stably: those going left first, then the
+    rest, each still ascending. Returns the left counts."""
+    seg = np.repeat(np.arange(len(start)), size)
+    within = np.arange(len(seg)) - np.repeat(np.cumsum(size) - size, size)
+    cols = np.repeat(start, size) + within
+    p = pos[cols]
+    left = XT[feature[seg], rows[p]] <= threshold[seg]
+    n_left = np.bincount(seg[left], minlength=len(start))
+    into_left = within < n_left[seg]
+    pos[cols[into_left]] = p[left]
+    pos[cols[~into_left]] = p[~left]
+    return n_left
+
+
+def _grow_trees(XT, YT, keys, cfg, mtry, rngs):
+    """Grow trees in lockstep, each numbering its nodes in preorder.
+
+    Tree i owns positions i*m:(i+1)*m, one per bootstrap draw. A node is a
+    column range of `pos` holding its positions ascending; a split partitions
+    the range stably. Each tree keeps a stack of pending (start, size, depth,
+    link) nodes. One step pops the top node of every tree that has one, so
+    each tree draws its candidates from its own generator in its own
+    preorder, while means, split searches and partitions run for all popped
+    nodes together. Returns each step's (trees, links, features, thresholds,
+    means) of the popped nodes, and each tree's node count."""
+    d, m = XT.shape
+    n_trees = len(rngs)
+    n_pos = n_trees * m
+    shift = n_pos.bit_length()
+    dtype = np.int32 if (m << shift | n_pos) < 1 << 31 else np.int64
+    # one more position pads node rows: its key sorts after every real one
+    rows = np.empty(n_pos + 1, dtype=dtype)  # X row of each position
+    for i, rng in enumerate(rngs):
+        rows[i * m:(i + 1) * m] = rng.integers(0, m, size=m)
+    rows[n_pos] = m
+    keys = keys.astype(dtype)
+    pos = np.arange(n_pos + 1, dtype=dtype)
+    # stack[h, i] is tree i's pending node at height h: (start, size,
+    # depth, link), link = 2 * parent + (1 for a right child), -1 at the
+    # root. A tree holds at most one pending node per level, plus two.
+    stack = np.empty((min(m, cfg.max_depth or m) + 2, n_trees, 4),
+                     dtype=np.intp)
+    stack[0] = np.column_stack([np.arange(n_trees) * m, np.full(n_trees, m),
+                                np.zeros(n_trees, dtype=np.intp),
+                                np.full(n_trees, -1)])
+    height = np.ones(n_trees, dtype=np.intp)
+    count = np.zeros(n_trees, dtype=np.intp)
+    steps = []
+    while (live := np.flatnonzero(height)).size:
+        height[live] -= 1
+        start, size, depth, link = stack[height[live], live].T
+        node = count[live]
+        count[live] += 1
+        mean, pure = _node_stats(YT, rows, pos, start, size)
+        grow = (size >= 2 * cfg.min_leaf) & ~pure
+        if cfg.max_depth is not None:
+            grow &= depth < cfg.max_depth
+        grow = np.flatnonzero(grow)
+        cand = np.empty((len(grow), mtry), dtype=np.intp)
+        for r, t in enumerate(live[grow].tolist()):
+            cand[r] = rngs[t].choice(d, size=mtry, replace=False)
+        feature = np.full(len(live), -1, dtype=np.intp)
+        threshold = np.zeros(len(live))
+        for g in _passes(size[grow], 4 * mtry):
+            i = grow[g]
+            feature[i], threshold[i] = _best_splits(
+                XT, YT, keys, rows, pos, start[i], size[i], cand[g],
+                cfg.min_leaf, shift)
+        threshold[feature < 0] = 0.0
+        steps.append((live, link, feature, threshold, mean))
+        inner = np.flatnonzero(feature >= 0)
+        if not inner.size:
             continue
-        cand = rng.choice(d, size=mtry, replace=False)
-        split = _best_split(XbT, YbT, order, cand, cfg.min_leaf)
-        if split is None:
-            continue
-        feature[node], threshold[node] = split
-        mask = XbT[split[0], pos] <= split[1]
-        goes_left[pos] = mask
-        go = goes_left[order]
+        # a partition pass moves about four arrays of its positions
+        n_passes = -(-4 * int(size[inner].sum()) // _GROW_CELLS)
+        n_left = np.concatenate([
+            _partition(XT, rows, pos, start[i], size[i], feature[i],
+                       threshold[i])
+            for i in np.array_split(inner, min(n_passes, len(inner)))])
+        t, h, below = live[inner], height[live[inner]], depth[inner] + 1
         # the left child is popped next, so its whole subtree precedes the
         # right child in preorder
-        stack.append((pos[~mask], order[~go].reshape(d, -1), depth + 1,
-                      right, node))
-        stack.append((pos[mask], order[go].reshape(d, -1), depth + 1,
-                      left, node))
-    return Tree(feature, threshold, left, right, leaf_xy)
+        stack[h, t] = np.column_stack([start[inner] + n_left,
+                                       size[inner] - n_left, below,
+                                       2 * node[inner] + 1])
+        stack[h + 1, t] = np.column_stack([start[inner], n_left, below,
+                                           2 * node[inner]])
+        height[t] += 2
+    return steps, count
+
+
+def _pack(steps, count):
+    """The node arrays of _grow_trees' steps in tree order, children
+    numbered within these trees' table."""
+    tree = np.concatenate([s[0] for s in steps])
+    o = np.argsort(tree, kind="stable")  # a tree's nodes were popped in order
+    tree, link, feature, threshold, leaf_xy = (
+        np.concatenate([s[k] for s in steps])[o] for k in range(5))
+    first = np.concatenate([[0], np.cumsum(count)[:-1]])
+    children = [np.full(len(o), -1, dtype=np.intp) for _ in range(2)]
+    child = np.flatnonzero(link >= 0)
+    parent = first[tree[child]] + (link[child] >> 1)
+    for side, col in enumerate(children):
+        on = (link[child] & 1) == side
+        col[parent[on]] = child[on]
+    return feature, threshold, children[0], children[1], leaf_xy
 
 
 def train_rf(X: np.ndarray, Y: np.ndarray, config: RfConfig = RfConfig()) -> RfModel:
@@ -297,7 +480,8 @@ def train_rf(X: np.ndarray, Y: np.ndarray, config: RfConfig = RfConfig()) -> RfM
 
     Tree t draws its bootstrap and its per-node feature subsets from a
     generator seeded by (config.seed, t), so the forest is reproducible and
-    independent of training order.
+    independent of training order. Trees grow in lockstep, as many at a time
+    as fit in _GROW_POSITIONS bootstrap positions.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -305,16 +489,32 @@ def train_rf(X: np.ndarray, Y: np.ndarray, config: RfConfig = RfConfig()) -> RfM
         raise ValueError("need at least 2 training rows")
     if Y.shape != (len(X), 2):
         raise ValueError("targets must be an (M, 2) coordinate matrix")
+    if np.isnan(X).any():
+        raise ValueError("training features must not be NaN")
     m, d = X.shape
     mtry = config.max_features or int(math.ceil(math.sqrt(d)))
     mtry = min(mtry, d)
-    trees = []
-    for t in range(config.n_trees):
-        rng = np.random.default_rng(
+    XT, keys = X.T.copy(), _rank_keys(X)
+    YT = np.zeros((2, m + 1))  # row m, the padding row, is 0
+    YT[:, :m] = Y.T
+    per = max(1, _GROW_POSITIONS // m)
+    parts, shift = [], 0
+    for t0 in range(0, config.n_trees, per):
+        rngs = [np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(t,)))
-        boot = rng.integers(0, m, size=m)
-        trees.append(_grow_tree(X, Y, boot, config, mtry, rng))
-    return RfModel.from_trees(config, d, trees)
+            for t in range(t0, min(t0 + per, config.n_trees))]
+        steps, count = _grow_trees(XT, YT, keys, config, mtry, rngs)
+        feature, threshold, left, right, leaf_xy = _pack(steps, count)
+        del steps
+        parts.append((feature, threshold, _renumber(left, shift),
+                      _renumber(right, shift), leaf_xy, count))
+        shift += len(feature)
+    feature, threshold, left, right, leaf_xy, count = (
+        np.concatenate(col) for col in zip(*parts))
+    offsets = np.zeros(len(count) + 1, dtype=np.intp)
+    np.cumsum(count, out=offsets[1:])
+    return RfModel(config, d, feature.astype(np.int32), threshold, left,
+                   right, leaf_xy, offsets)
 
 
 def predict_rf(model: RfModel, x: np.ndarray) -> Position:

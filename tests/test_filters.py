@@ -84,6 +84,26 @@ class TestPf:
         assert out.estimate == pytest.approx(0.9, abs=0.0)
         assert np.allclose(out.weights, 1.0 / m)
 
+    @pytest.mark.parametrize("particles, weights", [
+        (np.zeros(3), np.array([0.5, 0.6, -0.1])),  # negative
+        (np.zeros(3), np.array([0.5, 0.25, 0.2])),  # sums to 0.95
+        (np.zeros(2), np.array([np.nan, 1.0])),
+        (np.zeros(3), np.full(2, 0.5)),  # lengths differ
+        (np.zeros((2, 2)), np.full((2, 2), 0.25)),  # not 1-D
+    ])
+    def test_public_constructor_rejects_bad_weights(self, particles, weights):
+        with pytest.raises(ValueError):
+            PfState(particles, weights)
+
+    def test_step_returns_read_only_state(self):
+        m = 50
+        state = PfState(np.linspace(-1.0, 1.0, m), np.full(m, 1.0 / m))
+        for tau in (0.0, 1.0):  # without and with resampling
+            out = pf_step(state, 0.2, 0.5, tau, 0.1, np.random.default_rng(1))
+            assert not out.particles.flags.writeable
+            assert not out.weights.flags.writeable
+            assert abs(out.weights.sum() - 1.0) < 1e-12
+
     def test_ess_definition_no_resample(self):
         w = np.full(100, 0.01)
         assert effective_sample_size(w) == pytest.approx(100.0)

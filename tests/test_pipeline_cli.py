@@ -163,6 +163,30 @@ class TestArtifactRoundTrip:
     ])
     def test_inconsistent_dimensions_exit_2(self, artifact, tmp_path, capsys,
                                             match, edit):
+        self.check_load_fails(artifact, tmp_path, capsys, match, edit)
+
+    @pytest.mark.parametrize("match,edit", [
+        pytest.param("knn.var", lambda b: b["knn"]["var"].pop(), id="short"),
+        pytest.param("knn.var", lambda b: b["knn"]["var"].__setitem__(0, 0.0),
+                     id="zero"),
+        pytest.param("knn.var", lambda b: b["knn"]["var"].__setitem__(
+            0, float("nan")), id="nan"),
+        pytest.param("variances.var", lambda b: b["variances"][
+            "var"].__setitem__(0, float("nan")), id="nan variance"),
+        pytest.param("knn.labels", lambda b: b["knn"]["labels"].pop(),
+                     id="labels"),
+        pytest.param("fusion.bounds", lambda b: b["fusion"].update(
+            bounds=[b["fusion"]["bounds"][i] for i in (2, 1, 0, 3)]),
+            id="inverted bounds"),
+        pytest.param("fusion.cell_width", lambda b: b["fusion"].update(
+            cell_width=0.0), id="zero width"),
+    ])
+    def test_bad_field_named_exit_2(self, artifact, tmp_path, capsys, match,
+                                    edit):
+        self.check_load_fails(artifact, tmp_path, capsys, match, edit)
+
+    @staticmethod
+    def check_load_fails(artifact, tmp_path, capsys, match, edit):
         path = tmp_path / "artifact.json"
         save_artifact(artifact, path)
         blob = json.loads(path.read_text())
@@ -429,6 +453,28 @@ class TestCli:
         report = json.loads((tmp_path / "noise_sweep.json").read_text())
         assert len(report["conditions"]) == 1 + 3  # clean + the eta grid
         assert len(report["variants"]) == 4
+
+    @pytest.mark.parametrize("command,config,section", [
+        ("fit", {"pipeline": {"theta_discount": 1.5}}, "pipeline"),
+        ("fit", {"pipeline": {"n_tree": 5}}, "pipeline"),  # unknown key
+        ("fit", {"pipeline": {"filter": {"method": "bogus"}}}, "pipeline"),
+        ("ablate", {"ablation": {"theta_discount": 1.5}}, "ablation"),
+        ("ablate", {"filter": {"method": "bogus"}}, "filter"),
+        ("noise-sweep", {"noise": [{"kind": "bogus"}]}, "noise"),
+        ("synth", {"synth": {"n_rp": 0}}, "synth"),
+    ])
+    def test_rejected_config_is_a_usage_error(self, tmp_path, capsys,
+                                              command, config, section):
+        config.setdefault("synth", {"n_rp": 4, "samples_per_rp": 4,
+                                    "n_wifi": 3, "n_ble": 1})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = cli.main([command, "--seed", "0", "--config", str(cfg_path),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--config section '{section}'" in err
+        assert "internal error" not in err
 
     def test_bench_command(self, tmp_path, artifact):
         art_path = tmp_path / "artifact.json"

@@ -1,5 +1,6 @@
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +10,42 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import brute_force_knn, forest_walk, reference_forest  # noqa: E402
 
+from fpfuse import regress  # noqa: E402
 from fpfuse.preprocess import ChannelVariances  # noqa: E402
 from fpfuse.regress import (RfConfig, RfModel, build_knn_index,  # noqa: E402
                             predict_rf, predict_wknn, query_knn, train_rf)
+
+
+def assert_matches_reference(model, ref):
+    assert len(model.trees) == len(ref)
+    for tree, want in zip(model.trees, ref):
+        for name in ("feature", "left", "right"):
+            assert getattr(tree, name).tolist() == want[name]
+        for name in ("threshold", "leaf_xy"):  # bit for bit, sign of 0
+            assert (getattr(tree, name).tobytes()
+                    == np.asarray(want[name], dtype=float).tobytes())
+
+
+def tree_depth(tree) -> int:
+    depth = np.zeros(len(tree.feature), dtype=int)
+    for i in np.flatnonzero(tree.feature >= 0):  # children follow parents
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    return int(depth.max())
+
+
+def rp_survey(rng, n, noisy_share):
+    """Rows at six reference points: a noisy and an exact RP-coded column,
+    a noise column and a small count; targets are the RP coordinates (on a
+    0.1 grid, so sums round), a share of them jittered."""
+    rp = rng.integers(0, 6, n)
+    X = np.column_stack([rp + rng.normal(0.0, 0.3, n), rp.astype(float),
+                         rng.normal(size=n),
+                         rng.integers(0, 4, n).astype(float)])
+    Y = (rng.integers(1, 12, size=(6, 2)) * 0.1)[rp]
+    k = int(noisy_share * n)
+    Y[:k] += rng.normal(size=(k, 2))
+    return X, Y
+
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = XOR_X.copy()
@@ -151,14 +185,9 @@ class TestRandomForest:
         mtry = d if all_features else None
         model = train_rf(X, Y, RfConfig(n_trees, max_depth, mtry, min_leaf,
                                         seed))
-        ref = reference_forest(X, Y, n_trees, max_depth, mtry, min_leaf, seed)
-        assert len(model.trees) == len(ref)
-        for tree, want in zip(model.trees, ref):
-            for name in ("feature", "left", "right"):
-                assert getattr(tree, name).tolist() == want[name]
-            for name in ("threshold", "leaf_xy"):  # bit for bit, sign of 0
-                assert (getattr(tree, name).tobytes()
-                        == np.asarray(want[name], dtype=float).tobytes())
+        assert_matches_reference(
+            model, reference_forest(X, Y, n_trees, max_depth, mtry, min_leaf,
+                                    seed))
 
     def test_prefix_equals_forest_of_first_trees(self):
         rng = np.random.default_rng(3)
@@ -203,6 +232,88 @@ class TestRandomForest:
                         "right": [-1], "leaf_xy": [[0.0, 0.0]]}]}
         with pytest.raises(ValueError, match="tree 0 node 0"):
             RfModel.from_dict(d)
+
+
+class TestLockstepGrowth:
+    """Trees grow together: every tree's stack steps at once, and all popped
+    nodes are averaged, scored and split in shared padded passes. The forest
+    must equal the one-tree-at-a-time reference grower bit for bit."""
+
+    def test_uneven_forest_over_forced_passes(self, monkeypatch):
+        X, Y = rp_survey(np.random.default_rng(2), 200, 0.02)
+        cfg = RfConfig(30, 6, max_features=1, seed=5)
+        model = train_rf(X, Y, cfg)
+        sizes = [len(tree.feature) for tree in model.trees]
+        depths = {tree_depth(tree) for tree in model.trees}
+        assert max(sizes) >= 3 * min(sizes)  # trees end at different steps
+        assert depths >= {5, 6}  # max_depth 6 stops only some trees
+        ref = reference_forest(X, Y, 30, 6, 1, 1, 5)
+        assert_matches_reference(model, ref)
+        # one node per pass, then one tree at a time
+        monkeypatch.setattr(regress, "_GROW_CELLS", 1)
+        assert_matches_reference(train_rf(X, Y, cfg), ref)
+        monkeypatch.setattr(regress, "_GROW_POSITIONS", 1)
+        assert_matches_reference(train_rf(X, Y, cfg), ref)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 300),
+           noisy_share=st.sampled_from([0.0, 0.05, 1.0]),
+           n_trees=st.integers(1, 24), max_depth=st.sampled_from([None, 3, 7]),
+           min_leaf=st.sampled_from([1, 2, 5]),
+           max_features=st.sampled_from([None, 1, 4]),
+           cells=st.sampled_from([None, 200]),
+           positions=st.sampled_from([None, 500]))
+    # equal costs across candidate features (both RP-coded columns split
+    # the three rows alike): fails if a later candidate wins a tie
+    @example(seed=0, n=3, noisy_share=0.0, n_trees=1, max_depth=None,
+             min_leaf=1, max_features=4, cells=None, positions=None)
+    # a few hundred rows over many passes and cohorts of two trees
+    @example(seed=1, n=300, noisy_share=0.05, n_trees=24, max_depth=7,
+             min_leaf=1, max_features=None, cells=200, positions=600)
+    def test_matches_reference_grower(self, seed, n, noisy_share, n_trees,
+                                      max_depth, min_leaf, max_features,
+                                      cells, positions):
+        # up to a few hundred rows, so one step pops nodes of many sizes;
+        # small caps split steps into many passes and trees into cohorts
+        X, Y = rp_survey(np.random.default_rng(seed), n, noisy_share)
+        with mock.patch.object(regress, "_GROW_CELLS",
+                               cells or regress._GROW_CELLS), \
+                mock.patch.object(regress, "_GROW_POSITIONS",
+                                  positions or regress._GROW_POSITIONS):
+            model = train_rf(X, Y, RfConfig(n_trees, max_depth, max_features,
+                                            min_leaf, seed))
+        assert_matches_reference(
+            model, reference_forest(X, Y, n_trees, max_depth, max_features,
+                                    min_leaf, seed))
+
+    @pytest.mark.parametrize("data_seed,scale,splits", [
+        (3, 8.984953022720096e-08, False),
+        (7, 1.5064802714465447e-07, True),
+    ])
+    def test_purity_at_the_threshold(self, data_seed, scale, splits):
+        # found by search: the root's SSE is within an ulp of the purity
+        # threshold, where the pairwise sum and the padded rows' sum land on
+        # different sides of it; the pairwise sum decides
+        X = np.arange(40.0)[:, None]
+        Y = np.random.default_rng(data_seed).normal(size=(40, 2)) * scale
+        model = train_rf(X, Y, RfConfig(1, 1, seed=0))
+        assert (model.trees[0].feature[0] >= 0) == splits
+        assert_matches_reference(model, reference_forest(X, Y, 1, 1, None, 1,
+                                                         0))
+
+    def test_negative_zero_targets(self):
+        # numpy's mean adds the targets to +0.0, so a node whose targets
+        # are all -0.0 has mean +0.0
+        X, Y = rp_survey(np.random.default_rng(4), 60, 0.0)
+        Y[:, 1] = -0.0
+        Y[Y[:, 0] < 0.5, 0] = -0.0
+        assert_matches_reference(train_rf(X, Y, RfConfig(5, None, seed=1)),
+                                 reference_forest(X, Y, 5, None, None, 1, 1))
+
+    def test_rejects_nan_features(self):
+        X = np.array([[0.0], [np.nan], [1.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            train_rf(X, np.zeros((3, 2)))
 
 
 def toy_index(m=40, d=4, seed=0):
