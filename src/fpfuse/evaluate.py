@@ -1,5 +1,6 @@
 """Evaluation harness: noise injection, metrics, significance tests,
-cross-validated grid search, and the four-variant ablation ladder.
+cross-validated grid search, and the four-variant ablation ladder, plus the
+fit and locate steps that fit_pipeline and PredictorSession run as well.
 
 Noise is always injected into copies of test data; training data and source
 maps are never touched. Statistics are self-contained: the Wilcoxon test is
@@ -21,9 +22,10 @@ from .filters import FilterConfig, PfParams, filter_stream
 from .fuse import (Bba, GridSpec, argmax_belief, bba_from_point,
                    dempster_combine, make_grid, weighted_centroid)
 from .preprocess import MODES as NORM_MODES
-from .preprocess import (dbm_to_mw, fit_channel_variances,
+from .preprocess import (NormStats, dbm_to_mw, fit_channel_variances,
                          fit_norm_stats, fit_zscore_stats, normalize_matrix)
-from .regress import RfConfig, build_knn_index, predict_wknn_batch, train_rf
+from .regress import (KnnIndex, RfConfig, RfModel, build_knn_index,
+                      predict_wknn_batch, train_rf)
 from .topo import features_matrix
 
 NOISE_KINDS = ("gauss_jitter", "bursty", "dbm_10pct")
@@ -331,8 +333,62 @@ def confidence_interval(values, level: float = 0.95):
 
 
 # ---------------------------------------------------------------------------
-# shared pipeline pieces used by CV and the ablation ladder
+# shared pipeline pieces: CV, the ablation ladder, fit_pipeline and the
+# predictor session all run these
 # ---------------------------------------------------------------------------
+
+class StageError(RuntimeError):
+    """Wraps a pipeline failure with the name of the stage that raised it."""
+
+    def __init__(self, stage: str, cause: Exception):
+        super().__init__(f"stage '{stage}': {cause}")
+        self.stage = stage
+        self.cause = cause
+
+
+def stage(name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), any exception raised again as StageError(name)."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - rewrap with stage context
+        raise StageError(name, exc) from exc
+
+
+def ph_augment(x: np.ndarray, ph_stats: NormStats | None,
+               ph: np.ndarray | None = None) -> np.ndarray:
+    """Rows of x with their z-scored PH descriptors appended (ph holds the
+    descriptors when they are already computed); x itself when ph_stats is
+    None, the plain feature space."""
+    if ph_stats is None:
+        return x
+    if ph is None:
+        ph = features_matrix(x)
+    return np.hstack([x, (ph - ph_stats.mu) / ph_stats.sigma])
+
+
+def fit_regressors(x: np.ndarray, y: np.ndarray, use_ph: bool,
+                   rf_cfg: RfConfig) -> tuple[NormStats | None, RfModel, KnnIndex]:
+    """(ph_stats, forest, kNN index) on normalized training rows x with
+    positions y: the PH z-score stats (None without use_ph), the kNN metric,
+    the forest and the index, fitted in that order."""
+    ph_stats, ph = None, None
+    if use_ph:
+        ph = stage("ph-features", features_matrix, x)
+        ph_stats = fit_zscore_stats(ph)
+    features = ph_augment(x, ph_stats, ph)
+    metric = stage("metric", fit_channel_variances, features)
+    rf = stage("train-rf", train_rf, features, y, rf_cfg)
+    knn = stage("index-knn", build_knn_index, features, y, metric)
+    return ph_stats, rf, knn
+
+
+def locate(x: np.ndarray, ph_stats: NormStats | None, rf: RfModel,
+           knn: KnnIndex, k: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The forest's and the weighted kNN's positions, (N, 2) each, for N
+    filtered rows x in the space fit_regressors built."""
+    x = ph_augment(x, ph_stats)
+    return rf.predict_batch(x), predict_wknn_batch(knn, x, min(k, knn.m), eps)
+
 
 def filter_streams_by_rp(matrix: np.ndarray, rp_ids: np.ndarray,
                          cfg: FilterConfig) -> np.ndarray:
@@ -522,13 +578,16 @@ def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
         ctx["xva_f"] = filter_streams_by_rp(ctx["xva"], rp[ctx["va"]], cfg)
 
     # --- regressors: k for wKNN, (n_trees, depth) for the forest ---
+    # per-fold validation predictions of every regressor setting, kept for
+    # the fusion sweep
+    knn_preds, rf_preds = {}, {}
     scored = []
     for k in grids.k:
-        fold_rmse = []
-        for ctx in fold_ctx:
-            index = ctx["index"]
-            pred = predict_wknn_batch(index, ctx["xva_f"], min(k, index.m))
-            fold_rmse.append(rmse_xy(pred, xy[ctx["va"]]))
+        knn_preds[k] = [predict_wknn_batch(ctx["index"], ctx["xva_f"],
+                                           min(k, ctx["index"].m))
+                        for ctx in fold_ctx]
+        fold_rmse = [rmse_xy(pred, xy[ctx["va"]])
+                     for ctx, pred in zip(fold_ctx, knn_preds[k])]
         scored.append((k, float(np.mean(fold_rmse))))
     tables["knn_k"] = scored
     k_best = _argmin_first(scored)
@@ -536,26 +595,20 @@ def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
     scored = []
     for t in grids.n_trees:
         for depth in grids.max_depth:
-            fold_rmse = []
-            for i, ctx in enumerate(fold_ctx):
-                model = train_rf(ctx["xtr"], xy[ctx["tr"]],
-                                 RfConfig(t, depth, seed=derive_seed(seed, 11, i)))
-                pred = model.predict_batch(ctx["xva_f"])
-                fold_rmse.append(rmse_xy(pred, xy[ctx["va"]]))
+            rf_preds[t, depth] = [
+                train_rf(ctx["xtr"], xy[ctx["tr"]],
+                         RfConfig(t, depth, seed=derive_seed(seed, 11, i))
+                         ).predict_batch(ctx["xva_f"])
+                for i, ctx in enumerate(fold_ctx)]
+            fold_rmse = [rmse_xy(pred, xy[ctx["va"]])
+                         for ctx, pred in zip(fold_ctx, rf_preds[t, depth])]
             scored.append(((t, depth), float(np.mean(fold_rmse))))
     tables["rf"] = scored
     n_trees_best, depth_best = _argmin_first(scored)
 
     # --- fusion: alpha and cell width on the fused estimate ---
-    per_fold_preds = []
-    for i, ctx in enumerate(fold_ctx):
-        model = train_rf(ctx["xtr"], xy[ctx["tr"]],
-                         RfConfig(n_trees_best, depth_best,
-                                  seed=derive_seed(seed, 11, i)))
-        index = ctx["index"]
-        per_fold_preds.append((model.predict_batch(ctx["xva_f"]),
-                               predict_wknn_batch(index, ctx["xva_f"],
-                                                  min(k_best, index.m))))
+    per_fold_preds = list(zip(rf_preds[n_trees_best, depth_best],
+                              knn_preds[k_best]))
     scored = []
     for h in grids.cell_width:
         grid = make_grid(train.bounds, h)
@@ -696,51 +749,31 @@ class EvalReport:
 
 
 def _fit_split_models(train, val, cfg: AblationConfig, seed: int):
-    """Everything the four variants share for one split."""
-    stats = fit_norm_stats(train, cfg.norm_mode)
+    """Everything the four variants share for one split: per feature space,
+    the fitted regressors and the DST scale the clean validation pass picks."""
+    stats = stage("normalize", fit_norm_stats, train, cfg.norm_mode)
     xtr = normalize_matrix(train.rss_matrix(), stats)
-    variances = fit_channel_variances(xtr)
+    variances = stage("variances", fit_channel_variances, xtr)
     ytr = train.xy_matrix()
-
     fcfg = cfg.filter.config(variances.var, derive_seed(seed, 101))
-
-    ph_train = features_matrix(xtr)
-    ph_stats = fit_zscore_stats(ph_train)
-    xtr_aug = np.hstack([xtr, (ph_train - ph_stats.mu) / ph_stats.sigma])
-    var_aug = fit_channel_variances(xtr_aug)
-
-    rf_plain = train_rf(xtr, ytr, RfConfig(cfg.n_trees, cfg.max_depth,
-                                           seed=derive_seed(seed, 1)))
-    rf_aug = train_rf(xtr_aug, ytr, RfConfig(cfg.n_trees, cfg.max_depth,
-                                             seed=derive_seed(seed, 2)))
-    knn_plain = build_knn_index(xtr, ytr, variances)
-    knn_aug = build_knn_index(xtr_aug, ytr, var_aug)
-
     grid = make_grid(train.bounds, cfg.cell_width)
 
-    # validation pass (clean) selects the DST scale per feature space
-    xval = normalize_matrix(val.rss_matrix(), stats)
-    xval_f = filter_streams_by_rp(xval, val.rp_ids(), fcfg)
-    yval = val.xy_matrix()
-    ph_val = features_matrix(xval_f)
-    xval_aug = np.hstack([xval_f, (ph_val - ph_stats.mu) / ph_stats.sigma])
-
-    alphas = {}
-    betas = {}
-    for space, (rf, knn, xv) in {"plain": (rf_plain, knn_plain, xval_f),
-                                 "aug": (rf_aug, knn_aug, xval_aug)}.items():
-        p_rf = rf.predict_batch(xv)
-        p_knn = predict_wknn_batch(knn, xv, min(cfg.k, knn.m), cfg.eps)
-        alphas[space] = select_alpha(p_rf, p_knn, yval, grid, cfg.alpha_grid,
-                                     cfg.theta_discount, cfg.dst_point_mode)
-        med = median_min_centroid_distance(np.vstack([p_rf, p_knn]), grid)
-        betas[space] = 1.0 / max(med, 1e-9)
+    xval_f = filter_streams_by_rp(normalize_matrix(val.rss_matrix(), stats),
+                                  val.rp_ids(), fcfg)
+    spaces = {}
+    for space, use_ph, key in (("plain", False, 1), ("aug", True, 2)):
+        ph_stats, rf, knn = fit_regressors(
+            xtr, ytr, use_ph,
+            RfConfig(cfg.n_trees, cfg.max_depth, seed=derive_seed(seed, key)))
+        p_rf, p_knn = locate(xval_f, ph_stats, rf, knn, cfg.k, cfg.eps)
+        alpha = stage("select-alpha", select_alpha, p_rf, p_knn,
+                      val.xy_matrix(), grid, cfg.alpha_grid,
+                      cfg.theta_discount, cfg.dst_point_mode)
+        spaces[space] = (ph_stats, rf, knn, alpha)
 
     return {"stats": stats, "variances": variances, "fcfg": fcfg,
-            "sigma_dbm": train.rss_matrix().std(axis=0),
-            "ph_stats": ph_stats, "rf_plain": rf_plain, "rf_aug": rf_aug,
-            "knn_plain": knn_plain, "knn_aug": knn_aug, "grid": grid,
-            "alphas": alphas, "betas": betas}
+            "sigma_dbm": train.rss_matrix().std(axis=0), "grid": grid,
+            "spaces": spaces}
 
 
 def _evaluate_condition(models, test, cfg: AblationConfig, noise: NoiseSpec | None):
@@ -759,33 +792,23 @@ def _evaluate_condition(models, test, cfg: AblationConfig, noise: NoiseSpec | No
         else:
             x = inject_bursty(x, sigma_hat, noise.p, noise.kappa, rng)
     x_f = filter_streams_by_rp(x, test.rp_ids(), models["fcfg"])
-    ph = features_matrix(x_f)
-    ph_stats = models["ph_stats"]
-    x_aug = np.hstack([x_f, (ph - ph_stats.mu) / ph_stats.sigma])
     truth = test.xy_matrix()
-
-    grid = models["grid"]
-    p_rf = models["rf_plain"].predict_batch(x_f)
-    p_knn = predict_wknn_batch(models["knn_plain"], x_f,
-                               min(cfg.k, models["knn_plain"].m), cfg.eps)
-    p_rf_aug = models["rf_aug"].predict_batch(x_aug)
-    p_knn_aug = predict_wknn_batch(models["knn_aug"], x_aug,
-                                   min(cfg.k, models["knn_aug"].m), cfg.eps)
 
     errors = {}
     modes_rmse = {}
     names = variant_names(cfg.filter.method)
-    errors[names[0]] = euclidean_errors(p_rf, truth)
-    errors[names[2]] = euclidean_errors(p_rf_aug, truth)
-    for name, (a, b, alpha) in {names[1]: (p_rf, p_knn, models["alphas"]["plain"]),
-                                names[3]: (p_rf_aug, p_knn_aug,
-                                           models["alphas"]["aug"])}.items():
+    for (rf_only, full), space in (((names[0], names[1]), "plain"),
+                                   ((names[2], names[3]), "aug")):
+        ph_stats, rf, knn, alpha = models["spaces"][space]
+        p_rf, p_knn = locate(x_f, ph_stats, rf, knn, cfg.k, cfg.eps)
+        errors[rf_only] = euclidean_errors(p_rf, truth)
         per_mode = {}
         for mode in ("belief_weighted", "argmax_centroid"):
-            fused = fuse_points_batch(a, b, grid, alpha, cfg.theta_discount, mode)
+            fused = fuse_points_batch(p_rf, p_knn, models["grid"], alpha,
+                                      cfg.theta_discount, mode)
             per_mode[mode] = euclidean_errors(fused, truth)
-        errors[name] = per_mode[cfg.dst_point_mode]
-        modes_rmse[name] = {m: rmse_xy_from_errors(e)
+        errors[full] = per_mode[cfg.dst_point_mode]
+        modes_rmse[full] = {m: rmse_xy_from_errors(e)
                             for m, e in per_mode.items()}
     return errors, modes_rmse
 
@@ -815,7 +838,8 @@ def run_ablation_ladder(data: RadioMap, cfg: AblationConfig = AblationConfig()) 
 
     for split_id in range(cfg.n_splits):
         seed = derive_seed(cfg.base_seed, split_id)
-        train, val, test = stratified_split(data, SplitSpec(cfg.ratios, seed))
+        train, val, test = stage("split", stratified_split, data,
+                                 SplitSpec(cfg.ratios, seed))
         t_fit = time.perf_counter()
         models = _fit_split_models(train, val, cfg, seed)
         runtime["fit"] += time.perf_counter() - t_fit

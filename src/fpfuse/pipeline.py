@@ -1,8 +1,11 @@
 """End-to-end pipeline: calibration to a JSON artifact, per-scan prediction,
 and the latency benchmark.
 
-Prediction reuses the harness's pieces: a session keeps the state of the
-filters' start_filter/step_filter pair, and evaluate.fuse_point is the one
+One fit step and one locate step, shared by fit, ladder and session:
+evaluate.fit_regressors fits the PH stats, forest and kNN index of a feature
+space, and evaluate.locate turns filtered rows into the two sources'
+positions. A session keeps the state of the filters' start_filter/step_filter
+pair, locates each scan as a batch of one, and evaluate.fuse_point is the one
 DST step, so a streamed session and the batch evaluation agree bit for bit.
 
 The artifact stores everything a deployment needs (normalization statistics,
@@ -24,6 +27,7 @@ import numpy as np
 from . import evaluate as ev
 from .datamodel import (DBM_CEIL, DBM_FLOOR, DBM_TOL, Bounds, Position,
                         RadioMap, SplitSpec, stratified_split)
+from .evaluate import StageError, stage  # noqa: F401 - StageError re-exported
 from .filters import (FilterConfig, KfState, PfParams, PfState, kf_step, pf_step,
                       start_filter, step_filter)
 from .fuse import (Bba, ChoquetMeasure, GridSpec, argmax_belief, bba_from_point,
@@ -33,9 +37,14 @@ from .fuse import (Bba, ChoquetMeasure, GridSpec, argmax_belief, bba_from_point,
 from .preprocess import MODES as NORM_MODES
 from .preprocess import (ChannelVariances, NormStats, apply_norm,
                          fit_channel_variances, fit_norm_stats,
-                         fit_zscore_stats, normalize_matrix)
-from .regress import KnnIndex, RfConfig, RfModel, build_knn_index, predict_wknn, train_rf
-from .topo import augment, features_for_vector, features_matrix
+                         normalize_matrix)
+from .regress import KnnIndex, RfConfig, RfModel, build_knn_index, predict_wknn
+from .topo import augment, features_for_vector
+# Not called in this module (evaluate.fit_regressors fits), but the traced
+# benchmark (perfbench/spans.py) wraps these names here, so they stay.
+from .preprocess import fit_zscore_stats  # noqa: F401
+from .regress import train_rf  # noqa: F401
+from .topo import features_matrix  # noqa: F401
 
 ARTIFACT_VERSION = "1"
 
@@ -45,15 +54,6 @@ FUSION_MODES = ("dst", "choquet", "convex")
 class ArtifactError(ValueError):
     """An artifact that cannot be loaded: an unsupported version, or a field
     (named in the message) that is missing or holds a value out of range."""
-
-
-class StageError(RuntimeError):
-    """Wraps a pipeline failure with the name of the stage that raised it."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage '{stage}': {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -269,13 +269,6 @@ def load_artifact(path) -> PipelineArtifact:
 
 def fit_pipeline(data: RadioMap, cfg: PipelineConfig = PipelineConfig()) -> PipelineArtifact:
     """Calibrate one pipeline on a survey; every stage failure names itself."""
-
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as exc:  # noqa: BLE001 - rewrap with stage context
-            raise StageError(name, exc) from exc
-
     train, val, _test = stage("split", stratified_split, data,
                               SplitSpec(cfg.ratios, cfg.seed))
     norm = stage("normalize", fit_norm_stats, train, cfg.norm_mode)
@@ -296,32 +289,16 @@ def fit_pipeline(data: RadioMap, cfg: PipelineConfig = PipelineConfig()) -> Pipe
 
     filter_cfg = fspec.config(variances.var, ev.derive_seed(cfg.seed, 101))
 
-    ph_stats = None
-    features = xtr
-    if cfg.use_ph:
-        ph_train = stage("ph-features", features_matrix, xtr)
-        ph_stats = fit_zscore_stats(ph_train)
-        features = np.hstack([xtr, (ph_train - ph_stats.mu) / ph_stats.sigma])
-    metric = stage("metric", fit_channel_variances, features)
-
-    ytr = train.xy_matrix()
-    rf = stage("train-rf", train_rf, features, ytr,
-               RfConfig(n_trees, max_depth, seed=ev.derive_seed(cfg.seed, 1)))
-    knn = stage("index-knn", build_knn_index, features, ytr, metric)
+    ph_stats, rf, knn = ev.fit_regressors(
+        xtr, train.xy_matrix(), cfg.use_ph,
+        RfConfig(n_trees, max_depth, seed=ev.derive_seed(cfg.seed, 1)))
     grid = make_grid(data.bounds, cell_width)
 
     # validation pass: DST scale, confidence scale, fuzzy measure
-    xval = normalize_matrix(val.rss_matrix(), norm)
-    xval_f = ev.filter_streams_by_rp(xval, val.rp_ids(), filter_cfg)
-    if cfg.use_ph:
-        ph_val = features_matrix(xval_f)
-        xval_feat = np.hstack([xval_f, (ph_val - ph_stats.mu) / ph_stats.sigma])
-    else:
-        xval_feat = xval_f
+    xval_f = ev.filter_streams_by_rp(normalize_matrix(val.rss_matrix(), norm),
+                                     val.rp_ids(), filter_cfg)
     yval = val.xy_matrix()
-    p_rf = rf.predict_batch(xval_feat)
-    p_knn = np.array([predict_wknn(knn, x, min(k, knn.m), cfg.eps).xy
-                      for x in xval_feat])
+    p_rf, p_knn = ev.locate(xval_f, ph_stats, rf, knn, k, cfg.eps)
     if alpha is None:
         alpha = stage("select-alpha", ev.select_alpha, p_rf, p_knn, yval,
                       grid, cfg.alpha_grid, cfg.theta_discount,
@@ -414,11 +391,9 @@ class PredictorSession:
             state, z = start_filter(a.filter_cfg, z)
         else:
             state, z = step_filter(a.filter_cfg, self._filter_state, z)
-        feat = z
-        if a.ph_stats is not None:
-            feat = augment(z, features_for_vector(z), a.ph_stats)
-        r_rf = Position(*a.rf.predict_batch(feat.reshape(1, -1))[0])
-        r_knn = predict_wknn(a.knn, feat, min(a.k, a.knn.m), a.eps)
+        p_rf, p_knn = ev.locate(z[None, :], a.ph_stats, a.rf, a.knn, a.k,
+                                a.eps)
+        r_rf, r_knn = Position(*p_rf[0]), Position(*p_knn[0])
         s_rf = confidence(r_rf, a.grid, a.beta)
         s_knn = confidence(r_knn, a.grid, a.beta)
         fused_conf = choquet(s_rf, s_knn, a.measure)

@@ -47,13 +47,18 @@ _GROW_POSITIONS = 1 << 18
 class RfConfig:
     n_trees: int = 200
     max_depth: int | None = 28
-    max_features: int | None = None  # None -> ceil(sqrt(n_features))
+    # candidates per split: None -> ceil(sqrt(n_features)); values above
+    # n_features clip to n_features
+    max_features: int | None = None
     min_leaf: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1 or self.min_leaf < 1:
             raise ValueError("n_trees and min_leaf must be >= 1")
+        if self.max_features is not None and self.max_features < 1:
+            raise ValueError("RfConfig.max_features must be None or >= 1, "
+                             f"got {self.max_features!r}")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None")
 

@@ -8,14 +8,17 @@ import scipy.stats
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import wilcoxon_exhaustive  # noqa: E402
 
+from fpfuse import evaluate as ev  # noqa: E402
 from fpfuse.datamodel import Position, SynthSpec, synth_radio_map  # noqa: E402
 from fpfuse.evaluate import (AblationConfig, FilterSpec, NoiseSpec,  # noqa: E402
-                             SearchGrids, _argmin_first, confidence_interval,
+                             SearchGrids, SelectedParams, _argmin_first,
+                             confidence_interval,
                              cv_grid_search, holm_bonferroni, inject_bursty,
                              inject_dbm_noise, inject_gauss_jitter,
                              paired_t_test, regularized_incomplete_beta,
                              rmse_xy, run_ablation_ladder, student_t_ppf,
                              wilcoxon_signed_rank)
+from fpfuse.pipeline import StageError  # noqa: E402
 
 
 class TestNoise:
@@ -265,6 +268,26 @@ class TestCvGridSearch:
         table = dict(sel.tables["knn_k"])
         assert sel.k == min(table, key=lambda kk: (table[kk],))
 
+    def test_fusion_sweep_reuses_the_fold_forests(self, monkeypatch):
+        configs = []
+        train_rf = ev.train_rf
+        monkeypatch.setattr(ev, "train_rf", lambda X, Y, cfg: (
+            configs.append(cfg), train_rf(X, Y, cfg))[1])
+        grids = SearchGrids(gamma=(0.25, 1.0), n_particles=(500,),
+                            ess_tau=(0.3,), k=(3, 7), n_trees=(6, 10),
+                            max_depth=(4, None), alpha=(0.5, 2.0),
+                            cell_width=(1.0, 0.5))
+        sel = cv_grid_search(tiny_map(), grids, folds=3, seed=5,
+                             filter_method="kf")
+        # one forest per (n_trees, max_depth, fold), none grown again
+        assert len(configs) == 2 * 2 * 3
+        assert len({(c.n_trees, c.max_depth, c.seed) for c in configs}) == 12
+        # the selection of the search that regrew the winner's fold forests
+        assert sel == SelectedParams("kf", 0.25, 500, 0.3, 3, 6, 4, 2.0, 1.0)
+        assert sel.tables["fusion"] == [
+            ((0.5, 1.0), 1.166807226248751), ((2.0, 1.0), 0.13391556583077954),
+            ((0.5, 0.5), 1.2923338643795013), ((2.0, 0.5), 0.1350838366491801)]
+
     def test_infeasible_rp_raises(self):
         rmap = synth_radio_map(SynthSpec(n_rp=2, samples_per_rp=1,
                                          n_wifi=2, n_ble=1, seed=0))
@@ -358,6 +381,16 @@ class TestAblationLadder:
         a = run_ablation_ladder(tiny_map(), fast_cfg())
         b = run_ablation_ladder(tiny_map(), fast_cfg())
         assert a.rmse == b.rmse
+
+    def test_fit_failure_names_its_stage(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("no forest")
+
+        monkeypatch.setattr(ev, "train_rf", broken)
+        with pytest.raises(StageError, match="train-rf") as info:
+            run_ablation_ladder(tiny_map(), fast_cfg())
+        assert info.value.stage == "train-rf"
+        assert isinstance(info.value.cause, ValueError)
 
     def test_sources_not_mutated(self):
         rmap = tiny_map()

@@ -20,3 +20,20 @@ def test_every_patch_target_resolves():
     missing = [(owner.__name__, attr) for owner, attr, _name in targets
                if not callable(owner.__dict__.get(attr))]
     assert missing == []
+
+
+def test_uninstall_restores_every_target():
+    spans = load_spans()
+    before = [(owner, attr, owner.__dict__[attr])
+              for owner, attr, _name in spans._patch_targets()]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        wrapped = [(owner.__name__, attr) for owner, attr, original in before
+                   if owner.__dict__[attr] is not original]
+    finally:
+        tracer.uninstall()
+    assert len(wrapped) == len(before)
+    changed = [(owner.__name__, attr) for owner, attr, original in before
+               if owner.__dict__[attr] is not original]
+    assert changed == []

@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpfuse import cli
 from fpfuse import pipeline as pl
 from fpfuse.datamodel import SynthSpec, synth_radio_map
-from fpfuse.evaluate import FilterSpec, SearchGrids, fuse_points_batch
+from fpfuse.evaluate import FilterSpec, SearchGrids, fuse_points_batch, locate
 from fpfuse.filters import filter_stream
 from fpfuse.fuse import write_belief_csv, write_belief_pgm
 from fpfuse.pipeline import (ArtifactError, PipelineConfig, PredictorSession,
@@ -39,6 +41,11 @@ def artifact():
 def pf_artifact():
     return fit_pipeline(small_data(), small_cfg(
         filter=FilterSpec(method="pf", n_particles=300)))
+
+
+@pytest.fixture(scope="module")
+def plain_artifact():
+    return fit_pipeline(small_data(), small_cfg(use_ph=False))
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +192,11 @@ class TestArtifactRoundTrip:
                                     edit):
         self.check_load_fails(artifact, tmp_path, capsys, match, edit)
 
+    def test_max_features_below_one_exit_2(self, artifact, tmp_path, capsys):
+        self.check_load_fails(artifact, tmp_path, capsys, "max_features",
+                              lambda b: b["rf"]["config"].update(
+                                  max_features=0))
+
     @staticmethod
     def check_load_fails(artifact, tmp_path, capsys, match, edit):
         path = tmp_path / "artifact.json"
@@ -290,7 +302,7 @@ class TestScanContract:
         session = PredictorSession(pf_artifact)
         got = [outputs(session.predict(scans[0]))]
         with monkeypatch.context() as m:
-            m.setattr(pl, "predict_wknn", lambda *a: 1 / 0)
+            m.setattr(pl, "confidence", lambda *a: 1 / 0)
             with pytest.raises(ZeroDivisionError):
                 session.predict(scans[1])
         got += [outputs(session.predict(s)) for s in scans[1:]]
@@ -323,6 +335,27 @@ class TestScanContract:
                        "--scan=-60,nan,-62,-63,-64,-65"])
         assert rc == 2
         assert "channel 1" in capsys.readouterr().err
+
+
+class TestLocate:
+    """A session locates each scan as a batch of one: every row of a batch
+    comes out as it does alone, bit for bit."""
+
+    @pytest.mark.parametrize("use_ph", [True, False])
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(-5.0, 5.0), min_size=6,
+                                  max_size=6), min_size=1, max_size=12))
+    def test_each_row_alone_equals_the_batch(self, artifact, plain_artifact,
+                                             use_ph, rows):
+        a = artifact if use_ph else plain_artifact
+        assert (a.ph_stats is not None) == use_ph
+        x = np.array(rows)
+        p_rf, p_knn = locate(x, a.ph_stats, a.rf, a.knn, a.k, a.eps)
+        for i in range(len(x)):
+            one_rf, one_knn = locate(x[i:i + 1], a.ph_stats, a.rf, a.knn,
+                                     a.k, a.eps)
+            assert one_rf.tobytes() == p_rf[i].tobytes()
+            assert one_knn.tobytes() == p_knn[i].tobytes()
 
 
 class TestSessionMatchesBatch:

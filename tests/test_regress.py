@@ -113,6 +113,19 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             train_rf(np.zeros((4, 2)), np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_config_rejects_max_features_below_one(self, value):
+        with pytest.raises(ValueError, match="RfConfig.max_features"):
+            RfConfig(max_features=value)
+
+    def test_max_features_above_d_clips_to_d(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(25, 3))
+        Y = rng.normal(size=(25, 2))
+        wide = train_rf(X, Y, RfConfig(8, 4, max_features=7, seed=2))
+        exact = train_rf(X, Y, RfConfig(8, 4, max_features=3, seed=2))
+        assert np.array_equal(wide.predict_batch(X), exact.predict_batch(X))
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n_trees=st.integers(1, 40),
            max_depth=st.sampled_from([None, 1, 3]), constant=st.booleans(),
