@@ -2,7 +2,8 @@
 export-belief-map.
 
 Exit codes: 0 success, 1 internal error, 2 usage, input or I/O problem
-(including a rejected scan or an artifact that does not load).
+(including a rejected scan, an artifact that does not load, and a total
+Dempster conflict between the two sources, in a fit or in a prediction).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from . import evaluate as ev
 from . import pipeline as pl
 from .datamodel import (Bounds, SynthSpec, load_radio_map, save_radio_map,
                         synth_radio_map)
+from .fuse import ConflictError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -315,9 +317,13 @@ def main(argv=None) -> int:
             PermissionError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ConflictError as exc:  # a scan whose two sources fully disagree
+        print(f"error: stage 'fuse': {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except pl.StageError as exc:
         cause = exc.cause
-        code = EXIT_USAGE if isinstance(cause, OSError) else EXIT_INTERNAL
+        code = (EXIT_USAGE if isinstance(cause, (OSError, ConflictError))
+                else EXIT_INTERNAL)
         print(f"error: {exc}", file=sys.stderr)
         return code
     except Exception as exc:  # noqa: BLE001 - CLI boundary

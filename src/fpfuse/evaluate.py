@@ -19,8 +19,13 @@ import numpy as np
 from .datamodel import Position, RadioMap, SplitSpec, stratified_split
 from .filters import METHODS as FILTER_METHODS
 from .filters import FilterConfig, PfParams, filter_stream
-from .fuse import (Bba, GridSpec, argmax_belief, bba_from_point,
-                   dempster_combine, make_grid, weighted_centroid)
+from .fuse import (Bba, GridSpec, combine_masses, make_grid,
+                   nearest_centroid_distance, singleton_masses,
+                   weighted_centroids)
+# Not called in this module (fuse_rows runs the (N, S) blocks), but the traced
+# benchmark (perfbench/spans.py) wraps these names here, so they stay.
+from .fuse import (argmax_belief, bba_from_point,  # noqa: F401
+                   dempster_combine, weighted_centroid)
 from .preprocess import MODES as NORM_MODES
 from .preprocess import (NormStats, dbm_to_mw, fit_channel_variances,
                          fit_norm_stats, fit_zscore_stats, normalize_matrix)
@@ -412,28 +417,44 @@ def filter_streams_by_rp(matrix: np.ndarray, rp_ids: np.ndarray,
 DST_POINT_MODES = ("belief_weighted", "argmax_centroid")
 
 
+def fuse_rows(pred_rf: np.ndarray, pred_knn: np.ndarray, grid: GridSpec,
+              alpha: float, theta_discount: float,
+              mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dempster-combine the two sources' cell masses for N rows of (N, 2)
+    positions and read a point off each fused mass: (points (N, 2), fused
+    singletons (N, S), fused frame masses (N,))."""
+    n = len(pred_rf)
+    masses = singleton_masses(np.concatenate([pred_rf, pred_knn]), grid, alpha,
+                              theta_discount)
+    fused, theta = combine_masses(masses[:n], theta_discount, masses[n:],
+                                  theta_discount)
+    if mode == "argmax_centroid":
+        return grid.centroids[np.argmax(fused, axis=1)], fused, theta
+    if mode == "belief_weighted":
+        return weighted_centroids(fused, grid), fused, theta
+    raise ValueError(f"unknown dst point mode {mode!r}")
+
+
 def fuse_point(r_rf: Position, r_knn: Position, grid: GridSpec, alpha: float,
                theta_discount: float, mode: str) -> tuple[Position, Bba]:
-    """Dempster-combine the two sources' cell masses and read a point off
-    the fused mass: (point, fused Bba)."""
-    m = dempster_combine(bba_from_point(r_rf, grid, alpha, theta_discount),
-                         bba_from_point(r_knn, grid, alpha, theta_discount))
-    if mode == "argmax_centroid":
-        return argmax_belief(m, grid)[1], m
-    if mode == "belief_weighted":
-        return weighted_centroid(m, grid), m
-    raise ValueError(f"unknown dst point mode {mode!r}")
+    """fuse_rows on one row: (point, fused Bba)."""
+    rows = np.array([[r_rf.x, r_rf.y], [r_knn.x, r_knn.y]])
+    points, fused, theta = fuse_rows(rows[:1], rows[1:], grid, alpha,
+                                     theta_discount, mode)
+    return Position(*points[0]), Bba(fused[0], float(theta[0]))
 
 
 def fuse_points_batch(pred_rf: np.ndarray, pred_knn: np.ndarray,
                       grid: GridSpec, alpha: float, theta_discount: float,
                       mode: str) -> np.ndarray:
-    out = np.empty_like(pred_rf)
-    for i in range(len(pred_rf)):
-        p, _ = fuse_point(Position(*pred_rf[i]), Position(*pred_knn[i]),
-                          grid, alpha, theta_discount, mode)
-        out[i] = (p.x, p.y)
-    return out
+    """The fused (N, 2) points of fuse_rows; like a Position, each input and
+    output coordinate must be finite."""
+    if not (np.isfinite(pred_rf).all() and np.isfinite(pred_knn).all()):
+        raise ValueError("position coordinates must be finite")
+    points = fuse_rows(pred_rf, pred_knn, grid, alpha, theta_discount, mode)[0]
+    if not np.isfinite(points).all():
+        raise ValueError("position coordinates must be finite")
+    return points
 
 
 def select_alpha(pred_rf, pred_knn, truth_xy, grid, alpha_grid,
@@ -450,11 +471,7 @@ def select_alpha(pred_rf, pred_knn, truth_xy, grid, alpha_grid,
 
 
 def median_min_centroid_distance(preds_xy: np.ndarray, grid: GridSpec) -> float:
-    d = np.empty(len(preds_xy))
-    for i, (x, y) in enumerate(preds_xy):
-        d[i] = np.hypot(grid.centroids[:, 0] - x,
-                        grid.centroids[:, 1] - y).min()
-    return float(np.median(d))
+    return float(np.median(nearest_centroid_distance(preds_xy, grid)))
 
 
 # ---------------------------------------------------------------------------

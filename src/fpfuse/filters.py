@@ -14,8 +14,12 @@ Both equal the out-of-place, binary-search forms bit for bit, random draws
 included, so a stream's estimates do not depend on which form ran.
 
 One function pair filters a scan: start_filter on a stream's first scan,
-step_filter on each later one; both return (state, estimate). filter_stream
-runs the pair over a recorded stream, PredictorSession over live scans.
+step_filter on each later one; both return (state, estimate).
+PredictorSession runs the pair over live scans. filter_stream denoises a
+recorded stream to the same bits: KF and UKF through the pair, PF channel by
+channel, so that only one particle cloud is alive at a time. Each channel
+starts as in start_filter, draws only from its own generator and steps
+through pf_step, the one particle-filter step.
 """
 
 from __future__ import annotations
@@ -252,28 +256,37 @@ def pf_step(state: PfState, z: float, r: float, tau: float,
     return PfState._trusted(particles, weights, degenerate)
 
 
+def _check_r(cfg: FilterConfig, d: int) -> None:
+    if cfg.r is None or cfg.r.size != d:
+        raise ValueError("cfg.r must hold one variance per channel")
+
+
+def _start_cloud(pf: PfParams, i: int,
+                 z_i: float) -> tuple[PfState, np.random.Generator]:
+    """Channel i's first cloud, N(z_i, 1), drawn from its own generator
+    (seeded by (pf.seed, i)), and that generator."""
+    rng = np.random.default_rng(np.random.SeedSequence(pf.seed, spawn_key=(i,)))
+    m = pf.n_particles
+    return PfState(rng.normal(z_i, 1.0, m), np.full(m, 1.0 / m)), rng
+
+
 def start_filter(cfg: FilterConfig, z: np.ndarray) -> tuple[tuple, np.ndarray]:
     """Start every channel's filter at the first scan z: (state, estimate).
 
     The state has one entry per channel: for KF/UKF a KfState at the
-    observation with p0 = r_i; for PF a cloud drawn from N(z_i, 1), the
-    channel's own generator, seeded by (pf.seed, i), and that generator's
-    bit state after the draw. Method 'none' keeps no state and passes z
-    through.
+    observation with p0 = r_i; for PF the channel's first cloud, its
+    generator, and that generator's bit state after the draw. Method 'none'
+    keeps no state and passes z through.
     """
     if cfg.method == "none":
         return (), z
-    if cfg.r is None or cfg.r.size != len(z):
-        raise ValueError("cfg.r must hold one variance per channel")
+    _check_r(cfg, len(z))
     if cfg.method != "pf":
         return (tuple(KfState(float(z_i), float(r_i))
                       for z_i, r_i in zip(z, cfg.r)), z.copy())
-    m = cfg.pf.n_particles
     state = []
     for i in range(len(z)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.pf.seed, spawn_key=(i,)))
-        cloud = PfState(rng.normal(float(z[i]), 1.0, m), np.full(m, 1.0 / m))
+        cloud, rng = _start_cloud(cfg.pf, i, float(z[i]))
         state.append((cloud, rng, rng.bit_generator.state))
     return tuple(state), np.array([entry[0].estimate for entry in state])
 
@@ -312,12 +325,30 @@ def step_filter(cfg: FilterConfig, state: tuple,
 
 
 def filter_stream(series: np.ndarray, cfg: FilterConfig) -> np.ndarray:
-    """Denoise a (T, d) stream: start_filter on the first row, then
-    step_filter on each later one. Method 'none' is the identity."""
+    """Denoise a (T, d) stream, equal to start_filter on the first row and
+    step_filter on each later one. Method 'none' is the identity.
+
+    A PF stream is filtered channel by channel: each channel's cloud starts
+    as in start_filter, is stepped through every row and is dropped before
+    the next channel starts. A channel draws only from its own generator, so
+    the order of the loops changes no bit.
+    """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2 or series.shape[0] < 1:
         raise ValueError("series must be a (T, d) matrix with T >= 1")
     out = np.empty_like(series)
+    if cfg.method == "pf":
+        _check_r(cfg, series.shape[1])
+        pf = cfg.pf
+        for i, column in enumerate(series.T.tolist()):
+            cloud, rng = _start_cloud(pf, i, column[0])
+            out[0, i] = cloud.estimate
+            r = float(cfg.r[i])
+            for t in range(1, len(column)):
+                cloud = pf_step(cloud, column[t], r, pf.ess_tau,
+                                pf.predict_sigma, rng)
+                out[t, i] = cloud.estimate
+        return out
     state, out[0] = start_filter(cfg, series[0])
     for t in range(1, len(series)):
         state, out[t] = step_filter(cfg, state, series[t])

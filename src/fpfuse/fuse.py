@@ -7,6 +7,14 @@ centroids, with a configurable slice of mass reserved for the full frame
 yields either the argmax-cell centroid or the belief-weighted centroid as a
 point estimate, plus an exportable belief map.
 
+The DST math runs once, on blocks of N rows over the S cells:
+centroid_distances, singleton_masses, combine_masses and weighted_centroids
+each take or return (N, S) arrays, and the one-row functions (bba_from_point,
+dempster_combine, weighted_centroid, confidence) are their N = 1 case. Row
+sums along the last axis of a C-ordered block are the pairwise sums of the
+row alone, the conflict and the weighted centroid keep a dot product per row,
+so a block equals its rows fused one at a time bit for bit.
+
 Confidence scores in [0, 1] feed a two-source Choquet integral whose fuzzy
 measure is fitted on validation data by box-constrained least squares.
 """
@@ -82,6 +90,61 @@ class Bba:
         object.__setattr__(self, "singleton", arr)
 
 
+def centroid_distances(points: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(N, S) block: the distance from each of N points, an (N, 2) array, to
+    every cell centroid."""
+    points = np.asarray(points, dtype=float)
+    return np.hypot(grid.centroids[:, 0] - points[:, 0:1],
+                    grid.centroids[:, 1] - points[:, 1:2])
+
+
+def nearest_centroid_distance(points: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(N,) distance from each point to its nearest cell centroid."""
+    return centroid_distances(points, grid).min(axis=1)
+
+
+def singleton_masses(points: np.ndarray, grid: GridSpec, alpha: float,
+                     theta_discount: float) -> np.ndarray:
+    """(N, S) singleton masses of bba_from_point for each of N points; the
+    frame of every row keeps theta_discount."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if not 0.0 <= theta_discount < 1.0:
+        raise ValueError("theta_discount must lie in [0, 1)")
+    logits = -alpha * centroid_distances(points, grid)
+    logits -= logits.max(axis=1, keepdims=True)
+    w = np.exp(logits, out=logits)
+    return (1.0 - theta_discount) * w / w.sum(axis=1, keepdims=True)
+
+
+def combine_masses(s1: np.ndarray, theta1: float, s2: np.ndarray,
+                   theta2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dempster's rule on N row pairs of (N, S) singleton masses whose frames
+    hold theta1 and theta2: (fused singletons (N, S), fused frame (N,)).
+
+    Raises ConflictError for the first row whose conflict reaches 1.
+    """
+    if s1.shape[-1] != s2.shape[-1]:
+        raise ValueError("assignments live on different grids")
+    dot = np.matmul(s1[:, None, :], s2[:, :, None])[:, 0, 0]  # a ddot per row
+    conflict = s1.sum(axis=1) * s2.sum(axis=1) - dot  # mass on empty sets
+    total_conflict = conflict >= 1.0 - 1e-12
+    if total_conflict.any():
+        k = conflict[np.argmax(total_conflict)]  # the first row in conflict
+        raise ConflictError(f"total conflict between sources (K = {k:.15f})")
+    fused = s1 * s2 + s1 * theta2 + theta1 * s2
+    theta = theta1 * theta2
+    total = fused.sum(axis=1) + theta
+    return fused / total[:, None], theta / total
+
+
+def weighted_centroids(singleton: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(N, 2) singleton-mass-weighted means of the cell centroids, one gemv
+    per row (a single (N, S) @ (S, 2) product may round differently)."""
+    w = singleton / singleton.sum(axis=1, keepdims=True)
+    return np.matmul(w[:, None, :], grid.centroids)[:, 0, :]
+
+
 def bba_from_point(r_hat: Position, grid: GridSpec, alpha: float,
                    theta_discount: float = 0.05) -> Bba:
     """Softmax of negative scaled centroid distances, discounted toward the frame.
@@ -89,35 +152,15 @@ def bba_from_point(r_hat: Position, grid: GridSpec, alpha: float,
     theta_discount = 0 reproduces the strict reading in which the softmax
     exhausts the mass and the frame keeps none.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if not 0.0 <= theta_discount < 1.0:
-        raise ValueError("theta_discount must lie in [0, 1)")
-    delta = np.hypot(grid.centroids[:, 0] - r_hat.x,
-                     grid.centroids[:, 1] - r_hat.y)
-    logits = -alpha * delta
-    logits -= logits.max()
-    w = np.exp(logits)
-    singleton = (1.0 - theta_discount) * w / w.sum()
-    return Bba(singleton, theta_discount)
+    return Bba(singleton_masses(r_hat.xy[None], grid, alpha,
+                                theta_discount)[0], theta_discount)
 
 
 def dempster_combine(m1: Bba, m2: Bba) -> Bba:
     """Conflict-normalized product combination on singletons + frame."""
-    if m1.singleton.size != m2.singleton.size:
-        raise ValueError("assignments live on different grids")
-    dot = float(m1.singleton @ m2.singleton)
-    s1, s2 = float(m1.singleton.sum()), float(m2.singleton.sum())
-    conflict = s1 * s2 - dot  # mass landing on empty intersections
-    if conflict >= 1.0 - 1e-12:
-        raise ConflictError(
-            f"total conflict between sources (K = {conflict:.15f})")
-    fused = (m1.singleton * m2.singleton
-             + m1.singleton * m2.theta_mass
-             + m1.theta_mass * m2.singleton)
-    theta = m1.theta_mass * m2.theta_mass
-    total = fused.sum() + theta
-    return Bba(fused / total, theta / total)
+    fused, theta = combine_masses(m1.singleton[None], m1.theta_mass,
+                                  m2.singleton[None], m2.theta_mass)
+    return Bba(fused[0], float(theta[0]))
 
 
 def argmax_belief(m: Bba, grid: GridSpec) -> tuple[int, Position]:
@@ -129,18 +172,19 @@ def argmax_belief(m: Bba, grid: GridSpec) -> tuple[int, Position]:
 def weighted_centroid(m: Bba, grid: GridSpec) -> Position:
     """Singleton-mass-weighted mean of cell centroids (the fused-regression
     reading of the belief map)."""
-    w = m.singleton / m.singleton.sum()
-    out = w @ grid.centroids
-    return Position(float(out[0]), float(out[1]))
+    return Position(*weighted_centroids(m.singleton[None], grid)[0])
+
+
+def confidences(points: np.ndarray, grid: GridSpec, beta: float) -> np.ndarray:
+    """(N,) exp(-beta * distance to the nearest centroid); 1 on a centroid."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    return np.exp(-beta * nearest_centroid_distance(points, grid))
 
 
 def confidence(r_hat: Position, grid: GridSpec, beta: float) -> float:
-    """exp(-beta * distance to the nearest centroid); 1 on a centroid."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    delta = np.hypot(grid.centroids[:, 0] - r_hat.x,
-                     grid.centroids[:, 1] - r_hat.y)
-    return float(np.exp(-beta * delta.min()))
+    """confidences of one point."""
+    return float(confidences(r_hat.xy[None], grid, beta)[0])
 
 
 @dataclass(frozen=True)

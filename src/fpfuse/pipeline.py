@@ -31,9 +31,9 @@ from .evaluate import StageError, stage  # noqa: F401 - StageError re-exported
 from .filters import (FilterConfig, KfState, PfParams, PfState, kf_step, pf_step,
                       start_filter, step_filter)
 from .fuse import (Bba, ChoquetMeasure, GridSpec, argmax_belief, bba_from_point,
-                   choquet, confidence, convex_combo, dempster_combine,
-                   fit_choquet_measure, make_grid, weighted_centroid,
-                   write_belief_csv, write_belief_pgm)
+                   choquet, confidence, confidences, convex_combo,
+                   dempster_combine, fit_choquet_measure, make_grid,
+                   weighted_centroid, write_belief_csv, write_belief_pgm)
 from .preprocess import MODES as NORM_MODES
 from .preprocess import (ChannelVariances, NormStats, apply_norm,
                          fit_channel_variances, fit_norm_stats,
@@ -127,7 +127,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -246,8 +246,9 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
 
 
 def save_artifact(a: PipelineArtifact, path) -> None:
-    """Serialize atomically: the file appears only once fully written."""
-    payload = json.dumps(artifact_to_dict(a), sort_keys=True, indent=1)
+    """Serialize atomically as compact JSON (keys sorted, no indentation):
+    the file appears only once fully written."""
+    payload = json.dumps(artifact_to_dict(a), sort_keys=True)
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         fh.write(payload + "\n")
@@ -303,14 +304,13 @@ def fit_pipeline(data: RadioMap, cfg: PipelineConfig = PipelineConfig()) -> Pipe
         alpha = stage("select-alpha", ev.select_alpha, p_rf, p_knn, yval,
                       grid, cfg.alpha_grid, cfg.theta_discount,
                       cfg.dst_point_mode)
-    med = ev.median_min_centroid_distance(np.vstack([p_rf, p_knn]), grid)
+    preds = np.vstack([p_rf, p_knn])
+    med = ev.median_min_centroid_distance(preds, grid)
     beta = 1.0 / max(med, 1e-9)
 
     err_rf = ev.euclidean_errors(p_rf, yval)
     err_knn = ev.euclidean_errors(p_knn, yval)
-    scores = np.column_stack([
-        [confidence(Position(*p), grid, beta) for p in p_rf],
-        [confidence(Position(*p), grid, beta) for p in p_knn]])
+    scores = confidences(preds, grid, beta).reshape(2, -1).T
     targets = np.exp(-beta * np.minimum(err_rf, err_knn))
     measure = stage("fit-measure", fit_choquet_measure, scores, targets).measure
 

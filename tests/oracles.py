@@ -9,9 +9,10 @@ for random-forest prediction, and a grower that sorts every candidate feature
 afresh at every node for random-forest training.
 
 The reference_* functions further down are the library's earlier one-cloud,
-loop-based persistence features and its out-of-place particle-filter step
-with binary-search resampling. The batched and in-place versions must equal
-them bit for bit, random draws included.
+loop-based persistence features, its out-of-place particle-filter step
+with binary-search resampling, and its per-row evidence fusion (masses,
+Dempster's rule, point, nearest-centroid distance). The batched and in-place
+versions must equal them bit for bit, random draws included.
 """
 
 from __future__ import annotations
@@ -363,3 +364,63 @@ def reference_pf_step(particles, weights, z, r, tau, predict_sigma, rng):
         particles = reference_systematic_resample(particles, weights, rng)
         weights = np.full(m, 1.0 / m)
     return particles, weights, degenerate
+
+
+def reference_masses(x, y, centroids, alpha, theta_discount) -> np.ndarray:
+    """Singleton masses of one point: the softmax of -alpha * distance to
+    each centroid, scaled by 1 - theta_discount."""
+    delta = np.hypot(centroids[:, 0] - x, centroids[:, 1] - y)
+    logits = -alpha * delta
+    logits -= logits.max()
+    w = np.exp(logits)
+    return (1.0 - theta_discount) * w / w.sum()
+
+
+def reference_dempster(s1, theta1, s2, theta2):
+    """Dempster's rule on one pair of singleton masses with frame masses
+    theta1 and theta2: (fused singletons, fused frame, conflict K); the
+    fusion is None when K reaches 1."""
+    dot = float(s1 @ s2)
+    conflict = float(s1.sum()) * float(s2.sum()) - dot
+    if conflict >= 1.0 - 1e-12:
+        return None, None, conflict
+    fused = s1 * s2 + s1 * theta2 + theta1 * s2
+    theta = theta1 * theta2
+    total = fused.sum() + theta
+    return fused / total, theta / total, conflict
+
+
+def reference_point(singleton, centroids, mode) -> tuple[float, float]:
+    """The argmax cell's centroid, or the mass-weighted mean of centroids."""
+    if mode == "argmax_centroid":
+        j = int(np.argmax(singleton))
+        return float(centroids[j, 0]), float(centroids[j, 1])
+    out = (singleton / singleton.sum()) @ centroids
+    return float(out[0]), float(out[1])
+
+
+def reference_fuse_rows(pred_rf, pred_knn, centroids, alpha, theta_discount,
+                        mode):
+    """The per-row DST loop: for each row, both sources' masses, Dempster's
+    rule and the point. Returns (points, fused singletons, fused frames), or
+    ("conflict", K) for the first row in total conflict."""
+    points, masses, thetas = [], [], []
+    for (x1, y1), (x2, y2) in zip(np.asarray(pred_rf).tolist(),
+                                  np.asarray(pred_knn).tolist()):
+        fused, theta, conflict = reference_dempster(
+            reference_masses(x1, y1, centroids, alpha, theta_discount),
+            theta_discount,
+            reference_masses(x2, y2, centroids, alpha, theta_discount),
+            theta_discount)
+        if fused is None:
+            return "conflict", conflict
+        points.append(reference_point(fused, centroids, mode))
+        masses.append(fused)
+        thetas.append(theta)
+    return np.array(points).reshape(-1, 2), masses, thetas
+
+
+def reference_nearest_distances(points, centroids) -> np.ndarray:
+    """Distance from each point to its nearest centroid, one row at a time."""
+    return np.array([np.hypot(centroids[:, 0] - x, centroids[:, 1] - y).min()
+                     for x, y in np.asarray(points).tolist()])

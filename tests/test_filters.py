@@ -207,6 +207,60 @@ class TestFilterStream:
         assert np.array_equal(next_est, expect[2])
 
 
+def _replay(series, cfg):
+    """Scan-major reference: start_filter on the first row, step_filter on
+    each later one; also returns how many PF steps resampled or reset."""
+    state, first = start_filter(cfg, series[0])
+    rows, resampled, degenerate = [first], 0, 0
+    for z in series[1:]:
+        state, est = step_filter(cfg, state, z)
+        rows.append(est)
+        if cfg.method == "pf":
+            for cloud, _rng, _bits in state:
+                degenerate += cloud.degenerate_reset
+                resampled += bool(np.all(cloud.weights == cloud.weights[0]))
+    return np.array(rows), resampled, degenerate
+
+
+class TestChannelMajorStream:
+    """filter_stream filters a PF stream channel by channel; it equals the
+    scan-major start_filter/step_filter replay bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 20),
+           d=st.integers(1, 4), method=st.sampled_from(["kf", "ukf", "pf",
+                                                         "none"]),
+           m=st.integers(2, 50),
+           tau=st.sampled_from([1e-12, 0.01, 0.5, 0.99, 1.0 - 1e-12]),
+           sigma=st.sampled_from([0.0, 0.3, 1.0, 3.0]),
+           r_scale=st.sampled_from([1e-6, 1e-2, 1.0, 25.0]))
+    def test_equals_scan_major_replay(self, seed, t, d, method, m, tau, sigma,
+                                      r_scale):
+        rng = np.random.default_rng(seed)
+        series = rng.normal(0.0, 2.0, size=(t, d))
+        cfg = FilterConfig(method, 0.5, r_scale * rng.uniform(0.5, 2.0, d),
+                           pf=PfParams(m, tau, sigma, seed=seed))
+        expect, _, _ = _replay(series, cfg)
+        assert filter_stream(series, cfg).tobytes() == expect.tobytes()
+
+    def test_resets_and_resamples_are_replayed(self):
+        # a tiny r underflows clouds that drift off the data; tau near 1
+        # resamples on most steps, tau near 0 keeps the zero weights
+        rng = np.random.default_rng(5)
+        series = np.cumsum(rng.normal(0.0, 3.0, size=(20, 3)), axis=0)
+        for tau, event in ((1.0 - 1e-12, "resampled"), (1e-12, "degenerate")):
+            cfg = FilterConfig("pf", r=np.full(3, 1e-6),
+                               pf=PfParams(20, tau, 0.5, seed=11))
+            expect, resampled, degenerate = _replay(series, cfg)
+            assert {"resampled": resampled, "degenerate": degenerate}[event] > 0
+            assert filter_stream(series, cfg).tobytes() == expect.tobytes()
+
+    def test_pf_dimension_mismatch(self):
+        cfg = FilterConfig("pf", r=np.array([1.0]), pf=PfParams(10, 0.5))
+        with pytest.raises(ValueError, match="one variance per channel"):
+            filter_stream(np.zeros((4, 2)), cfg)
+
+
 class _Offset:
     """Stands in for the generator of systematic_resample: uniform(low,
     high) returns low + frac * (high - low), so a test fixes the offset."""

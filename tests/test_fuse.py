@@ -1,15 +1,26 @@
 import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpfuse.datamodel import Bounds, Position
-from fpfuse.fuse import (Bba, ChoquetMeasure, ConflictError, argmax_belief,
-                         bba_from_point, choquet, confidence, convex_combo,
-                         dempster_combine, fit_choquet_measure, make_grid,
-                         weighted_centroid, write_belief_csv, write_belief_pgm)
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import (reference_dempster, reference_fuse_rows,  # noqa: E402
+                     reference_masses, reference_nearest_distances,
+                     reference_point)
+
+from fpfuse.datamodel import Bounds, Position  # noqa: E402
+from fpfuse.evaluate import (fuse_point, fuse_points_batch,  # noqa: E402
+                             fuse_rows, median_min_centroid_distance)
+from fpfuse.fuse import (Bba, ChoquetMeasure, ConflictError,  # noqa: E402
+                         argmax_belief, bba_from_point, choquet, confidence,
+                         confidences, convex_combo, dempster_combine,
+                         fit_choquet_measure, make_grid, weighted_centroid,
+                         write_belief_csv, write_belief_pgm)
 
 
 class TestGrid:
@@ -237,3 +248,143 @@ class TestBeliefExport:
         m = Bba(np.full(4, 0.25), 0.0)
         c = weighted_centroid(m, grid)
         assert (c.x, c.y) == (1.0, 1.0)
+
+
+DST_MODES = ("belief_weighted", "argmax_centroid")
+
+
+def _source_rows(seed, n, bounds, spread):
+    """n positions inside (and a little outside) the floor, and a second
+    source's positions scattered around them by spread metres."""
+    rng = np.random.default_rng(seed)
+    first = np.column_stack([
+        rng.uniform(bounds.x_min - 0.5, bounds.x_max + 0.5, n),
+        rng.uniform(bounds.y_min - 0.5, bounds.y_max + 0.5, n)])
+    return first, first + rng.normal(0.0, spread, first.shape)
+
+
+class TestDstBlockMatchesReference:
+    """The (N, S) DST block equals the per-row composition it replaced bit for
+    bit, and raises the same ConflictError for the first row in total
+    conflict."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50),
+           size=st.sampled_from([(6.0, 14.0), (3.0, 4.0), (5.5, 2.25)]),
+           h=st.sampled_from([0.25, 0.5, 0.75, 1.0, 2.0]),
+           theta=st.sampled_from([0.0, 0.05, 0.3]),
+           alpha=st.sampled_from([0.1, 1.0, 5.0, 50.0, 1e3]),
+           spread=st.sampled_from([0.01, 1.0, 5.0]),
+           mode=st.sampled_from(DST_MODES))
+    def test_batch_equals_per_row(self, seed, n, size, h, theta, alpha,
+                                  spread, mode):
+        bounds = Bounds(0.0, 0.0, *size)
+        grid = make_grid(bounds, h)
+        p_rf, p_knn = _source_rows(seed, n, bounds, spread)
+        expect = reference_fuse_rows(p_rf, p_knn, grid.centroids, alpha,
+                                     theta, mode)
+        if isinstance(expect[0], str):  # ("conflict", K)
+            message = re.escape(f"K = {expect[1]:.15f})")
+            with pytest.raises(ConflictError, match=message):
+                fuse_points_batch(p_rf, p_knn, grid, alpha, theta, mode)
+            with pytest.raises(ConflictError, match=message):
+                fuse_rows(p_rf, p_knn, grid, alpha, theta, mode)
+            return
+        points, masses, thetas = expect
+        assert fuse_points_batch(p_rf, p_knn, grid, alpha, theta,
+                                 mode).tobytes() == points.tobytes()
+        got_points, got_masses, got_thetas = fuse_rows(p_rf, p_knn, grid,
+                                                       alpha, theta, mode)
+        assert got_points.tobytes() == points.tobytes()
+        assert got_masses.tobytes() == np.array(masses).tobytes()
+        assert got_thetas.tobytes() == np.array(thetas).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50),
+           h=st.sampled_from([0.25, 0.5, 1.0]),
+           beta=st.sampled_from([0.3, 1.0, 7.0]))
+    def test_distances_and_confidences_equal_per_row(self, seed, n, h, beta):
+        bounds = Bounds(0.0, 0.0, 6.0, 14.0)
+        grid = make_grid(bounds, h)
+        points = np.vstack(_source_rows(seed, n, bounds, 1.0))
+        nearest = reference_nearest_distances(points, grid.centroids)
+        assert median_min_centroid_distance(points, grid) == float(
+            np.median(nearest))
+        scores = confidences(points, grid, beta)
+        expect = np.array([np.exp(-beta * d) for d in nearest])
+        assert scores.tobytes() == expect.tobytes()
+        assert [confidence(Position(*p), grid, beta) for p in points] == \
+            scores.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           h=st.sampled_from([0.25, 0.5, 1.0]),
+           theta=st.sampled_from([0.0, 0.05, 0.3]),
+           alpha=st.sampled_from([0.1, 2.0, 50.0]))
+    def test_one_row_functions_equal_reference(self, seed, h, theta, alpha):
+        bounds = Bounds(0.0, 0.0, 6.0, 14.0)
+        grid = make_grid(bounds, h)
+        (r1,), (r2,) = _source_rows(seed, 1, bounds, 1.0)
+        p1, p2 = Position(*r1), Position(*r2)
+        s1 = reference_masses(p1.x, p1.y, grid.centroids, alpha, theta)
+        s2 = reference_masses(p2.x, p2.y, grid.centroids, alpha, theta)
+        m1 = bba_from_point(p1, grid, alpha, theta)
+        m2 = bba_from_point(p2, grid, alpha, theta)
+        assert m1.singleton.tobytes() == s1.tobytes()
+        assert m2.singleton.tobytes() == s2.tobytes()
+        fused, fused_theta, conflict = reference_dempster(s1, theta, s2, theta)
+        if fused is None:
+            with pytest.raises(ConflictError,
+                               match=re.escape(f"K = {conflict:.15f})")):
+                dempster_combine(m1, m2)
+            return
+        m = dempster_combine(m1, m2)
+        assert m.singleton.tobytes() == fused.tobytes()
+        assert m.theta_mass == fused_theta
+        for mode in DST_MODES:
+            point, bba = fuse_point(p1, p2, grid, alpha, theta, mode)
+            assert (point.x, point.y) == reference_point(fused,
+                                                         grid.centroids, mode)
+            assert bba.singleton.tobytes() == fused.tobytes()
+            assert bba.theta_mass == fused_theta
+        w = weighted_centroid(m, grid)
+        assert (w.x, w.y) == reference_point(fused, grid.centroids,
+                                             "belief_weighted")
+        _, peak = argmax_belief(m, grid)
+        assert (peak.x, peak.y) == reference_point(fused, grid.centroids,
+                                                   "argmax_centroid")
+
+    @pytest.mark.parametrize("mode", DST_MODES)
+    def test_first_conflicting_row_is_reported(self, mode):
+        # rows 0 and 1 agree; rows 2 and 3 are in total conflict with
+        # different K (0.999999999999874 and 0.999999999999239)
+        grid = make_grid(Bounds(0.0, 0.0, 6.0, 14.0), 0.5)
+        p_rf = np.array([[1.0, 1.0], [2.0, 3.0], [1.0, 1.0], [1.0, 1.0]])
+        p_knn = np.array([[1.1, 1.0], [2.0, 3.1], [2.55, 1.0], [2.5, 1.0]])
+        kind, k = reference_fuse_rows(p_rf, p_knn, grid.centroids, 30.0, 0.0,
+                                      mode)
+        assert kind == "conflict"
+        later = reference_fuse_rows(p_rf[3:], p_knn[3:], grid.centroids,
+                                    30.0, 0.0, mode)[1]
+        assert f"{k:.15f}" != f"{later:.15f}"
+        with pytest.raises(ConflictError, match=re.escape(f"K = {k:.15f})")):
+            fuse_points_batch(p_rf, p_knn, grid, 30.0, 0.0, mode)
+        # the rows before the conflict fuse as they would alone
+        expect = reference_fuse_rows(p_rf[:2], p_knn[:2], grid.centroids,
+                                     30.0, 0.0, mode)[0]
+        assert fuse_points_batch(p_rf[:2], p_knn[:2], grid, 30.0, 0.0,
+                                 mode).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_positions_are_rejected(self, bad):
+        grid = make_grid(Bounds(0.0, 0.0, 6.0, 14.0), 0.5)
+        p = np.array([[1.0, 1.0], [2.0, bad]])
+        for mode in DST_MODES:
+            with pytest.raises(ValueError, match="finite"):
+                fuse_points_batch(p, p[::-1].copy(), grid, 1.0, 0.05, mode)
+
+    def test_empty_batch(self):
+        grid = make_grid(Bounds(0.0, 0.0, 6.0, 14.0), 0.5)
+        out = fuse_points_batch(np.empty((0, 2)), np.empty((0, 2)), grid, 1.0,
+                                0.05, "belief_weighted")
+        assert out.shape == (0, 2)

@@ -10,7 +10,7 @@ from fpfuse import pipeline as pl
 from fpfuse.datamodel import SynthSpec, synth_radio_map
 from fpfuse.evaluate import FilterSpec, SearchGrids, fuse_points_batch, locate
 from fpfuse.filters import filter_stream
-from fpfuse.fuse import write_belief_csv, write_belief_pgm
+from fpfuse.fuse import ConflictError, write_belief_csv, write_belief_pgm
 from fpfuse.pipeline import (ArtifactError, PipelineConfig, PredictorSession,
                              ScanError, StageError, bench_pipeline,
                              export_belief_map, fit_pipeline, load_artifact,
@@ -126,6 +126,38 @@ class TestArtifactRoundTrip:
             a = predict_one(artifact, scan)
             b = predict_one(loaded, scan)
             assert (a.position.x, a.position.y) == (b.position.x, b.position.y)
+
+    def test_saved_as_compact_json(self, artifact, tmp_path):
+        path = tmp_path / "artifact.json"
+        save_artifact(artifact, path)
+        text = path.read_text()
+        assert text.index("\n") == len(text) - 1  # one line, newline-ended
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("fixture", ["artifact", "plain_artifact"])
+    def test_indented_artifact_loads_identically(self, fixture, request,
+                                                 probe_scans, tmp_path):
+        # artifacts written before the compact format are indented JSON
+        compact, indented = tmp_path / "compact.json", tmp_path / "old.json"
+        save_artifact(request.getfixturevalue(fixture), compact)
+        indented.write_text(json.dumps(json.loads(compact.read_text()),
+                                       sort_keys=True, indent=1) + "\n")
+        new, old = load_artifact(compact), load_artifact(indented)
+        save_artifact(old, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == compact.read_bytes()
+        for mode in pl.FUSION_MODES:
+            sessions = PredictorSession(new), PredictorSession(old)
+            for scan in probe_scans[:30]:
+                a, b = (s.predict(scan, fusion_mode=mode, keep_bba=True)
+                        for s in sessions)
+                assert (a.position, a.rf_position, a.knn_position) == \
+                    (b.position, b.rf_position, b.knn_position)
+                assert (a.confidence_rf, a.confidence_knn,
+                        a.fused_confidence) == (b.confidence_rf,
+                                                b.confidence_knn,
+                                                b.fused_confidence)
+                assert a.bba.singleton.tobytes() == b.bba.singleton.tobytes()
+                assert a.bba.theta_mass == b.bba.theta_mass
 
     def test_version_checked(self, artifact, tmp_path):
         path = tmp_path / "artifact.json"
@@ -335,6 +367,58 @@ class TestScanContract:
                        "--scan=-60,nan,-62,-63,-64,-65"])
         assert rc == 2
         assert "channel 1" in capsys.readouterr().err
+
+
+class TestTotalConflict:
+    """Two sources in total Dempster conflict (theta_discount 0 leaves no
+    mass on the frame) are an input problem: exit 2 naming the stage."""
+
+    def test_predict_exits_2(self, artifact, probe_scans, tmp_path, capsys):
+        path = tmp_path / "artifact.json"
+        save_artifact(artifact, path)
+        blob = json.loads(path.read_text())
+        blob["fusion"].update(theta_discount=0.0, alpha=1e6)
+        path.write_text(json.dumps(blob))
+        edited = load_artifact(path)
+        grid = edited.grid
+
+        def cell(p):
+            return int(np.argmin(np.hypot(grid.centroids[:, 0] - p.x,
+                                          grid.centroids[:, 1] - p.y)))
+
+        # at alpha 1e6 each source's mass sits on its nearest cell: a scan
+        # whose two sources pick different cells is in total conflict
+        scan = next(s for s in probe_scans
+                    if cell((r := predict_one(edited, s,
+                                              fusion_mode="convex")
+                             ).rf_position) != cell(r.knn_position))
+        with pytest.raises(ConflictError, match="total conflict"):
+            predict_one(edited, scan)
+        rc = cli.main(["predict", "--artifact", str(path),
+                       "--scan=" + ",".join(repr(float(v)) for v in scan)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: stage 'fuse': total conflict")
+        assert "internal error" not in err
+
+    def test_fit_exits_2(self, tmp_path, capsys):
+        with pytest.raises(StageError, match="select-alpha") as info:
+            fit_pipeline(small_data(), small_cfg(theta_discount=0.0,
+                                                 alpha_grid=(1e6,)))
+        assert isinstance(info.value.cause, ConflictError)
+        config = {"synth": {"n_rp": 6, "samples_per_rp": 12, "n_wifi": 4,
+                            "n_ble": 2},
+                  "pipeline": {"filter": {"method": "kf"}, "n_trees": 12,
+                               "alpha_grid": [1e6], "cell_width": 0.25,
+                               "theta_discount": 0.0}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = cli.main(["fit", "--seed", "0", "--config", str(cfg_path),
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: stage 'select-alpha': total conflict")
+        assert not (tmp_path / "artifact.json").exists()
 
 
 class TestLocate:
