@@ -19,8 +19,8 @@ import numpy as np
 from .datamodel import Position, RadioMap, SplitSpec, stratified_split
 from .filters import METHODS as FILTER_METHODS
 from .filters import FilterConfig, PfParams, filter_stream
-from .fuse import (Bba, GridSpec, combine_masses, make_grid,
-                   nearest_centroid_distance, singleton_masses,
+from .fuse import (Bba, GridSpec, centroid_distances, combine_masses,
+                   make_grid, nearest_centroid_distance, singleton_masses,
                    weighted_centroids)
 # Not called in this module (fuse_rows runs the (N, S) blocks), but the traced
 # benchmark (perfbench/spans.py) wraps these names here, so they stay.
@@ -423,9 +423,16 @@ def fuse_rows(pred_rf: np.ndarray, pred_knn: np.ndarray, grid: GridSpec,
     """Dempster-combine the two sources' cell masses for N rows of (N, 2)
     positions and read a point off each fused mass: (points (N, 2), fused
     singletons (N, S), fused frame masses (N,))."""
-    n = len(pred_rf)
-    masses = singleton_masses(np.concatenate([pred_rf, pred_knn]), grid, alpha,
-                              theta_discount)
+    dist = centroid_distances(np.concatenate([pred_rf, pred_knn]), grid)
+    return _fuse_distances(dist, grid, alpha, theta_discount, mode)
+
+
+def _fuse_distances(dist: np.ndarray, grid: GridSpec, alpha: float,
+                    theta_discount: float, mode: str):
+    """fuse_rows from the (2N, S) centroid distances of the rf rows followed
+    by the knn rows."""
+    n = len(dist) // 2
+    masses = singleton_masses(dist, alpha, theta_discount)
     fused, theta = combine_masses(masses[:n], theta_discount, masses[n:],
                                   theta_discount)
     if mode == "argmax_centroid":
@@ -444,26 +451,33 @@ def fuse_point(r_rf: Position, r_knn: Position, grid: GridSpec, alpha: float,
     return Position(*points[0]), Bba(fused[0], float(theta[0]))
 
 
+def _check_finite(*points) -> None:
+    """Like a Position, every coordinate must be finite."""
+    if not all(np.isfinite(p).all() for p in points):
+        raise ValueError("position coordinates must be finite")
+
+
 def fuse_points_batch(pred_rf: np.ndarray, pred_knn: np.ndarray,
                       grid: GridSpec, alpha: float, theta_discount: float,
                       mode: str) -> np.ndarray:
     """The fused (N, 2) points of fuse_rows; like a Position, each input and
     output coordinate must be finite."""
-    if not (np.isfinite(pred_rf).all() and np.isfinite(pred_knn).all()):
-        raise ValueError("position coordinates must be finite")
+    _check_finite(pred_rf, pred_knn)
     points = fuse_rows(pred_rf, pred_knn, grid, alpha, theta_discount, mode)[0]
-    if not np.isfinite(points).all():
-        raise ValueError("position coordinates must be finite")
+    _check_finite(points)
     return points
 
 
 def select_alpha(pred_rf, pred_knn, truth_xy, grid, alpha_grid,
                  theta_discount, mode) -> float:
-    """Pick the distance scale minimizing fused RMSE (first on ties)."""
+    """Pick the distance scale minimizing fused RMSE (first on ties). Every
+    alpha fuses fuse_points_batch's points from one distance block."""
+    _check_finite(pred_rf, pred_knn)
+    dist = centroid_distances(np.concatenate([pred_rf, pred_knn]), grid)
     best_alpha, best_rmse = None, math.inf
     for alpha in alpha_grid:
-        fused = fuse_points_batch(pred_rf, pred_knn, grid, alpha,
-                                  theta_discount, mode)
+        fused = _fuse_distances(dist, grid, alpha, theta_discount, mode)[0]
+        _check_finite(fused)
         r = rmse_xy(fused, truth_xy)
         if r < best_rmse:
             best_alpha, best_rmse = alpha, r

@@ -42,6 +42,13 @@ class UkfParams:
     beta: float = 2.0
 
 
+def _check_sigma(sigma: float) -> None:
+    """Reject a negative noise scale as rng.normal does: -0.0 is negative,
+    NaN is not."""
+    if math.copysign(1.0, sigma) < 0 and not math.isnan(sigma):
+        raise ValueError("predict_sigma must be >= 0")
+
+
 @dataclass(frozen=True)
 class PfParams:
     n_particles: int = 10_000
@@ -54,8 +61,7 @@ class PfParams:
             raise ValueError("need at least 2 particles")
         if not 0.0 < self.ess_tau < 1.0:
             raise ValueError("ess_tau must be in (0, 1)")
-        if self.predict_sigma < 0:
-            raise ValueError("predict_sigma must be >= 0")
+        _check_sigma(self.predict_sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,8 +239,14 @@ def pf_step(state: PfState, z: float, r: float, tau: float,
     the fresh noise draw and on one weight buffer; each operation is the
     same IEEE operation on the same operands as its out-of-place form.
     """
+    _check_sigma(predict_sigma)
     m = len(state.particles)
-    particles = rng.normal(0.0, predict_sigma, size=m)
+    # rng.normal(0.0, predict_sigma, m) as numpy computes it, without its
+    # per-element parameter handling: the same standard draws, each scaled,
+    # then shifted by 0.0 (which turns -0.0 into +0.0)
+    particles = rng.standard_normal(m)
+    particles *= predict_sigma
+    particles += 0.0
     particles += state.particles
     weights = particles - z
     np.square(weights, out=weights)
@@ -267,7 +279,9 @@ def _start_cloud(pf: PfParams, i: int,
     (seeded by (pf.seed, i)), and that generator."""
     rng = np.random.default_rng(np.random.SeedSequence(pf.seed, spawn_key=(i,)))
     m = pf.n_particles
-    return PfState(rng.normal(z_i, 1.0, m), np.full(m, 1.0 / m)), rng
+    particles = rng.standard_normal(m)  # rng.normal(z_i, 1.0, m), bit for bit
+    particles += z_i
+    return PfState(particles, np.full(m, 1.0 / m)), rng
 
 
 def start_filter(cfg: FilterConfig, z: np.ndarray) -> tuple[tuple, np.ndarray]:

@@ -103,15 +103,16 @@ def nearest_centroid_distance(points: np.ndarray, grid: GridSpec) -> np.ndarray:
     return centroid_distances(points, grid).min(axis=1)
 
 
-def singleton_masses(points: np.ndarray, grid: GridSpec, alpha: float,
+def singleton_masses(dist: np.ndarray, alpha: float,
                      theta_discount: float) -> np.ndarray:
-    """(N, S) singleton masses of bba_from_point for each of N points; the
-    frame of every row keeps theta_discount."""
+    """(N, S) singleton masses of bba_from_point for each of N points, from
+    their centroid_distances block (left as it is, so one block can serve
+    several alphas); the frame of every row keeps theta_discount."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if not 0.0 <= theta_discount < 1.0:
         raise ValueError("theta_discount must lie in [0, 1)")
-    logits = -alpha * centroid_distances(points, grid)
+    logits = -alpha * dist
     logits -= logits.max(axis=1, keepdims=True)
     w = np.exp(logits, out=logits)
     return (1.0 - theta_discount) * w / w.sum(axis=1, keepdims=True)
@@ -152,8 +153,8 @@ def bba_from_point(r_hat: Position, grid: GridSpec, alpha: float,
     theta_discount = 0 reproduces the strict reading in which the softmax
     exhausts the mass and the frame keeps none.
     """
-    return Bba(singleton_masses(r_hat.xy[None], grid, alpha,
-                                theta_discount)[0], theta_discount)
+    dist = centroid_distances(r_hat.xy[None], grid)
+    return Bba(singleton_masses(dist, alpha, theta_discount)[0], theta_discount)
 
 
 def dempster_combine(m1: Bba, m2: Bba) -> Bba:

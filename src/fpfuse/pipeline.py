@@ -176,6 +176,11 @@ def _field(name: str, build, *args):
         raise ArtifactError(f"artifact field {name}: {exc}") from exc
 
 
+def _finite(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError("values must be finite")
+
+
 def artifact_from_dict(d: dict) -> PipelineArtifact:
     if d.get("version") != ARTIFACT_VERSION:
         raise ArtifactError(f"artifact version {d.get('version')!r} is not "
@@ -230,6 +235,8 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
     if labels.shape != (len(points), 2):
         raise ArtifactError(f"artifact field knn.labels has shape "
                             f"{labels.shape}, expected ({len(points)}, 2)")
+    for name, arr in (("knn.points", points), ("knn.labels", labels)):
+        _field(name, _finite, arr)
     knn = build_knn_index(points, labels, knn_var)
     grid = _field("fusion.cell_width", make_grid,
                   _field("fusion.bounds", Bounds, *fusion["bounds"]),

@@ -11,10 +11,16 @@ its own preorder, while the popped nodes' means, split searches and
 partitions run in shared numpy passes. A node is a range of its bootstrap
 positions, kept ascending; a split search sorts each candidate feature's
 (value rank, position) keys, so ties keep bootstrap order, and scores every
-split of all candidates of all nodes of a pass in one padded block. The
-kNN index pre-divides every feature by its channel std so Euclidean search
-in the scaled space equals the diagonal Mahalanobis distance; queries go
-through an exact kd-tree.
+split of all candidates of all nodes of a pass in one padded block.
+
+The kNN index pre-divides every feature by its channel std, so Euclidean
+distance in the scaled space is the diagonal Mahalanobis distance, and keeps
+the scaled points as a (D, M) matrix. A query is an exact linear scan,
+O(M D) per row: a block of rows is answered in passes of bounded size, with
+every distance summed in the order scipy's cKDTree sums it (so the results
+are bit-equal to a kd-tree query), and neighbours ordered by (distance,
+index). At D = 14 a kd-tree prunes little (Weber, Schek & Blott, VLDB
+1998), and the scan keeps scipy out of the runtime.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .datamodel import Position
 from .preprocess import ChannelVariances
@@ -41,6 +46,10 @@ _GROW_CELLS = 1 << 15
 # At most this many bootstrap positions (trees x rows) grow together; each
 # holds an X row index and a slot in its node's range, 12 bytes in all.
 _GROW_POSITIONS = 1 << 18
+# A kNN pass holds one (dimension, query row, point) block of at most this
+# many cells, 512 KB (or one row's block, if larger); passes of 2^14 and
+# 2^20 cells measured slower per row.
+_KNN_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -536,7 +545,7 @@ class KnnIndex:
     labels: np.ndarray  # (M, 2) coordinates
     metric: ChannelVariances
     _scale: np.ndarray = field(repr=False, default=None)
-    _tree: cKDTree = field(repr=False, default=None)
+    _scaled_t: np.ndarray = field(repr=False, default=None)  # (D, M) scaled
 
     @property
     def m(self) -> int:
@@ -552,26 +561,86 @@ def build_knn_index(X: np.ndarray, Y: np.ndarray,
     if metric.d != X.shape[1]:
         raise ValueError("metric dimension does not match points")
     scale = 1.0 / np.sqrt(metric.var)
-    tree = cKDTree(X * scale)
-    return KnnIndex(X, Y, metric, scale, tree)
+    scaled_t = np.ascontiguousarray((X * scale).T)
+    if not np.isfinite(scaled_t).all():
+        raise ValueError("knn points must be finite")
+    if not np.isfinite(Y).all():
+        raise ValueError("knn labels must be finite")
+    return KnnIndex(X, Y, metric, scale, scaled_t)
+
+
+def _distances(points_t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(n, M) Euclidean distances from n query rows (n, D) to the points of
+    a (D, M) matrix, bit-equal to cKDTree's: the squared differences of
+    dimensions j, j + 4, ... add up in four running sums, combined as
+    ((a0 + a1) + a2) + a3; the last D mod 4 dimensions add one at a time."""
+    d = len(points_t)
+    sq = points_t[:, None, :] - q.T[:, :, None]  # (D, n, M)
+    np.multiply(sq, sq, out=sq)
+    full = d - d % 4
+    if full:
+        acc = sq[:4]
+        for j in range(4, full, 4):
+            acc += sq[j:j + 4]
+        s = acc[0]
+        for j in range(1, 4):
+            s += acc[j]
+    else:  # no group of four: 0.0 plus the first square is that square
+        s, full = sq[0], 1
+    for j in range(full, d):
+        s += sq[j]
+    return np.sqrt(s, out=s)
+
+
+def _nearest(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k smallest distances and their indices, in (distance,
+    index) order: (dist (n, k), idx (n, k))."""
+    n = len(dist)
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    keep = dist <= kth
+    if np.count_nonzero(keep) > n * k:  # ties at the k-th distance
+        below = dist < kth
+        tie = dist == kth
+        room = k - np.count_nonzero(below, axis=1)
+        keep = below | (tie & (np.cumsum(tie, axis=1) <= room[:, None]))
+    idx = np.nonzero(keep)[1].reshape(n, k)  # ascending within each row
+    rows = np.arange(n)[:, None]
+    order = np.argsort(dist[rows, idx], axis=1, kind="stable")
+    idx = idx[rows, order]
+    return dist[rows, idx], idx
+
+
+def _query_rows(index: KnnIndex, X: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(squared scaled distances (n, k), indices (n, k)) of the k nearest
+    points of each row of X (n, D), in passes of at most _KNN_CELLS cells."""
+    if k < 1 or k > index.m:
+        raise ValueError(f"k must be in [1, {index.m}]")
+    points_t = index._scaled_t
+    d = len(points_t)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError("query dimension does not match index")
+    q = X * index._scale
+    if not np.isfinite(q).all():
+        raise ValueError("knn query must be finite")
+    n = len(q)
+    dist = np.empty((n, k))
+    idx = np.empty((n, k), dtype=np.intp)
+    step = max(1, _KNN_CELLS // (d * index.m))
+    for lo in range(0, n, step):
+        part = slice(lo, lo + step)
+        dist[part], idx[part] = _nearest(_distances(points_t, q[part]), k)
+    return dist ** 2, idx
 
 
 def query_knn(index: KnnIndex, x: np.ndarray, k: int):
-    """Return (squared Mahalanobis distances, indices) of the k nearest points.
-
-    Exact ties are broken toward lower training index; a few extra neighbours
-    are fetched so boundary ties resolve deterministically.
-    """
-    if k < 1 or k > index.m:
-        raise ValueError(f"k must be in [1, {index.m}]")
+    """Return (squared Mahalanobis distances, indices) of the k nearest points,
+    ordered by (distance, index): exact ties go to the lower training index."""
     x = np.asarray(x, dtype=float)
     if x.shape != (index.points.shape[1],):
         raise ValueError("query dimension does not match index")
-    kq = min(index.m, k + 16)
-    dist, idx = index._tree.query(x * index._scale, k=kq)
-    dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
-    order = np.lexsort((idx, dist))[:k]
-    return dist[order] ** 2, idx[order]
+    delta, idx = _query_rows(index, x[None, :], k)
+    return delta[0], idx[0]
 
 
 def predict_wknn(index: KnnIndex, x: np.ndarray, k: int,
@@ -581,15 +650,25 @@ def predict_wknn(index: KnnIndex, x: np.ndarray, k: int,
     Weights are 1 / (delta + eps) with delta the squared scaled distance, so a
     coincident neighbour dominates with weight 1/eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    delta, idx = query_knn(index, x, k)
-    w = 1.0 / (delta + eps)
-    out = (w[:, None] * index.labels[idx]).sum(axis=0) / w.sum()
-    return Position(float(out[0]), float(out[1]))
+    x = np.asarray(x, dtype=float)
+    if x.shape != (index.points.shape[1],):
+        raise ValueError("query dimension does not match index")
+    return Position(*predict_wknn_batch(index, x[None, :], k, eps)[0])
 
 
 def predict_wknn_batch(index: KnnIndex, X: np.ndarray, k: int,
                        eps: float = 1e-9) -> np.ndarray:
+    """predict_wknn for each row of X: (N, 2) positions. Summed over its
+    middle axis, the (N, k, 2) block of weighted labels adds each row's
+    neighbours in order, as a (k, 2) sum over axis 0 does, and each row of
+    the (N, k) weights is summed as a (k,) array is."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.array([predict_wknn(index, x, k, eps).xy for x in X])
+    delta, idx = _query_rows(index, X, k)
+    w = 1.0 / (delta + eps)
+    out = (w[:, :, None] * index.labels[idx]).sum(axis=1)
+    out /= w.sum(axis=1)[:, None]
+    if not np.isfinite(out).all():
+        raise ValueError("position coordinates must be finite")
+    return out

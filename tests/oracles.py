@@ -34,6 +34,29 @@ def brute_force_knn(points: np.ndarray, var: np.ndarray, query: np.ndarray,
     return deltas[order], np.array(order)
 
 
+def kdtree_knn(points: np.ndarray, var: np.ndarray, queries: np.ndarray,
+               k: int):
+    """k nearest under the diagonal variance-scaled metric through scipy's
+    cKDTree, each row ordered by (distance, index): (squared distances
+    (n, k), indices (n, k)), the squares taken of the tree's distances."""
+    from scipy.spatial import cKDTree
+
+    scale = 1.0 / np.sqrt(var)
+    m = len(points)
+    dist, idx = cKDTree(points * scale).query(queries * scale, k=m)
+    dist, idx = dist.reshape(len(queries), m), idx.reshape(len(queries), m)
+    order = np.lexsort((idx, dist), axis=1)[:, :k]
+    rows = np.arange(len(queries))[:, None]
+    return dist[rows, order] ** 2, idx[rows, order]
+
+
+def reference_wknn(labels: np.ndarray, delta: np.ndarray, idx: np.ndarray,
+                   eps: float) -> np.ndarray:
+    """One row's inverse-distance-weighted mean of its neighbours' labels."""
+    w = 1.0 / (delta + eps)
+    return (w[:, None] * labels[idx]).sum(axis=0) / w.sum()
+
+
 def forest_walk(trees, X) -> np.ndarray:
     """Forest prediction from serialized tree dicts, one row and one tree at
     a time: x[f] <= threshold goes left, and leaf means are summed tree by

@@ -10,9 +10,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import reference_pf_step, reference_systematic_resample  # noqa: E402
 
 from fpfuse.filters import (FilterConfig, KfState, PfParams, PfState,
-                            effective_sample_size, filter_stream, kf_step,
-                            pf_step, start_filter, step_filter,
-                            systematic_resample, ukf_step)  # noqa: E402
+                            _start_cloud, effective_sample_size,
+                            filter_stream, kf_step, pf_step, start_filter,
+                            step_filter, systematic_resample,
+                            ukf_step)  # noqa: E402
 
 
 class TestKf:
@@ -333,6 +334,47 @@ class TestPfMatchesReference:
             assert state.degenerate_reset == degenerate
             ref = (p, w)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from(PARTICLE_COUNTS),
+           sigma=st.sampled_from([0.0, 5e-324, 1e-300, 0.3, 1.0, 4.0]),
+           zeros=st.sampled_from(["none", "+0", "-0", "mixed"]))
+    def test_noise_draw_equals_normal(self, seed, m, sigma, zeros):
+        # tau ~ 0 never resamples, so the step returns its predicted cloud
+        particles = np.random.default_rng(seed).normal(size=m)
+        if zeros != "none":
+            particles[:] = -0.0 if zeros == "-0" else 0.0
+            if zeros == "mixed":
+                particles[::2] = -0.0
+        state = PfState(particles, np.full(m, 1.0 / m))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = pf_step(state, 0.0, 1.0, 1e-12, sigma, ours)
+        expect = particles + theirs.normal(0.0, sigma, size=m)
+        assert out.particles.tobytes() == expect.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from(PARTICLE_COUNTS),
+           channel=st.integers(0, 5),
+           z=st.sampled_from([0.0, -0.0, -1.5, 3.25, 1e-300]))
+    def test_start_cloud_equals_normal(self, seed, m, channel, z):
+        state, rng = _start_cloud(PfParams(m, seed=seed), channel, z)
+        theirs = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(channel,)))
+        expect = theirs.normal(z, 1.0, m)
+        assert state.particles.tobytes() == expect.tobytes()
+        assert rng.bit_generator.state == theirs.bit_generator.state
+
+    def test_negative_zero_sigma_is_rejected_as_numpy_does(self):
+        with pytest.raises(ValueError, match="scale < 0"):
+            np.random.default_rng(0).normal(0.0, -0.0, 3)
+        state = PfState(np.zeros(4), np.full(4, 0.25))
+        for sigma in (-0.0, -1.0):
+            with pytest.raises(ValueError, match="predict_sigma"):
+                PfParams(predict_sigma=sigma)
+            with pytest.raises(ValueError, match="predict_sigma"):
+                pf_step(state, 0.0, 1.0, 0.5, sigma, np.random.default_rng(0))
+        assert np.isnan(PfParams(predict_sigma=np.nan).predict_sigma)
 
     @pytest.mark.parametrize("m", PARTICLE_COUNTS)
     @pytest.mark.parametrize("tau", [1e-12, 1.0 - 1e-12])

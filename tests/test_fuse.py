@@ -3,6 +3,8 @@ import re
 import sys
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,10 @@ from oracles import (reference_dempster, reference_fuse_rows,  # noqa: E402
                      reference_point)
 
 from fpfuse.datamodel import Bounds, Position  # noqa: E402
+from fpfuse import evaluate  # noqa: E402
 from fpfuse.evaluate import (fuse_point, fuse_points_batch,  # noqa: E402
-                             fuse_rows, median_min_centroid_distance)
+                             fuse_rows, median_min_centroid_distance, rmse_xy,
+                             select_alpha)
 from fpfuse.fuse import (Bba, ChoquetMeasure, ConflictError,  # noqa: E402
                          argmax_belief, bba_from_point, choquet, confidence,
                          confidences, convex_combo, dempster_combine,
@@ -388,3 +392,50 @@ class TestDstBlockMatchesReference:
         out = fuse_points_batch(np.empty((0, 2)), np.empty((0, 2)), grid, 1.0,
                                 0.05, "belief_weighted")
         assert out.shape == (0, 2)
+
+
+class TestSelectAlpha:
+    """select_alpha computes the distance block once and picks the alpha the
+    per-alpha fuse_points_batch loop picks, raising what it raises."""
+
+    @staticmethod
+    def per_alpha(p_rf, p_knn, truth, grid, alphas, theta, mode):
+        best_alpha, best_rmse = None, math.inf
+        for alpha in alphas:
+            r = rmse_xy(fuse_points_batch(p_rf, p_knn, grid, alpha, theta,
+                                          mode), truth)
+            if r < best_rmse:
+                best_alpha, best_rmse = alpha, r
+        return float(best_alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           h=st.sampled_from([0.25, 0.5, 1.0]),
+           theta=st.sampled_from([0.0, 0.05, 0.3]),
+           alphas=st.lists(st.sampled_from([0.1, 0.5, 1.0, 5.0, 50.0, 1e3]),
+                           min_size=1, max_size=6),
+           mode=st.sampled_from(DST_MODES))
+    def test_equals_per_alpha_loop(self, seed, n, h, theta, alphas, mode):
+        bounds = Bounds(0.0, 0.0, 6.0, 14.0)
+        grid = make_grid(bounds, h)
+        p_rf, p_knn = _source_rows(seed, n, bounds, 1.0)
+        truth = _source_rows(seed + 1, n, bounds, 0.0)[0]
+        try:
+            expect = self.per_alpha(p_rf, p_knn, truth, grid, alphas, theta,
+                                    mode)
+        except ConflictError as exc:
+            with pytest.raises(ConflictError, match=re.escape(str(exc))):
+                select_alpha(p_rf, p_knn, truth, grid, alphas, theta, mode)
+            return
+        with mock.patch.object(evaluate, "centroid_distances",
+                               wraps=evaluate.centroid_distances) as spy:
+            assert select_alpha(p_rf, p_knn, truth, grid, alphas, theta,
+                                mode) == expect
+        assert spy.call_count == 1
+
+    def test_non_finite_positions_are_rejected(self):
+        grid = make_grid(Bounds(0.0, 0.0, 6.0, 14.0), 0.5)
+        p = np.array([[1.0, 1.0], [2.0, np.nan]])
+        with pytest.raises(ValueError, match="finite"):
+            select_alpha(p, p[::-1].copy(), p, grid, (1.0,), 0.05,
+                         "belief_weighted")

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpfuse
 from fpfuse import cli
 from fpfuse import pipeline as pl
 from fpfuse.datamodel import SynthSpec, synth_radio_map
@@ -214,6 +219,10 @@ class TestArtifactRoundTrip:
             "var"].__setitem__(0, float("nan")), id="nan variance"),
         pytest.param("knn.labels", lambda b: b["knn"]["labels"].pop(),
                      id="labels"),
+        pytest.param("knn.points", lambda b: b["knn"]["points"][2].__setitem__(
+            1, float("nan")), id="nan point"),
+        pytest.param("knn.labels", lambda b: b["knn"]["labels"][4].__setitem__(
+            0, float("inf")), id="inf label"),
         pytest.param("fusion.bounds", lambda b: b["fusion"].update(
             bounds=[b["fusion"]["bounds"][i] for i in (2, 1, 0, 3)]),
             id="inverted bounds"),
@@ -671,3 +680,13 @@ class TestModeVariants:
             filter=FilterSpec(method="ukf", gamma=0.25)))
         res = predict_one(art, np.full(6, -60.0))
         assert np.isfinite([res.position.x, res.position.y]).all()
+
+
+def test_runtime_imports_no_scipy():
+    code = ("import sys, fpfuse, fpfuse.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    src = str(Path(fpfuse.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -8,12 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import brute_force_knn, forest_walk, reference_forest  # noqa: E402
+from oracles import (brute_force_knn, forest_walk, kdtree_knn,  # noqa: E402
+                     reference_forest, reference_wknn)
 
 from fpfuse import regress  # noqa: E402
 from fpfuse.preprocess import ChannelVariances  # noqa: E402
 from fpfuse.regress import (RfConfig, RfModel, build_knn_index,  # noqa: E402
-                            predict_rf, predict_wknn, query_knn, train_rf)
+                            predict_rf, predict_wknn, predict_wknn_batch,
+                            query_knn, train_rf)
 
 
 def assert_matches_reference(model, ref):
@@ -415,3 +417,119 @@ class TestKnn:
         hull = Y[idx]
         assert hull[:, 0].min() - 1e-9 <= p.x <= hull[:, 0].max() + 1e-9
         assert hull[:, 1].min() - 1e-9 <= p.y <= hull[:, 1].max() + 1e-9
+
+    def test_rejects_non_finite_points_and_labels(self):
+        _, X, Y, var = toy_index()
+        metric = ChannelVariances(var, 0.0)
+        bad_x = X.copy()
+        bad_x[3, 1] = np.nan
+        with pytest.raises(ValueError, match="points must be finite"):
+            build_knn_index(bad_x, Y, metric)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="points must be finite"):  # scaled: inf
+            build_knn_index(X * 1e300, Y, ChannelVariances(var * 1e-20, 0.0))
+        bad_y = Y.copy()
+        bad_y[5, 0] = np.inf
+        with pytest.raises(ValueError, match="labels must be finite"):
+            build_knn_index(X, bad_y, metric)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_query(self, bad):
+        index, X, *_ = toy_index()
+        q = X[:3].copy()
+        q[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            query_knn(index, q[1], 3)
+        with pytest.raises(ValueError, match="finite"):
+            predict_wknn(index, q[1], 3)
+        with pytest.raises(ValueError, match="finite"):
+            predict_wknn_batch(index, q, 3)
+
+    def test_rejects_query_of_wrong_dimension(self):
+        index, *_ = toy_index(d=4)
+        for q in (np.zeros(3), np.zeros((1, 4))):
+            with pytest.raises(ValueError, match="dimension"):
+                query_knn(index, q, 2)
+            with pytest.raises(ValueError, match="dimension"):
+                predict_wknn(index, q, 2)
+        with pytest.raises(ValueError, match="dimension"):
+            predict_wknn_batch(index, np.zeros((2, 5)), 2)
+
+    def test_many_ties_go_to_the_lowest_indices(self):
+        # 40 points at distance 1 from the query (more than a kd-tree query
+        # with 16 spare neighbours could order), one far, one nearer
+        unit = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        X = np.vstack([np.tile(unit, (10, 1)), [[5.0, 5.0], [0.0, 0.5]]])
+        Y = np.arange(2 * len(X), dtype=float).reshape(-1, 2)
+        index = build_knn_index(X, Y, ChannelVariances(np.ones(2), 0.0))
+        delta, idx = query_knn(index, np.zeros(2), 25)
+        assert idx[0] == 41 and delta[0] == 0.25
+        assert idx[1:].tolist() == list(range(24))
+        assert (delta[1:] == 1.0).all()
+
+
+def _knn_case(seed, m, d, layout):
+    """Points, labels and variances: Gaussian, rounded to integers (many
+    equal distances) or drawn from a few distinct rows (duplicates)."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, d)) * rng.uniform(0.05, 20.0)
+    var = rng.uniform(0.1, 5.0, d)
+    if layout == "rounded":
+        X, var = np.round(X), np.ones(d)
+    elif layout == "duplicates":
+        X = X[rng.integers(0, max(1, m // 4), m)]
+    Y = np.round(rng.normal(size=(m, 2)) * 3.0, 1)
+    return X, Y, var, rng
+
+
+class TestKnnKernel:
+    """The linear scan equals a cKDTree query ordered by (distance, index),
+    bit for bit, over blocks answered in one or many passes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+           d=st.integers(1, 20), n=st.integers(1, 12),
+           layout=st.sampled_from(["gauss", "rounded", "duplicates"]),
+           cells=st.sampled_from([None, 1, 200]), data=st.data())
+    def test_matches_kdtree(self, seed, m, d, n, layout, cells, data):
+        X, Y, var, rng = _knn_case(seed, m, d, layout)
+        k = data.draw(st.integers(1, m), label="k")
+        Q = rng.normal(size=(n, d)) * rng.uniform(0.05, 20.0)
+        if layout == "rounded":
+            Q = np.round(Q)
+        hits = rng.integers(0, m, n)
+        on_point = rng.random(n) < 0.3
+        Q[on_point] = X[hits[on_point]]  # queries on stored points
+        index = build_knn_index(X, Y, ChannelVariances(var, 0.0))
+        want_delta, want_idx = kdtree_knn(X, var, Q, k)
+        with mock.patch.object(regress, "_KNN_CELLS",
+                               cells or regress._KNN_CELLS):
+            delta, idx = regress._query_rows(index, Q, k)
+            batch = predict_wknn_batch(index, Q, k, 1e-9)
+        assert delta.tobytes() == want_delta.tobytes()
+        assert idx.tolist() == want_idx.tolist()
+        for i, q in enumerate(Q):
+            one_delta, one_idx = query_knn(index, q, k)
+            assert one_delta.tobytes() == want_delta[i].tobytes()
+            assert one_idx.tolist() == want_idx[i].tolist()
+            expect = reference_wknn(Y, want_delta[i], want_idx[i], 1e-9)
+            assert batch[i].tobytes() == expect.tobytes()
+            assert predict_wknn(index, q, k, 1e-9).xy.tobytes() == \
+                expect.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           k=st.integers(1, 30), eps=st.sampled_from([1e-9, 1e-3, 1.0]))
+    def test_batch_equals_per_row(self, seed, n, k, eps):
+        X, Y, var, rng = _knn_case(seed, 90, 14, "gauss")
+        index = build_knn_index(X, Y, ChannelVariances(var, 0.0))
+        Q = X[rng.integers(0, 90, n)] + rng.normal(size=(n, 14)) * 0.1
+        with mock.patch.object(regress, "_KNN_CELLS", 14 * 90 * 3):
+            batch = predict_wknn_batch(index, Q, k, eps)  # passes of 3 rows
+        rows = [predict_wknn(index, q, k, eps).xy for q in Q]
+        assert batch.tobytes() == np.array(rows).tobytes()
+
+    def test_one_dimensional_row_is_one_query(self):
+        index, X, *_ = toy_index()
+        assert predict_wknn_batch(index, X[2], 4).tobytes() == \
+            predict_wknn(index, X[2], 4).xy[None].tobytes()
