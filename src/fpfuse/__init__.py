@@ -5,9 +5,9 @@ optional persistent-homology feature augmentation -> dual regressors
 (random forest + weighted kNN) -> evidence-theoretic fusion with belief maps.
 """
 
-from .datamodel import (Bounds, Fingerprint, Position, RadioMap, Sample,
-                        SplitSpec, SynthSpec, load_radio_map, save_radio_map,
-                        stratified_split, synth_radio_map)
+from .datamodel import (Bounds, Position, RadioMap, SplitSpec, SynthSpec,
+                        load_radio_map, save_radio_map, stratified_split,
+                        synth_radio_map)
 from .evaluate import (AblationConfig, EvalReport, FilterSpec, NoiseSpec,
                        SearchGrids, cv_grid_search, holm_bonferroni,
                        inject_bursty, inject_dbm_noise, inject_gauss_jitter,

@@ -1,8 +1,11 @@
-"""Radio-map data model: fingerprints, CSV ingestion, synthesis, stratified splits.
+"""Radio-map data model: columnar surveys, CSV ingestion, synthesis, splits.
 
 A radio map is the labelled survey of (RSS fingerprint, position) pairs collected
-at reference points (RPs) on a bounded floor. All types are immutable after
-construction; generation and splitting are pure functions of (input, seed).
+at reference points (RPs) on a bounded floor, stored as three columns: an
+(N, d) dBm matrix, an (N, 2) position matrix and an (N,) RP-id vector. A map
+is validated once, when built, and its columns are read-only. Generation and
+splitting are pure functions of (input, seed) that draw and subset whole
+arrays.
 """
 
 from __future__ import annotations
@@ -53,9 +56,10 @@ class Bounds:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains(self, x: float, y: float, tol: float = 1e-9) -> bool:
-        return (self.x_min - tol <= x <= self.x_max + tol
-                and self.y_min - tol <= y <= self.y_max + tol)
+    def contains(self, x, y, tol: float = 1e-9):
+        """Whether (x, y) lies inside; elementwise for arrays."""
+        return ((self.x_min - tol <= x) & (x <= self.x_max + tol)
+                & (self.y_min - tol <= y) & (y <= self.y_max + tol))
 
     def as_tuple(self):
         return (self.x_min, self.y_min, self.x_max, self.y_max)
@@ -82,96 +86,99 @@ class Position:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True, eq=False)
-class Fingerprint:
-    """One windowed RSS scan: a d-vector of dBm values plus per-channel radio tags.
-
-    Channel order is all Wi-Fi channels first, then all BLE channels.
-    """
-
-    rss: np.ndarray
-    channel_kinds: tuple[str, ...]
-
-    def __post_init__(self):
-        arr = np.array(self.rss, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("rss must be a non-empty 1-D vector")
-        if len(self.channel_kinds) != arr.size:
-            raise ValueError("channel_kinds length must match rss length")
-        if any(k not in ("wifi", "ble") for k in self.channel_kinds):
-            raise ValueError("channel kinds must be 'wifi' or 'ble'")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("rss values must be finite")
-        if arr.min() < DBM_FLOOR - DBM_TOL or arr.max() > DBM_CEIL + DBM_TOL:
-            raise ValueError(
-                f"rss outside plausible dBm range [{DBM_FLOOR}, {DBM_CEIL}]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "rss", arr)
-        object.__setattr__(self, "channel_kinds", tuple(self.channel_kinds))
-
-    @property
-    def d(self) -> int:
-        return self.rss.size
+def _first_invalid(rss: np.ndarray, xy: np.ndarray, bounds: Bounds | None):
+    """(row, description) of the first invalid entry, or None. RSS values
+    must be finite and in the plausible dBm range, coordinates finite and,
+    when bounds are given, inside them."""
+    checks = [(rss, ~np.isfinite(rss), "is not finite"),
+              (rss, (rss < DBM_FLOOR - DBM_TOL) | (rss > DBM_CEIL + DBM_TOL),
+               f"outside plausible dBm range [{DBM_FLOOR}, {DBM_CEIL}]"),
+              (xy, ~np.isfinite(xy), "is not finite")]
+    for arr, bad, what in checks:
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            name = f"channel {j}: rss" if arr is rss else f"position {'xy'[j]}"
+            return int(i), f"{name} {float(arr[i, j])!r} {what}"
+    if bounds is not None:
+        inside = bounds.contains(xy[:, 0], xy[:, 1])
+        if not inside.all():
+            i = int(np.argmin(inside))
+            return i, f"position {tuple(xy[i].tolist())} outside bounds {bounds}"
+    return None
 
 
-@dataclass(frozen=True)
-class Sample:
-    fingerprint: Fingerprint
-    position: Position
-    rp_id: int
+def _read_only(value, dtype) -> np.ndarray:
+    arr = np.array(value, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class RadioMap:
-    """The labelled survey: samples, floor bounds, and dataset metadata.
+    """The labelled survey as columns, one row per sample: rss (N, d) dBm
+    fingerprints (Wi-Fi channels first, then BLE), xy (N, 2) positions in
+    metres and rp (N,) int RP ids; read-only copies, checked once here, with
+    errors naming the row and the channel. Plus floor bounds and meta, which
+    carries at least: name, n_wifi, n_ble, imputed_count."""
 
-    meta carries at least: name, n_wifi, n_ble, imputed_count.
-    """
-
-    samples: tuple[Sample, ...]
+    rss: np.ndarray
+    xy: np.ndarray
+    rp: np.ndarray
+    channel_kinds: tuple[str, ...]
     bounds: Bounds
     meta: dict
 
     def __post_init__(self):
-        samples = tuple(self.samples)
-        if not samples:
-            raise ValueError("radio map needs at least one sample")
-        kinds = samples[0].fingerprint.channel_kinds
-        for s in samples:
-            if s.fingerprint.channel_kinds != kinds:
-                raise ValueError("all fingerprints must share channel layout")
-            if not self.bounds.contains(s.position.x, s.position.y):
+        rss, xy = _read_only(self.rss, float), _read_only(self.xy, float)
+        rp, kinds = np.asarray(self.rp), tuple(self.channel_kinds)
+        n, d = rss.shape if rss.ndim == 2 else (0, 0)
+        if (min(n, d) < 1 or len(kinds) != d or xy.shape != (n, 2)
+                or rp.shape != (n,)):
+            raise ValueError(
+                "radio map needs N >= 1 samples of d >= 1 channels: rss (N, d),"
+                f" d channel kinds, xy (N, 2), rp (N,); got rss {rss.shape}, "
+                f"{len(kinds)} kinds, xy {xy.shape}, rp {rp.shape}")
+        for j, kind in enumerate(kinds):
+            if kind not in ("wifi", "ble"):
                 raise ValueError(
-                    f"position {s.position} outside bounds {self.bounds}")
-        object.__setattr__(self, "samples", samples)
+                    f"channel {j}: kind {kind!r} must be 'wifi' or 'ble'")
+        if rp.dtype.kind not in "iu":
+            raise ValueError(f"rp ids must be integers, got dtype {rp.dtype}")
+        bad = _first_invalid(rss, xy, self.bounds)
+        if bad is not None:
+            raise ValueError(f"row {bad[0]}, {bad[1]}")
+        object.__setattr__(self, "rss", rss)
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "rp", _read_only(rp, int))
+        object.__setattr__(self, "channel_kinds", kinds)
 
     @property
     def n_samples(self) -> int:
-        return len(self.samples)
+        return self.rss.shape[0]
 
     @property
     def d(self) -> int:
-        return self.samples[0].fingerprint.d
-
-    @property
-    def channel_kinds(self) -> tuple[str, ...]:
-        return self.samples[0].fingerprint.channel_kinds
+        return self.rss.shape[1]
 
     def rss_matrix(self) -> np.ndarray:
-        return np.array([s.fingerprint.rss for s in self.samples])
+        return self.rss.copy()
 
     def xy_matrix(self) -> np.ndarray:
-        return np.array([[s.position.x, s.position.y] for s in self.samples])
+        return self.xy.copy()
 
     def rp_ids(self) -> np.ndarray:
-        return np.array([s.rp_id for s in self.samples], dtype=int)
+        return self.rp.copy()
+
+    def rp_rows(self) -> list[tuple[int, np.ndarray]]:
+        """(RP id, its sample indices in stored order) per RP, ids ascending."""
+        order = np.argsort(self.rp, kind="stable")
+        ids, starts = np.unique(self.rp[order], return_index=True)
+        return list(zip(ids.tolist(), np.split(order, starts[1:])))
 
     def by_rp(self) -> dict[int, list[int]]:
         """Sample indices grouped by reference point, in stored order."""
-        groups: dict[int, list[int]] = {}
-        for i, s in enumerate(self.samples):
-            groups.setdefault(s.rp_id, []).append(i)
-        return groups
+        groups = sorted(self.rp_rows(), key=lambda g: g[1][0])
+        return {rp: rows.tolist() for rp, rows in groups}
 
 
 @dataclass(frozen=True)
@@ -253,8 +260,7 @@ def load_radio_map(path, n_wifi: int | None = None, n_ble: int | None = None,
                 f"{path}: header {header!r} does not match schema "
                 f"(n_wifi={n_wifi}, n_ble={n_ble})")
         d = n_wifi + n_ble
-        kinds = ("wifi",) * n_wifi + ("ble",) * n_ble
-        samples = []
+        linenos, rps, xys, rows = [], [], [], []
         imputed = 0
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -264,48 +270,45 @@ def load_radio_map(path, n_wifi: int | None = None, n_ble: int | None = None,
                     f"{path}: line {lineno}: expected {3 + d} columns, "
                     f"got {len(row)}")
             try:
-                rp_id = int(row[0])
-                x, y = float(row[1]), float(row[2])
+                rps.append(int(row[0]))
+                if not -2**63 <= rps[-1] < 2**63:
+                    raise ValueError(f"rp_id {rps[-1]} outside the int64 range")
+                xys.append((float(row[1]), float(row[2])))
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            rss = np.empty(d)
-            for j, cell in enumerate(row[3:]):
-                cell = cell.strip()
-                if cell == "":
-                    rss[j] = MISSING_RSS_DBM
-                    imputed += 1
-                    continue
+            rss = []
+            for cell in (c.strip() for c in row[3:]):
                 try:
-                    rss[j] = float(cell)
+                    rss.append(float(cell) if cell else MISSING_RSS_DBM)
                 except ValueError as exc:
                     raise ParseError(
                         f"{path}: line {lineno}: bad RSS cell {cell!r}") from exc
-            try:
-                fp = Fingerprint(rss, kinds)
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            samples.append(Sample(fp, Position(x, y), rp_id))
-    if not samples:
+            imputed += sum(1 for c in row[3:] if not c.strip())
+            rows.append(rss)
+            linenos.append(lineno)
+    if not rows:
         raise SchemaError(f"{path}: no data rows")
-    xs = [s.position.x for s in samples]
-    ys = [s.position.y for s in samples]
+    rss, xy = np.array(rows), np.array(xys)
+    bad = _first_invalid(rss, xy, None)
+    if bad is not None:
+        raise ParseError(f"{path}: line {linenos[bad[0]]}: {bad[1]}")
     pad = 1e-6  # Bounds refuses zero area; surveys along a line still load
-    bounds = Bounds(min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+    lo, hi = (xy.min(axis=0) - pad).tolist(), (xy.max(axis=0) + pad).tolist()
     meta = {"name": name or path.stem, "n_wifi": n_wifi, "n_ble": n_ble,
             "imputed_count": imputed}
-    return RadioMap(tuple(samples), bounds, meta)
+    return RadioMap(rss, xy, rps, ("wifi",) * n_wifi + ("ble",) * n_ble,
+                    Bounds(lo[0], lo[1], hi[0], hi[1]), meta)
 
 
 def save_radio_map(rmap: RadioMap, path) -> None:
     """Write the survey CSV; floats use repr so reload is exact."""
-    n_wifi = rmap.meta["n_wifi"]
-    n_ble = rmap.meta["n_ble"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_expected_header(n_wifi, n_ble))
-        for s in rmap.samples:
-            writer.writerow([s.rp_id, repr(s.position.x), repr(s.position.y)]
-                            + [repr(float(v)) for v in s.fingerprint.rss])
+        writer.writerow(_expected_header(rmap.meta["n_wifi"], rmap.meta["n_ble"]))
+        # tolist() gives Python scalars; a numpy scalar's repr is 'np.float64(…)'
+        for rp, xy, rss in zip(rmap.rp.tolist(), rmap.xy.tolist(),
+                               rmap.rss.tolist()):
+            writer.writerow([rp] + [repr(v) for v in xy + rss])
 
 
 def log_distance_rss(dist_m, tx_power_dbm: float, path_loss_exp: float):
@@ -323,37 +326,36 @@ def synth_radio_map(spec: SynthSpec) -> RadioMap:
     rng = np.random.default_rng(spec.seed)
     b = spec.bounds
     d = spec.n_wifi + spec.n_ble
-    kinds = ("wifi",) * spec.n_wifi + ("ble",) * spec.n_ble
 
     # RPs on a jittered grid with roughly square cells
     n_cols = max(1, math.ceil(math.sqrt(spec.n_rp * b.width / b.height)))
     n_rows = math.ceil(spec.n_rp / n_cols)
     cw, ch = b.width / n_cols, b.height / n_rows
-    rp_pos = []
-    for idx in range(spec.n_rp):
-        r, c = divmod(idx, n_cols)
-        cx = b.x_min + (c + 0.5) * cw
-        cy = b.y_min + (r + 0.5) * ch
-        jx, jy = rng.uniform(-0.3, 0.3, size=2)
-        x = min(max(cx + jx * cw, b.x_min), b.x_max)
-        y = min(max(cy + jy * ch, b.y_min), b.y_max)
-        rp_pos.append((x, y))
+    r, c = np.divmod(np.arange(spec.n_rp), n_cols)
+    jitter = rng.uniform(-0.3, 0.3, size=(spec.n_rp, 2))
+    rp_x = np.minimum(np.maximum(b.x_min + (c + 0.5) * cw + jitter[:, 0] * cw,
+                                 b.x_min), b.x_max)
+    rp_y = np.minimum(np.maximum(b.y_min + (r + 0.5) * ch + jitter[:, 1] * ch,
+                                 b.y_min), b.y_max)
 
     anchors = np.column_stack([rng.uniform(b.x_min, b.x_max, size=d),
                                rng.uniform(b.y_min, b.y_max, size=d)])
 
-    samples = []
-    for rp_id, (x, y) in enumerate(rp_pos):
-        dist = np.hypot(anchors[:, 0] - x, anchors[:, 1] - y)
-        mean_rss = log_distance_rss(dist, spec.tx_power_dbm, spec.path_loss_exp)
-        for _ in range(spec.samples_per_rp):
-            rss = mean_rss + rng.normal(0.0, spec.shadowing_std_dbm, size=d)
-            rss = np.clip(rss, DBM_FLOOR, DBM_CEIL)
-            samples.append(Sample(Fingerprint(rss, kinds), Position(x, y), rp_id))
+    dist = np.hypot(anchors[:, 0] - rp_x[:, None], anchors[:, 1] - rp_y[:, None])
+    mean_rss = log_distance_rss(dist, spec.tx_power_dbm, spec.path_loss_exp)
+    # one call draws in C order, RP by RP and sample by sample, so each
+    # fingerprint's shadowing is the d-vector a per-sample draw would give
+    per = spec.samples_per_rp
+    noise = rng.normal(0.0, spec.shadowing_std_dbm, size=(spec.n_rp, per, d))
+    rss = np.clip(mean_rss[:, None, :] + noise, DBM_FLOOR, DBM_CEIL)
     meta = {"name": f"synth-{spec.seed}", "n_wifi": spec.n_wifi,
             "n_ble": spec.n_ble, "imputed_count": 0,
             "anchors": anchors.tolist()}
-    return RadioMap(tuple(samples), spec.bounds, meta)
+    return RadioMap(rss.reshape(-1, d),
+                    np.repeat(np.column_stack([rp_x, rp_y]), per, axis=0),
+                    np.repeat(np.arange(spec.n_rp), per),
+                    ("wifi",) * spec.n_wifi + ("ble",) * spec.n_ble,
+                    spec.bounds, meta)
 
 
 def stratified_split(rmap: RadioMap, spec: SplitSpec):
@@ -361,28 +363,26 @@ def stratified_split(rmap: RadioMap, spec: SplitSpec):
 
     Within each RP the samples are shuffled by the seed, then floor(n * ratio)
     go to val and test and the remainder to train, so val/test sizes differ
-    from the exact ratio by less than one sample per RP.
+    from the exact ratio by less than one sample per RP. Each part keeps the
+    stored order.
     """
     rng = np.random.default_rng(spec.seed)
-    groups = rmap.by_rp()
-    train_idx, val_idx, test_idx = [], [], []
-    for rp_id in sorted(groups):
-        idx = np.array(groups[rp_id])
-        perm = rng.permutation(len(idx))
-        idx = idx[perm]
+    part = np.zeros(rmap.n_samples, dtype=np.int8)  # 0 train, 1 val, 2 test
+    for rp_id, idx in rmap.rp_rows():
         n = len(idx)
         n_val = int(math.floor(n * spec.ratios[1]))
         n_test = int(math.floor(n * spec.ratios[2]))
+        idx = idx[rng.permutation(n)]
         if n_val < 1 or n_test < 1:
             raise ValueError(
                 f"RP {rp_id} has {n} samples; ratios {spec.ratios} leave an "
                 "empty validation or test share")
-        val_idx.extend(idx[:n_val])
-        test_idx.extend(idx[n_val:n_val + n_test])
-        train_idx.extend(idx[n_val + n_test:])
+        part[idx[:n_val]] = 1
+        part[idx[n_val:n_val + n_test]] = 2
 
-    def subset(indices):
-        picked = tuple(rmap.samples[i] for i in sorted(indices))
-        return RadioMap(picked, rmap.bounds, dict(rmap.meta))
+    def subset(k):
+        rows = np.flatnonzero(part == k)
+        return RadioMap(rmap.rss[rows], rmap.xy[rows], rmap.rp[rows],
+                        rmap.channel_kinds, rmap.bounds, dict(rmap.meta))
 
-    return subset(train_idx), subset(val_idx), subset(test_idx)
+    return subset(0), subset(1), subset(2)

@@ -523,9 +523,7 @@ def _fold_assignment(rmap: RadioMap, folds: int, seed: int) -> np.ndarray:
     appears in the training side of every fold."""
     rng = np.random.default_rng(seed)
     fold_of = np.empty(rmap.n_samples, dtype=int)
-    groups = rmap.by_rp()
-    for rp in sorted(groups):
-        idx = np.array(groups[rp])
+    for rp, idx in rmap.rp_rows():
         if len(idx) < 2:
             raise ValueError(f"RP {rp} has {len(idx)} sample(s); "
                              "cross-validation folds are infeasible")
@@ -677,6 +675,10 @@ class FilterSpec:
         if self.method not in FILTER_METHODS:
             raise ValueError(f"FilterSpec.method must be one of "
                              f"{FILTER_METHODS}, got {self.method!r}")
+        try:  # the particle fields, checked as the fit will build them
+            PfParams(self.n_particles, self.ess_tau, self.predict_sigma)
+        except ValueError as exc:
+            raise ValueError(f"FilterSpec.{exc}") from None
 
     def config(self, r: np.ndarray, seed: int) -> FilterConfig:
         """The runnable filter for channel variances r and PF seed."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,10 +58,14 @@ class PfParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_particles < 2:
-            raise ValueError("need at least 2 particles")
+        if not isinstance(self.n_particles, numbers.Integral) or self.n_particles < 2:
+            raise ValueError(f"n_particles must be an integer >= 2, got "
+                             f"{self.n_particles!r}")
         if not 0.0 < self.ess_tau < 1.0:
-            raise ValueError("ess_tau must be in (0, 1)")
+            raise ValueError(f"ess_tau must be in (0, 1), got {self.ess_tau!r}")
+        if not math.isfinite(self.predict_sigma):  # rng.normal takes NaN
+            raise ValueError(f"predict_sigma must be finite, got "
+                             f"{self.predict_sigma!r}")
         _check_sigma(self.predict_sigma)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Fingerprint, RadioMap
+from .datamodel import RadioMap
 
 SIGMA_FLOOR = 1e-9  # replaces the std of (near-)constant channels
 VAR_SHRINKAGE = 1e-6  # l2 term added to metric variances for conditioning
@@ -90,11 +90,8 @@ def fit_norm_stats(train: RadioMap, mode: str = "dbm_zscore") -> NormStats:
 
 
 def apply_norm(f, stats: NormStats) -> np.ndarray:
-    """Normalize one fingerprint (or raw d-vector) with frozen train stats."""
-    if isinstance(f, Fingerprint):
-        vec = f.rss
-    else:
-        vec = np.asarray(f, dtype=float)
+    """Normalize one raw dBm d-vector (or (N, d) rows) with frozen train stats."""
+    vec = np.asarray(f, dtype=float)
     if vec.shape[-1] != stats.d:
         raise ValueError(f"dimension mismatch: vector has {vec.shape[-1]} "
                          f"channels, stats have {stats.d}")

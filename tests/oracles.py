@@ -11,12 +11,16 @@ afresh at every node for random-forest training.
 The reference_* functions further down are the library's earlier one-cloud,
 loop-based persistence features, its out-of-place particle-filter step
 with binary-search resampling, and its per-row evidence fusion (masses,
-Dempster's rule, point, nearest-centroid distance). The batched and in-place
-versions must equal them bit for bit, random draws included.
+Dempster's rule, point, nearest-centroid distance), and its per-sample
+survey synthesis, stratified split, fold assignment and CSV writer. The
+batched and in-place versions must equal them bit for bit, random draws
+included.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -447,3 +451,92 @@ def reference_nearest_distances(points, centroids) -> np.ndarray:
     """Distance from each point to its nearest centroid, one row at a time."""
     return np.array([np.hypot(centroids[:, 0] - x, centroids[:, 1] - y).min()
                      for x, y in np.asarray(points).tolist()])
+
+
+def reference_synth_radio_map(spec):
+    """The survey synthesis one sample at a time: each RP's jitter, then the
+    anchors, then one d-vector of shadowing per sample, RP by RP.
+
+    Returns (rss, xy, rp, anchors) as arrays.
+    """
+    rng = np.random.default_rng(spec.seed)
+    b = spec.bounds
+    d = spec.n_wifi + spec.n_ble
+    n_cols = max(1, math.ceil(math.sqrt(spec.n_rp * b.width / b.height)))
+    n_rows = math.ceil(spec.n_rp / n_cols)
+    cw, ch = b.width / n_cols, b.height / n_rows
+    rp_pos = []
+    for idx in range(spec.n_rp):
+        r, c = divmod(idx, n_cols)
+        cx = b.x_min + (c + 0.5) * cw
+        cy = b.y_min + (r + 0.5) * ch
+        jx, jy = rng.uniform(-0.3, 0.3, size=2)
+        rp_pos.append((min(max(cx + jx * cw, b.x_min), b.x_max),
+                       min(max(cy + jy * ch, b.y_min), b.y_max)))
+    anchors = np.column_stack([rng.uniform(b.x_min, b.x_max, size=d),
+                               rng.uniform(b.y_min, b.y_max, size=d)])
+    rss, xy, rp = [], [], []
+    for rp_id, (x, y) in enumerate(rp_pos):
+        dist = np.maximum(np.hypot(anchors[:, 0] - x, anchors[:, 1] - y), 1e-3)
+        mean_rss = spec.tx_power_dbm - 10.0 * spec.path_loss_exp * np.log10(dist)
+        for _ in range(spec.samples_per_rp):
+            noise = rng.normal(0.0, spec.shadowing_std_dbm, size=d)
+            rss.append(np.clip(mean_rss + noise, -120.0, 0.0))
+            xy.append((float(x), float(y)))
+            rp.append(rp_id)
+    return np.array(rss), np.array(xy), np.array(rp, dtype=int), anchors
+
+
+def _reference_groups(rp_ids) -> dict[int, list[int]]:
+    groups: dict[int, list[int]] = {}
+    for i, rp in enumerate(rp_ids):
+        groups.setdefault(int(rp), []).append(i)
+    return groups
+
+
+def reference_stratified_split(rp_ids, ratios, seed):
+    """The per-RP shuffle-and-cut split over a sample loop: (train, val,
+    test) sorted index lists."""
+    rng = np.random.default_rng(seed)
+    groups = _reference_groups(rp_ids)
+    parts = ([], [], [])
+    for rp_id in sorted(groups):
+        idx = np.array(groups[rp_id])
+        idx = idx[rng.permutation(len(idx))]
+        n = len(idx)
+        n_val = int(math.floor(n * ratios[1]))
+        n_test = int(math.floor(n * ratios[2]))
+        if n_val < 1 or n_test < 1:
+            raise ValueError(
+                f"RP {rp_id} has {n} samples; ratios {ratios} leave an "
+                "empty validation or test share")
+        parts[1].extend(idx[:n_val].tolist())
+        parts[2].extend(idx[n_val:n_val + n_test].tolist())
+        parts[0].extend(idx[n_val + n_test:].tolist())
+    return tuple(sorted(p) for p in parts)
+
+
+def reference_fold_assignment(rp_ids, folds, seed) -> np.ndarray:
+    """Round-robin folds after a per-RP seeded shuffle, over a sample loop."""
+    rng = np.random.default_rng(seed)
+    fold_of = np.empty(len(rp_ids), dtype=int)
+    groups = _reference_groups(rp_ids)
+    for rp in sorted(groups):
+        idx = np.array(groups[rp])
+        if len(idx) < 2:
+            raise ValueError(f"RP {rp} has {len(idx)} sample(s); "
+                             "cross-validation folds are infeasible")
+        fold_of[idx[rng.permutation(len(idx))]] = np.arange(len(idx)) % folds
+    return fold_of
+
+
+def reference_radio_map_csv(rss, xy, rp, n_wifi, n_ble) -> str:
+    """The survey CSV written one sample at a time, floats as repr."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["rp_id", "x", "y"] + [f"wifi_{i + 1}" for i in range(n_wifi)]
+                    + [f"ble_{i + 1}" for i in range(n_ble)])
+    for i in range(len(rp)):
+        writer.writerow([int(rp[i]), repr(float(xy[i, 0])), repr(float(xy[i, 1]))]
+                        + [repr(float(v)) for v in rss[i]])
+    return out.getvalue()

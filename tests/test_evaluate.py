@@ -321,6 +321,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="FilterSpec.method"):
             FilterSpec(method="ekf")
 
+    @pytest.mark.parametrize("method", ["pf", "kf"])
+    @pytest.mark.parametrize("field,value", [
+        ("predict_sigma", float("nan")), ("predict_sigma", -1.0),
+        ("n_particles", 1), ("ess_tau", 1.0)])
+    def test_filter_spec_rejects_particle_fields(self, method, field, value):
+        # checked when built, not first when a fit calls config()
+        with pytest.raises(ValueError, match=f"^FilterSpec.{field} must"):
+            FilterSpec(method=method, **{field: value})
+
     def test_filter_spec_config_carries_fields(self):
         spec = FilterSpec("pf", 0.25, 500, 0.4, 2.0)
         cfg = spec.config(np.array([1.0, 2.0]), seed=9)

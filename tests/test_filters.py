@@ -374,7 +374,22 @@ class TestPfMatchesReference:
                 PfParams(predict_sigma=sigma)
             with pytest.raises(ValueError, match="predict_sigma"):
                 pf_step(state, 0.0, 1.0, 0.5, sigma, np.random.default_rng(0))
-        assert np.isnan(PfParams(predict_sigma=np.nan).predict_sigma)
+        # rng.normal takes a NaN scale, and so does pf_step; the config type
+        # rejects it, because a NaN cloud fails only a later stage
+        assert np.isnan(np.random.default_rng(0).normal(0.0, np.nan, 1)[0])
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="predict_sigma must be finite"):
+                PfParams(predict_sigma=sigma)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"n_particles": 1}, "n_particles"), ({"n_particles": 2.5}, "n_particles"),
+        ({"ess_tau": 0.0}, "ess_tau"), ({"ess_tau": np.nan}, "ess_tau"),
+        ({"predict_sigma": np.nan}, "predict_sigma"),
+        ({"predict_sigma": -0.0}, "predict_sigma"),
+    ])
+    def test_params_name_the_rejected_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            PfParams(**kwargs)
 
     @pytest.mark.parametrize("m", PARTICLE_COUNTS)
     @pytest.mark.parametrize("tau", [1e-12, 1.0 - 1e-12])

@@ -228,6 +228,8 @@ class TestArtifactRoundTrip:
             id="inverted bounds"),
         pytest.param("fusion.cell_width", lambda b: b["fusion"].update(
             cell_width=0.0), id="zero width"),
+        pytest.param("predict_sigma", lambda b: b["filter"]["pf"].update(
+            predict_sigma=float("nan")), id="nan predict_sigma"),
     ])
     def test_bad_field_named_exit_2(self, artifact, tmp_path, capsys, match,
                                     edit):
@@ -277,10 +279,9 @@ class TestPredict:
     def test_training_scan_lands_near_its_rp(self):
         data = small_data()
         art = fit_pipeline(data, small_cfg())
-        sample = data.samples[0]
-        res = predict_one(art, sample.fingerprint.rss)
-        err = np.hypot(res.position.x - sample.position.x,
-                       res.position.y - sample.position.y)
+        res = predict_one(art, data.rss_matrix()[0])
+        x, y = data.xy_matrix()[0]
+        err = np.hypot(res.position.x - x, res.position.y - y)
         assert err < art.grid.h  # stays inside the RP's own cell
 
     def test_dimension_mismatch(self, artifact):
@@ -588,6 +589,9 @@ class TestCli:
         ("ablate", {"filter": {"method": "bogus"}}, "filter"),
         ("noise-sweep", {"noise": [{"kind": "bogus"}]}, "noise"),
         ("synth", {"synth": {"n_rp": 0}}, "synth"),
+        ("fit", {"pipeline": {"filter": {"predict_sigma": float("nan")}}},
+         "pipeline"),
+        ("ablate", {"filter": {"predict_sigma": float("nan")}}, "filter"),
     ])
     def test_rejected_config_is_a_usage_error(self, tmp_path, capsys,
                                               command, config, section):
