@@ -8,15 +8,13 @@ optional persistent-homology feature augmentation -> dual regressors
 from .datamodel import (Bounds, Position, RadioMap, SplitSpec, SynthSpec,
                         load_radio_map, save_radio_map, stratified_split,
                         synth_radio_map)
-from .evaluate import (AblationConfig, EvalReport, FilterSpec, NoiseSpec,
-                       SearchGrids, cv_grid_search, holm_bonferroni,
-                       inject_bursty, inject_dbm_noise, inject_gauss_jitter,
-                       paired_t_test, rmse_xy, run_ablation_ladder,
-                       wilcoxon_signed_rank)
-from .filters import (FilterConfig, KfState, PfParams, PfState, UkfParams,
-                      effective_sample_size, filter_stream, kf_step, pf_step,
-                      start_filter, step_filter, systematic_resample,
-                      ukf_step)
+from .evaluate import (AblationConfig, EvalReport, NoiseSpec, SearchGrids,
+                       cv_grid_search, holm_bonferroni, inject_bursty,
+                       inject_dbm_noise, inject_gauss_jitter, paired_t_test,
+                       rmse_xy, run_ablation_ladder, wilcoxon_signed_rank)
+from .filters import (FilterConfig, KfState, PfState, effective_sample_size,
+                      filter_stream, kf_step, pf_step, start_filter,
+                      step_filter, systematic_resample, ukf_step)
 from .fuse import (Bba, ChoquetMeasure, ConflictError, GridSpec,
                    argmax_belief, bba_from_point, choquet, confidence,
                    convex_combo, dempster_combine, fit_choquet_measure,

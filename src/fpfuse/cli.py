@@ -21,6 +21,7 @@ from . import evaluate as ev
 from . import pipeline as pl
 from .datamodel import (Bounds, SynthSpec, load_radio_map, save_radio_map,
                         synth_radio_map)
+from .filters import FilterConfig
 from .fuse import ConflictError
 
 EXIT_OK = 0
@@ -78,11 +79,6 @@ def _ingest(args, overrides: dict):
     return synth_radio_map(_synth_spec_from(overrides, args.seed))
 
 
-def _filter_spec(overrides: dict) -> ev.FilterSpec:
-    with _config_section("filter"):
-        return ev.FilterSpec(**overrides.get("filter", {}))
-
-
 def _noise_specs(overrides: dict, default: tuple) -> tuple:
     specs = overrides.get("noise")
     if not specs:
@@ -113,7 +109,7 @@ def cmd_fit(args) -> int:
     with _config_section("pipeline"):
         pcfg_kwargs = dict(overrides.get("pipeline", {}))
         if "filter" in pcfg_kwargs:
-            pcfg_kwargs["filter"] = ev.FilterSpec(**pcfg_kwargs["filter"])
+            pcfg_kwargs["filter"] = FilterConfig(**pcfg_kwargs["filter"])
         if pcfg_kwargs.get("grids"):
             grids = pcfg_kwargs["grids"]
             pcfg_kwargs["grids"] = ev.SearchGrids(
@@ -174,10 +170,11 @@ def _write_report(report: ev.EvalReport, out: Path, stem: str) -> None:
 
 
 def _ablation_config(args, overrides: dict, noise) -> ev.AblationConfig:
-    filter_spec = _filter_spec(overrides)
+    with _config_section("filter"):
+        filter_cfg = FilterConfig(**overrides.get("filter", {}))
     with _config_section("ablation"):
         kwargs = dict(overrides.get("ablation", {}))
-        kwargs["filter"] = filter_spec
+        kwargs["filter"] = filter_cfg
         kwargs["noise"] = noise
         if "ratios" in kwargs:
             kwargs["ratios"] = tuple(kwargs["ratios"])

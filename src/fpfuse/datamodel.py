@@ -219,6 +219,10 @@ class SynthSpec:
         for name in ("n_rp", "samples_per_rp", "n_wifi", "n_ble"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("path_loss_exp", "tx_power_dbm", "shadowing_std_dbm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"SynthSpec.{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
         if self.shadowing_std_dbm < 0:
             raise ValueError("shadowing_std_dbm must be >= 0")
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .datamodel import Position, RadioMap, SplitSpec, stratified_split
-from .filters import METHODS as FILTER_METHODS
-from .filters import FilterConfig, PfParams, filter_stream
+from .filters import FilterConfig, filter_stream
 from .fuse import (Bba, GridSpec, centroid_distances, combine_masses,
                    make_grid, nearest_centroid_distance, singleton_masses,
                    weighted_centroids)
@@ -399,7 +398,7 @@ def filter_streams_by_rp(matrix: np.ndarray, rp_ids: np.ndarray,
                          cfg: FilterConfig) -> np.ndarray:
     """Filter each RP's consecutive samples as one temporal stream.
 
-    PF streams get a per-RP generator derived from (pf.seed, rp_id) so the
+    PF streams get a per-RP generator derived from (cfg.seed, rp_id) so the
     result is independent of RP evaluation order.
     """
     out = np.empty_like(np.asarray(matrix, dtype=float))
@@ -408,8 +407,7 @@ def filter_streams_by_rp(matrix: np.ndarray, rp_ids: np.ndarray,
         rows = np.nonzero(rp_ids == rp)[0]
         cfg_rp = cfg
         if cfg.method == "pf":
-            cfg_rp = replace(cfg, pf=replace(cfg.pf,
-                                             seed=derive_seed(cfg.pf.seed, int(rp))))
+            cfg_rp = replace(cfg, seed=derive_seed(cfg.seed, int(rp)))
         out[rows] = filter_stream(matrix[rows], cfg_rp)
     return out
 
@@ -574,8 +572,8 @@ def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
                          "index": build_knn_index(xtr, xy[tr], variances)})
 
     def filter_cfg(gamma, n_particles, ess_tau, ctx):
-        return FilterSpec(filter_method, gamma, n_particles,
-                          ess_tau).config(ctx["var"].var, derive_seed(seed, 7))
+        return FilterConfig(filter_method, gamma, n_particles, ess_tau,
+                            r=ctx["var"].var, seed=derive_seed(seed, 7))
 
     tables: dict[str, list] = {}
 
@@ -660,36 +658,15 @@ def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
 # ablation ladder
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """The user-set filter choices; the measurement variances and the PF seed
-    come from the fit (see config)."""
-
-    method: str = "pf"
-    gamma: float = 0.5
-    n_particles: int = 10_000
-    ess_tau: float = 0.3
-    predict_sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.method not in FILTER_METHODS:
-            raise ValueError(f"FilterSpec.method must be one of "
-                             f"{FILTER_METHODS}, got {self.method!r}")
-        try:  # the particle fields, checked as the fit will build them
-            PfParams(self.n_particles, self.ess_tau, self.predict_sigma)
-        except ValueError as exc:
-            raise ValueError(f"FilterSpec.{exc}") from None
-
-    def config(self, r: np.ndarray, seed: int) -> FilterConfig:
-        """The runnable filter for channel variances r and PF seed."""
-        return FilterConfig(self.method, self.gamma, r,
-                            pf=PfParams(self.n_particles, self.ess_tau,
-                                        self.predict_sigma, seed=seed))
-
-
 def check_fit_ranges(cfg, owner: str) -> None:
     """Range checks of the fit fields PipelineConfig and AblationConfig
-    share; each error names owner.field and the value it got."""
+    share; each error names owner.field and the value it got. The filter's
+    r and seed must be unset: the fit binds them."""
+    for name in ("r", "seed"):
+        value = getattr(cfg.filter, name)
+        if value is not None:
+            raise ValueError(f"{owner}.filter.{name} must be None (the fit "
+                             f"binds it), got {value!r}")
     rules = (("theta_discount", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
              ("cell_width", "> 0", lambda v: v > 0),
              ("k", ">= 1", lambda v: v >= 1),
@@ -709,7 +686,7 @@ class AblationConfig:
     ratios: tuple = (0.70, 0.15, 0.15)
     n_splits: int = 1
     base_seed: int = 0
-    filter: FilterSpec = field(default_factory=FilterSpec)
+    filter: FilterConfig = field(default_factory=FilterConfig)
     k: int = 7
     eps: float = 1e-9
     n_trees: int = 200
@@ -788,7 +765,7 @@ def _fit_split_models(train, val, cfg: AblationConfig, seed: int):
     xtr = normalize_matrix(train.rss_matrix(), stats)
     variances = stage("variances", fit_channel_variances, xtr)
     ytr = train.xy_matrix()
-    fcfg = cfg.filter.config(variances.var, derive_seed(seed, 101))
+    fcfg = replace(cfg.filter, r=variances.var, seed=derive_seed(seed, 101))
     grid = make_grid(train.bounds, cfg.cell_width)
 
     xval_f = filter_streams_by_rp(normalize_matrix(val.rss_matrix(), stats),
@@ -917,7 +894,7 @@ def run_ablation_ladder(data: RadioMap, cfg: AblationConfig = AblationConfig()) 
     runtime["total"] = time.perf_counter() - t0
     config_snapshot = {"ratios": list(cfg.ratios), "n_splits": cfg.n_splits,
                        "base_seed": cfg.base_seed,
-                       "filter": vars(cfg.filter).copy(),
+                       "filter": cfg.filter.choices(),
                        "k": cfg.k, "n_trees": cfg.n_trees,
                        "max_depth": cfg.max_depth,
                        "alpha_grid": list(cfg.alpha_grid),

@@ -7,6 +7,9 @@ q = gamma * r. The particle filter uses the same Gaussian likelihood and
 triggers systematic resampling when the effective sample size drops below
 tau * n_particles.
 
+One frozen FilterConfig holds every setting of a filter and checks them when
+it is built; the UKF spread is fixed (UKF_ALPHA, UKF_KAPPA, UKF_BETA).
+
 pf_step works in place on its fresh noise draw and one weight buffer, and
 systematic_resample finds each position's particle in one linear pass (an
 arithmetic guess stepped to the exact count) instead of a binary search.
@@ -27,20 +30,23 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 METHODS = ("kf", "ukf", "pf", "none")
 
 
-@dataclass(frozen=True)
-class UkfParams:
-    """Scalar unscented-transform spread parameters (standard defaults)."""
-
-    alpha: float = 1e-3
-    kappa: float = 0.0
-    beta: float = 2.0
+# The scalar unscented transform's spread (the standard defaults) and the
+# sigma-point weights it gives: c = n + lambda = alpha^2 (n + kappa), n = 1.
+UKF_ALPHA = 1e-3
+UKF_KAPPA = 0.0
+UKF_BETA = 2.0
+_UKF_LAM = UKF_ALPHA ** 2 * (1.0 + UKF_KAPPA) - 1.0
+_UKF_C = 1.0 + _UKF_LAM
+_UKF_WM = np.array([_UKF_LAM / _UKF_C, 0.5 / _UKF_C, 0.5 / _UKF_C])
+_UKF_WC = _UKF_WM.copy()
+_UKF_WC[0] += 1.0 - UKF_ALPHA ** 2 + UKF_BETA
 
 
 def _check_sigma(sigma: float) -> None:
@@ -51,43 +57,54 @@ def _check_sigma(sigma: float) -> None:
 
 
 @dataclass(frozen=True)
-class PfParams:
+class FilterConfig:
+    """Which filter runs on each channel, and its noise model.
+
+    A user sets method, gamma and the particle fields. A fit binds r (one
+    measurement variance per channel) and seed (the root of the PF
+    generators) with dataclasses.replace.
+    """
+
+    method: str = "pf"  # kf | ukf | pf | none
+    gamma: float = 0.5  # process noise q = gamma * r
     n_particles: int = 10_000
     ess_tau: float = 0.3
     predict_sigma: float = 1.0
-    seed: int = 0
+    r: np.ndarray | None = None
+    seed: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n_particles, numbers.Integral) or self.n_particles < 2:
-            raise ValueError(f"n_particles must be an integer >= 2, got "
-                             f"{self.n_particles!r}")
-        if not 0.0 < self.ess_tau < 1.0:
-            raise ValueError(f"ess_tau must be in (0, 1), got {self.ess_tau!r}")
-        if not math.isfinite(self.predict_sigma):  # rng.normal takes NaN
-            raise ValueError(f"predict_sigma must be finite, got "
-                             f"{self.predict_sigma!r}")
-        _check_sigma(self.predict_sigma)
+        def reject(name: str, rule: str):
+            raise ValueError(f"FilterConfig.{name} must be {rule}, got "
+                             f"{getattr(self, name)!r}")
 
-
-@dataclass(frozen=True, eq=False)
-class FilterConfig:
-    """Which filter to run per channel and its noise model."""
-
-    method: str = "kf"  # kf | ukf | pf | none
-    q_gamma: float = 0.5  # process noise as a multiple of r
-    r: np.ndarray | None = None  # per-channel measurement variances
-    pf: PfParams = field(default_factory=PfParams)
-    ukf: UkfParams = field(default_factory=UkfParams)
-
-    def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown filter method {self.method!r}")
+            reject("method", f"one of {METHODS}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            reject("gamma", "finite and >= 0")
+        if not isinstance(self.n_particles, numbers.Integral) or self.n_particles < 2:
+            reject("n_particles", "an integer >= 2")
+        if not 0.0 < self.ess_tau < 1.0:
+            reject("ess_tau", "in (0, 1)")
+        if not math.isfinite(self.predict_sigma):  # rng.normal takes NaN
+            reject("predict_sigma", "finite")
+        if math.copysign(1.0, self.predict_sigma) < 0:  # -0.0 too, as numpy
+            reject("predict_sigma", ">= 0")
+        if self.seed is not None and not (
+                isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            reject("seed", "None or an integer >= 0")
         if self.r is not None:
-            arr = np.asarray(self.r, dtype=float)
-            if np.any(arr <= 0):
-                raise ValueError("measurement variances must be positive")
-            arr.setflags(write=False)
-            object.__setattr__(self, "r", arr)
+            r = np.asarray(self.r, dtype=float)
+            if r.ndim != 1 or not np.all(np.isfinite(r) & (r > 0)):
+                reject("r", "None or a 1-D array of finite values > 0")
+            r.setflags(write=False)
+            object.__setattr__(self, "r", r)
+
+    def choices(self) -> dict:
+        """The user-set fields, as the fit's and the ladder's config
+        snapshots record them."""
+        return {name: getattr(self, name) for name in
+                ("method", "gamma", "n_particles", "ess_tau", "predict_sigma")}
 
 
 @dataclass(frozen=True)
@@ -150,8 +167,7 @@ def kf_step(state: KfState, z: float, q: float, r: float) -> KfState:
     return KfState(x, p)
 
 
-def ukf_step(state: KfState, z: float, q: float, r: float,
-             params: UkfParams = UkfParams()) -> KfState:
+def ukf_step(state: KfState, z: float, q: float, r: float) -> KfState:
     """One scalar unscented update.
 
     Sigma points are propagated through the (identity) process and measurement
@@ -160,12 +176,7 @@ def ukf_step(state: KfState, z: float, q: float, r: float,
     """
     if q < 0 or r <= 0:
         raise ValueError("need q >= 0 and r > 0")
-    n = 1.0
-    lam = params.alpha ** 2 * (n + params.kappa) - n
-    c = n + lam  # = alpha^2 (n + kappa)
-    wm = np.array([lam / c, 0.5 / c, 0.5 / c])
-    wc = wm.copy()
-    wc[0] += 1.0 - params.alpha ** 2 + params.beta
+    c, wm, wc = _UKF_C, _UKF_WM, _UKF_WC
 
     spread = math.sqrt(c * state.p)
     chi = np.array([state.x_hat, state.x_hat + spread, state.x_hat - spread])
@@ -273,17 +284,20 @@ def pf_step(state: PfState, z: float, r: float, tau: float,
     return PfState._trusted(particles, weights, degenerate)
 
 
-def _check_r(cfg: FilterConfig, d: int) -> None:
+def _check_bound(cfg: FilterConfig, d: int) -> None:
+    """The fields a fit binds: r for every filter, seed for the PF."""
     if cfg.r is None or cfg.r.size != d:
         raise ValueError("cfg.r must hold one variance per channel")
+    if cfg.method == "pf" and cfg.seed is None:
+        raise ValueError("cfg.seed must be bound before a particle filter runs")
 
 
-def _start_cloud(pf: PfParams, i: int,
+def _start_cloud(cfg: FilterConfig, i: int,
                  z_i: float) -> tuple[PfState, np.random.Generator]:
     """Channel i's first cloud, N(z_i, 1), drawn from its own generator
-    (seeded by (pf.seed, i)), and that generator."""
-    rng = np.random.default_rng(np.random.SeedSequence(pf.seed, spawn_key=(i,)))
-    m = pf.n_particles
+    (seeded by (cfg.seed, i)), and that generator."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+    m = cfg.n_particles
     particles = rng.standard_normal(m)  # rng.normal(z_i, 1.0, m), bit for bit
     particles += z_i
     return PfState(particles, np.full(m, 1.0 / m)), rng
@@ -299,13 +313,13 @@ def start_filter(cfg: FilterConfig, z: np.ndarray) -> tuple[tuple, np.ndarray]:
     """
     if cfg.method == "none":
         return (), z
-    _check_r(cfg, len(z))
+    _check_bound(cfg, len(z))
     if cfg.method != "pf":
         return (tuple(KfState(float(z_i), float(r_i))
                       for z_i, r_i in zip(z, cfg.r)), z.copy())
     state = []
     for i in range(len(z)):
-        cloud, rng = _start_cloud(cfg.pf, i, float(z[i]))
+        cloud, rng = _start_cloud(cfg, i, float(z[i]))
         state.append((cloud, rng, rng.bit_generator.state))
     return tuple(state), np.array([entry[0].estimate for entry in state])
 
@@ -328,16 +342,16 @@ def step_filter(cfg: FilterConfig, state: tuple,
         for i, (cloud, rng, bits) in enumerate(state):
             rng.bit_generator.state = bits
             cloud = pf_step(cloud, float(z[i]), float(cfg.r[i]),
-                            cfg.pf.ess_tau, cfg.pf.predict_sigma, rng)
+                            cfg.ess_tau, cfg.predict_sigma, rng)
             new.append((cloud, rng, rng.bit_generator.state))
             out[i] = cloud.estimate
         return tuple(new), out
     for i, s in enumerate(state):
         r = float(cfg.r[i])
         if cfg.method == "kf":
-            s = kf_step(s, float(z[i]), cfg.q_gamma * r, r)
+            s = kf_step(s, float(z[i]), cfg.gamma * r, r)
         else:
-            s = ukf_step(s, float(z[i]), cfg.q_gamma * r, r, cfg.ukf)
+            s = ukf_step(s, float(z[i]), cfg.gamma * r, r)
         new.append(s)
         out[i] = s.x_hat
     return tuple(new), out
@@ -357,15 +371,14 @@ def filter_stream(series: np.ndarray, cfg: FilterConfig) -> np.ndarray:
         raise ValueError("series must be a (T, d) matrix with T >= 1")
     out = np.empty_like(series)
     if cfg.method == "pf":
-        _check_r(cfg, series.shape[1])
-        pf = cfg.pf
+        _check_bound(cfg, series.shape[1])
         for i, column in enumerate(series.T.tolist()):
-            cloud, rng = _start_cloud(pf, i, column[0])
+            cloud, rng = _start_cloud(cfg, i, column[0])
             out[0, i] = cloud.estimate
             r = float(cfg.r[i])
             for t in range(1, len(column)):
-                cloud = pf_step(cloud, column[t], r, pf.ess_tau,
-                                pf.predict_sigma, rng)
+                cloud = pf_step(cloud, column[t], r, cfg.ess_tau,
+                                cfg.predict_sigma, rng)
                 out[t, i] = cloud.estimate
         return out
     state, out[0] = start_filter(cfg, series[0])

@@ -28,7 +28,7 @@ from . import evaluate as ev
 from .datamodel import (DBM_CEIL, DBM_FLOOR, DBM_TOL, Bounds, Position,
                         RadioMap, SplitSpec, stratified_split)
 from .evaluate import StageError, stage  # noqa: F401 - StageError re-exported
-from .filters import (FilterConfig, KfState, PfParams, PfState, kf_step, pf_step,
+from .filters import (FilterConfig, KfState, PfState, kf_step, pf_step,
                       start_filter, step_filter)
 from .fuse import (Bba, ChoquetMeasure, GridSpec, argmax_belief, bba_from_point,
                    choquet, confidence, confidences, convex_combo,
@@ -61,7 +61,7 @@ class PipelineConfig:
     """Calibration-time choices for one deployable pipeline."""
 
     norm_mode: str = "dbm_zscore"
-    filter: ev.FilterSpec = field(default_factory=ev.FilterSpec)
+    filter: FilterConfig = field(default_factory=FilterConfig)
     use_ph: bool = True
     k: int = 7
     eps: float = 1e-9
@@ -138,6 +138,7 @@ def _jsonable(obj):
 
 
 def artifact_to_dict(a: PipelineArtifact) -> dict:
+    f = a.filter_cfg
     # the forest's dict already holds plain Python values: _jsonable would
     # only walk its ~100k node values one by one
     return {"rf": a.rf.to_dict()} | _jsonable({
@@ -147,12 +148,9 @@ def artifact_to_dict(a: PipelineArtifact) -> dict:
         "norm": {"mode": a.norm.mode, "mu": a.norm.mu, "sigma": a.norm.sigma,
                  "floored": a.norm.floored.astype(bool)},
         "variances": {"var": a.variances.var, "shrinkage": a.variances.shrinkage},
-        "filter": {"method": a.filter_cfg.method, "q_gamma": a.filter_cfg.q_gamma,
-                   "r": a.filter_cfg.r,
-                   "pf": {"n_particles": a.filter_cfg.pf.n_particles,
-                          "ess_tau": a.filter_cfg.pf.ess_tau,
-                          "predict_sigma": a.filter_cfg.pf.predict_sigma,
-                          "seed": a.filter_cfg.pf.seed}},
+        "filter": {"method": f.method, "q_gamma": f.gamma, "r": f.r,
+                   "pf": {"n_particles": f.n_particles, "ess_tau": f.ess_tau,
+                          "predict_sigma": f.predict_sigma, "seed": f.seed}},
         "knn": {"points": a.knn.points, "labels": a.knn.labels,
                 "var": a.knn.metric.var, "k": a.k, "eps": a.eps},
         "ph_stats": (None if a.ph_stats is None else
@@ -181,6 +179,19 @@ def _finite(arr: np.ndarray) -> None:
         raise ValueError("values must be finite")
 
 
+def _filter_from_dict(f: dict) -> FilterConfig:
+    """The v1 filter section as a FilterConfig; a value it rejects is an
+    ArtifactError naming the filter.* key."""
+    r = np.array(f["r"])
+    try:  # the pf keys are the particle fields' names
+        return FilterConfig(f["method"], f["q_gamma"], r=r, **f["pf"])
+    except ValueError as exc:  # "FilterConfig.<field> must ..."
+        name = str(exc).partition(" ")[0].removeprefix("FilterConfig.")
+        key = {"gamma": "q_gamma", "method": "method", "r": "r"}.get(
+            name, f"pf.{name}")
+        raise ArtifactError(f"artifact field filter.{key}: {exc}") from exc
+
+
 def artifact_from_dict(d: dict) -> PipelineArtifact:
     if d.get("version") != ARTIFACT_VERSION:
         raise ArtifactError(f"artifact version {d.get('version')!r} is not "
@@ -197,9 +208,7 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
     variances = _field("variances.var", ChannelVariances,
                        np.array(d["variances"]["var"]),
                        d["variances"]["shrinkage"])
-    f = d["filter"]
-    filter_cfg = FilterConfig(f["method"], f["q_gamma"], np.array(f["r"]),
-                              pf=PfParams(**f["pf"]))
+    filter_cfg = _filter_from_dict(d["filter"])
     for name, arr in (("norm.sigma", norm.sigma), ("norm.floored", norm.floored),
                       ("variances.var", variances.var),
                       ("filter.r", filter_cfg.r)):
@@ -283,19 +292,20 @@ def fit_pipeline(data: RadioMap, cfg: PipelineConfig = PipelineConfig()) -> Pipe
     xtr = normalize_matrix(train.rss_matrix(), norm)
     variances = stage("variances", fit_channel_variances, xtr)
 
-    fspec = cfg.filter
+    fcfg = cfg.filter
     k, n_trees, max_depth = cfg.k, cfg.n_trees, cfg.max_depth
     alpha, cell_width = cfg.alpha, cfg.cell_width
     if cfg.grids is not None:
         sel = stage("grid-search", ev.cv_grid_search, train, cfg.grids,
                     5, cfg.seed, cfg.filter.method, cfg.norm_mode,
                     cfg.theta_discount, cfg.dst_point_mode)
-        fspec = replace(fspec, gamma=sel.gamma, n_particles=sel.n_particles,
-                        ess_tau=sel.ess_tau)
+        fcfg = replace(fcfg, gamma=sel.gamma, n_particles=sel.n_particles,
+                       ess_tau=sel.ess_tau)
         k, n_trees, max_depth = sel.k, sel.n_trees, sel.max_depth
         alpha, cell_width = sel.alpha, sel.cell_width
 
-    filter_cfg = fspec.config(variances.var, ev.derive_seed(cfg.seed, 101))
+    filter_cfg = replace(fcfg, r=variances.var,
+                         seed=ev.derive_seed(cfg.seed, 101))
 
     ph_stats, rf, knn = ev.fit_regressors(
         xtr, train.xy_matrix(), cfg.use_ph,
@@ -327,7 +337,7 @@ def fit_pipeline(data: RadioMap, cfg: PipelineConfig = PipelineConfig()) -> Pipe
             "n_train": train.n_samples, "n_val": val.n_samples,
             "seed": cfg.seed}
     config_snapshot = _jsonable({
-        "norm_mode": cfg.norm_mode, "filter": vars(fspec).copy(),
+        "norm_mode": cfg.norm_mode, "filter": fcfg.choices(),
         "use_ph": cfg.use_ph, "k": k, "eps": cfg.eps, "n_trees": n_trees,
         "max_depth": max_depth, "alpha_grid": list(cfg.alpha_grid),
         "ratios": list(cfg.ratios), "seed": cfg.seed,
@@ -537,7 +547,7 @@ def bench_pipeline(artifact: PipelineArtifact, n_queries: int = 50,
     report["scaling"]["n_cells"] = _loglog_slope(cells, lat)
 
     # PF-vs-KF per-update cost at the artifact's particle count
-    mp = a.filter_cfg.pf.n_particles
+    mp = a.filter_cfg.n_particles
     prng = np.random.default_rng(seed)
     pf_state = PfState(prng.normal(0.0, 1.0, mp), np.full(mp, 1.0 / mp))
     pf_ns = _time_stage(lambda: pf_step(pf_state, 0.1, 1.0, 0.3, 1.0, prng),

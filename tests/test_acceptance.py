@@ -21,11 +21,11 @@ from oracles import (brute_force_knn, rips_diagrams_bruteforce,  # noqa: E402
 
 from fpfuse import cli  # noqa: E402
 from fpfuse.datamodel import SynthSpec, synth_radio_map  # noqa: E402
-from fpfuse.evaluate import (AblationConfig, FilterSpec, confidence_interval,  # noqa: E402
+from fpfuse.evaluate import (AblationConfig, confidence_interval,  # noqa: E402
                              holm_bonferroni, paired_t_test,
                              run_ablation_ladder, wilcoxon_signed_rank)
-from fpfuse.filters import (KfState, PfState, kf_step, pf_step,  # noqa: E402
-                            systematic_resample, ukf_step)
+from fpfuse.filters import (FilterConfig, KfState, PfState,  # noqa: E402
+                            kf_step, pf_step, systematic_resample, ukf_step)
 from fpfuse.fuse import (Bba, ChoquetMeasure, choquet,  # noqa: E402
                          dempster_combine)
 from fpfuse.pipeline import (PipelineConfig, bench_pipeline, fit_pipeline,  # noqa: E402
@@ -211,7 +211,7 @@ def test_noise_degrades_every_variant_in_the_majority(ladder_runs):
 @pytest.fixture(scope="module")
 def bench_artifact():
     data = synth_radio_map(SynthSpec(n_rp=8, samples_per_rp=12, seed=0))
-    cfg = PipelineConfig(filter=FilterSpec(method="pf", n_particles=10_000),
+    cfg = PipelineConfig(filter=FilterConfig(method="pf", n_particles=10_000),
                          n_trees=200, alpha_grid=(1.0,), seed=0)
     return fit_pipeline(data, cfg)
 
@@ -290,7 +290,7 @@ def test_criterion_8_statistics(ladder_runs):
     data = synth_radio_map(SynthSpec(n_rp=6, samples_per_rp=15, n_wifi=4,
                                      n_ble=2, seed=0))
     rep = run_ablation_ladder(data, AblationConfig(
-        n_splits=10, base_seed=0, filter=FilterSpec(method="kf"),
+        n_splits=10, base_seed=0, filter=FilterConfig(method="kf"),
         n_trees=12, alpha_grid=(1.0,), cell_width=1.0))
     for v in rep.variants:
         for c in rep.conditions:

@@ -90,6 +90,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             Position(math.inf, 0.0)
 
+    @pytest.mark.parametrize("field", ["path_loss_exp", "tx_power_dbm",
+                                       "shadowing_std_dbm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_synth_spec_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^SynthSpec.{field} must be "
+                                             "finite"):
+            SynthSpec(**{field: value})
+
     def test_split_spec_ratios(self):
         with pytest.raises(ValueError):
             SplitSpec((1.0, 0.0, 0.0))

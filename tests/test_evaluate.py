@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from oracles import wilcoxon_exhaustive  # noqa: E402
 
 from fpfuse import evaluate as ev  # noqa: E402
 from fpfuse.datamodel import Position, SynthSpec, synth_radio_map  # noqa: E402
-from fpfuse.evaluate import (AblationConfig, FilterSpec, NoiseSpec,  # noqa: E402
+from fpfuse.evaluate import (AblationConfig, NoiseSpec,  # noqa: E402
                              SearchGrids, SelectedParams, _argmin_first,
                              confidence_interval,
                              cv_grid_search, holm_bonferroni, inject_bursty,
@@ -18,7 +19,8 @@ from fpfuse.evaluate import (AblationConfig, FilterSpec, NoiseSpec,  # noqa: E40
                              paired_t_test, regularized_incomplete_beta,
                              rmse_xy, run_ablation_ladder, student_t_ppf,
                              wilcoxon_signed_rank)
-from fpfuse.pipeline import StageError  # noqa: E402
+from fpfuse.filters import FilterConfig  # noqa: E402
+from fpfuse.pipeline import PipelineConfig, StageError  # noqa: E402
 
 
 class TestNoise:
@@ -226,7 +228,7 @@ def tiny_map(seed=0):
 
 
 def fast_cfg(**kwargs):
-    base = dict(filter=FilterSpec(method="kf"), n_trees=15,
+    base = dict(filter=FilterConfig(method="kf"), n_trees=15,
                 alpha_grid=(0.5, 2.0), cell_width=1.0)
     base.update(kwargs)
     return AblationConfig(**base)
@@ -318,25 +320,38 @@ class TestConfigValidation:
             fast_cfg(**{field: value})
 
     def test_filter_spec_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="FilterSpec.method"):
-            FilterSpec(method="ekf")
+        with pytest.raises(ValueError, match="FilterConfig.method"):
+            FilterConfig(method="ekf")
 
     @pytest.mark.parametrize("method", ["pf", "kf"])
     @pytest.mark.parametrize("field,value", [
         ("predict_sigma", float("nan")), ("predict_sigma", -1.0),
-        ("n_particles", 1), ("ess_tau", 1.0)])
+        ("n_particles", 1), ("ess_tau", 1.0), ("gamma", -1.0),
+        ("gamma", float("nan")), ("gamma", float("inf")),
+        ("r", (1.0, float("nan"))), ("r", (1.0, 0.0)), ("r", (float("inf"),)),
+        ("r", ((1.0,),)), ("seed", -1)])
     def test_filter_spec_rejects_particle_fields(self, method, field, value):
-        # checked when built, not first when a fit calls config()
-        with pytest.raises(ValueError, match=f"^FilterSpec.{field} must"):
-            FilterSpec(method=method, **{field: value})
+        # checked when built, not first when a fit binds r and seed
+        with pytest.raises(ValueError, match=f"^FilterConfig.{field} must"):
+            FilterConfig(method=method, **{field: value})
 
     def test_filter_spec_config_carries_fields(self):
-        spec = FilterSpec("pf", 0.25, 500, 0.4, 2.0)
-        cfg = spec.config(np.array([1.0, 2.0]), seed=9)
-        assert (cfg.method, cfg.q_gamma) == ("pf", 0.25)
-        assert (cfg.pf.n_particles, cfg.pf.ess_tau, cfg.pf.predict_sigma,
-                cfg.pf.seed) == (500, 0.4, 2.0, 9)
+        spec = FilterConfig("pf", 0.25, 500, 0.4, 2.0)
+        cfg = replace(spec, r=np.array([1.0, 2.0]), seed=9)
+        assert (cfg.method, cfg.gamma, cfg.n_particles, cfg.ess_tau,
+                cfg.predict_sigma, cfg.seed) == ("pf", 0.25, 500, 0.4, 2.0, 9)
         assert np.array_equal(cfg.r, [1.0, 2.0])
+        assert cfg.choices() == spec.choices() == {
+            "method": "pf", "gamma": 0.25, "n_particles": 500, "ess_tau": 0.4,
+            "predict_sigma": 2.0}
+
+    @pytest.mark.parametrize("config", [AblationConfig, PipelineConfig])
+    @pytest.mark.parametrize("field,value", [("r", np.ones(3)), ("seed", 0)])
+    def test_fit_configs_reject_a_bound_filter(self, config, field, value):
+        # r and seed come from the fit; a user cannot set them
+        with pytest.raises(ValueError,
+                           match=f"{config.__name__}.filter.{field} must"):
+            config(filter=FilterConfig(**{field: value}))
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +366,12 @@ class TestAblationLadder:
         for v in report.variants:
             for c in report.conditions:
                 assert len(report.rmse[v][c]) == 2
+
+    def test_config_snapshot_holds_the_filter_choices(self, report):
+        # r and the PF seed are bound by the fit and stay out of the report
+        assert report.config["filter"] == {
+            "method": "kf", "gamma": 0.5, "n_particles": 10_000,
+            "ess_tau": 0.3, "predict_sigma": 1.0}
 
     def test_variant_names_follow_filter(self, report):
         assert report.variants[0] == "KF+RF"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import reference_pf_step, reference_systematic_resample  # noqa: E402
 
-from fpfuse.filters import (FilterConfig, KfState, PfParams, PfState,
+from fpfuse.filters import (FilterConfig, KfState, PfState,
                             _start_cloud, effective_sample_size,
                             filter_stream, kf_step, pf_step, start_filter,
                             step_filter, systematic_resample,
@@ -167,37 +167,37 @@ class TestFilterStream:
 
     def test_constant_series_is_fixed_point(self):
         series = np.full((30, 2), 1.5)
-        cfg = FilterConfig("kf", 0.25, np.array([1.0, 2.0]))
+        cfg = FilterConfig("kf", 0.25, r=np.array([1.0, 2.0]))
         out = filter_stream(series, cfg)
         assert np.allclose(out, 1.5, atol=1e-12)
 
     def test_kf_reduces_white_noise_variance(self):
         rng = np.random.default_rng(1)
         series = rng.normal(size=(1000, 1))
-        out = filter_stream(series, FilterConfig("kf", 0.25, np.array([1.0])))
+        out = filter_stream(series, FilterConfig("kf", 0.25, r=np.array([1.0])))
         assert out.var() < series.var()
 
     def test_pf_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         series = rng.normal(size=(10, 2))
-        cfg = FilterConfig("pf", r=np.array([1.0, 1.0]),
-                           pf=PfParams(500, 0.5, 1.0, seed=3))
+        cfg = FilterConfig("pf", 0.5, 500, 0.5, 1.0, r=np.array([1.0, 1.0]),
+                           seed=3)
         assert np.array_equal(filter_stream(series, cfg),
                               filter_stream(series, cfg))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            filter_stream(np.zeros((5, 3)), FilterConfig("kf", 0.5, np.array([1.0])))
+            filter_stream(np.zeros((5, 3)), FilterConfig("kf", 0.5, r=np.array([1.0])))
 
     def test_initialized_at_first_observation(self):
         series = np.array([[4.0], [4.5]])
-        out = filter_stream(series, FilterConfig("ukf", 0.5, np.array([1.0])))
+        out = filter_stream(series, FilterConfig("ukf", 0.5, r=np.array([1.0])))
         assert out[0, 0] == 4.0
 
     @pytest.mark.parametrize("method", ["kf", "ukf", "pf", "none"])
     def test_step_leaves_its_state_unchanged(self, method):
-        cfg = FilterConfig(method, 0.5, np.array([1.0, 2.0]),
-                           pf=PfParams(200, 0.9, 1.0, seed=1))
+        cfg = FilterConfig(method, 0.5, 200, 0.9, 1.0, r=np.array([1.0, 2.0]),
+                           seed=1)
         state, _ = start_filter(cfg, np.array([0.5, -1.0]))
         z = np.array([3.0, -0.2])  # far from the cloud: the PF resamples
         first = step_filter(cfg, state, z)
@@ -239,8 +239,8 @@ class TestChannelMajorStream:
                                       r_scale):
         rng = np.random.default_rng(seed)
         series = rng.normal(0.0, 2.0, size=(t, d))
-        cfg = FilterConfig(method, 0.5, r_scale * rng.uniform(0.5, 2.0, d),
-                           pf=PfParams(m, tau, sigma, seed=seed))
+        cfg = FilterConfig(method, 0.5, m, tau, sigma,
+                           r=r_scale * rng.uniform(0.5, 2.0, d), seed=seed)
         expect, _, _ = _replay(series, cfg)
         assert filter_stream(series, cfg).tobytes() == expect.tobytes()
 
@@ -250,16 +250,25 @@ class TestChannelMajorStream:
         rng = np.random.default_rng(5)
         series = np.cumsum(rng.normal(0.0, 3.0, size=(20, 3)), axis=0)
         for tau, event in ((1.0 - 1e-12, "resampled"), (1e-12, "degenerate")):
-            cfg = FilterConfig("pf", r=np.full(3, 1e-6),
-                               pf=PfParams(20, tau, 0.5, seed=11))
+            cfg = FilterConfig("pf", 0.5, 20, tau, 0.5, r=np.full(3, 1e-6),
+                               seed=11)
             expect, resampled, degenerate = _replay(series, cfg)
             assert {"resampled": resampled, "degenerate": degenerate}[event] > 0
             assert filter_stream(series, cfg).tobytes() == expect.tobytes()
 
     def test_pf_dimension_mismatch(self):
-        cfg = FilterConfig("pf", r=np.array([1.0]), pf=PfParams(10, 0.5))
+        cfg = FilterConfig("pf", n_particles=10, ess_tau=0.5,
+                           r=np.array([1.0]), seed=0)
         with pytest.raises(ValueError, match="one variance per channel"):
             filter_stream(np.zeros((4, 2)), cfg)
+
+    def test_pf_needs_a_bound_seed(self):
+        # an unbound seed would draw from fresh OS entropy on every run
+        cfg = FilterConfig("pf", n_particles=10, r=np.array([1.0]))
+        with pytest.raises(ValueError, match="seed must be bound"):
+            filter_stream(np.zeros((4, 1)), cfg)
+        with pytest.raises(ValueError, match="seed must be bound"):
+            start_filter(cfg, np.zeros(1))
 
 
 class _Offset:
@@ -358,7 +367,8 @@ class TestPfMatchesReference:
            channel=st.integers(0, 5),
            z=st.sampled_from([0.0, -0.0, -1.5, 3.25, 1e-300]))
     def test_start_cloud_equals_normal(self, seed, m, channel, z):
-        state, rng = _start_cloud(PfParams(m, seed=seed), channel, z)
+        state, rng = _start_cloud(FilterConfig(n_particles=m, seed=seed),
+                                  channel, z)
         theirs = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(channel,)))
         expect = theirs.normal(z, 1.0, m)
@@ -371,7 +381,7 @@ class TestPfMatchesReference:
         state = PfState(np.zeros(4), np.full(4, 0.25))
         for sigma in (-0.0, -1.0):
             with pytest.raises(ValueError, match="predict_sigma"):
-                PfParams(predict_sigma=sigma)
+                FilterConfig(predict_sigma=sigma)
             with pytest.raises(ValueError, match="predict_sigma"):
                 pf_step(state, 0.0, 1.0, 0.5, sigma, np.random.default_rng(0))
         # rng.normal takes a NaN scale, and so does pf_step; the config type
@@ -379,7 +389,7 @@ class TestPfMatchesReference:
         assert np.isnan(np.random.default_rng(0).normal(0.0, np.nan, 1)[0])
         for sigma in (np.nan, np.inf):
             with pytest.raises(ValueError, match="predict_sigma must be finite"):
-                PfParams(predict_sigma=sigma)
+                FilterConfig(predict_sigma=sigma)
 
     @pytest.mark.parametrize("kwargs,field", [
         ({"n_particles": 1}, "n_particles"), ({"n_particles": 2.5}, "n_particles"),
@@ -388,8 +398,8 @@ class TestPfMatchesReference:
         ({"predict_sigma": -0.0}, "predict_sigma"),
     ])
     def test_params_name_the_rejected_field(self, kwargs, field):
-        with pytest.raises(ValueError, match=f"^{field} must"):
-            PfParams(**kwargs)
+        with pytest.raises(ValueError, match=f"^FilterConfig.{field} must"):
+            FilterConfig(**kwargs)
 
     @pytest.mark.parametrize("m", PARTICLE_COUNTS)
     @pytest.mark.parametrize("tau", [1e-12, 1.0 - 1e-12])

@@ -13,8 +13,8 @@ import fpfuse
 from fpfuse import cli
 from fpfuse import pipeline as pl
 from fpfuse.datamodel import SynthSpec, synth_radio_map
-from fpfuse.evaluate import FilterSpec, SearchGrids, fuse_points_batch, locate
-from fpfuse.filters import filter_stream
+from fpfuse.evaluate import SearchGrids, fuse_points_batch, locate
+from fpfuse.filters import FilterConfig, filter_stream
 from fpfuse.fuse import ConflictError, write_belief_csv, write_belief_pgm
 from fpfuse.pipeline import (ArtifactError, PipelineConfig, PredictorSession,
                              ScanError, StageError, bench_pipeline,
@@ -31,7 +31,7 @@ def small_data(seed=0):
 
 
 def small_cfg(**kwargs):
-    base = dict(filter=FilterSpec(method="kf"), n_trees=12,
+    base = dict(filter=FilterConfig(method="kf"), n_trees=12,
                 alpha_grid=(0.5, 2.0), cell_width=1.0, seed=3)
     base.update(kwargs)
     return PipelineConfig(**base)
@@ -45,7 +45,7 @@ def artifact():
 @pytest.fixture(scope="module")
 def pf_artifact():
     return fit_pipeline(small_data(), small_cfg(
-        filter=FilterSpec(method="pf", n_particles=300)))
+        filter=FilterConfig(method="pf", n_particles=300)))
 
 
 @pytest.fixture(scope="module")
@@ -230,10 +230,34 @@ class TestArtifactRoundTrip:
             cell_width=0.0), id="zero width"),
         pytest.param("predict_sigma", lambda b: b["filter"]["pf"].update(
             predict_sigma=float("nan")), id="nan predict_sigma"),
+        pytest.param("filter.r", lambda b: b["filter"]["r"].__setitem__(
+            0, float("nan")), id="nan r"),
+        pytest.param("filter.r", lambda b: (
+            b["filter"].update(method="pf"),
+            b["filter"]["r"].__setitem__(0, float("nan"))), id="nan r pf"),
+        pytest.param("filter.r", lambda b: b["filter"]["r"].__setitem__(
+            1, 0.0), id="zero r"),
+        pytest.param("filter.q_gamma", lambda b: b["filter"].update(
+            q_gamma=-1.0), id="negative q_gamma"),
+        pytest.param("filter.q_gamma", lambda b: b["filter"].update(
+            q_gamma=float("inf")), id="inf q_gamma"),
     ])
     def test_bad_field_named_exit_2(self, artifact, tmp_path, capsys, match,
                                     edit):
         self.check_load_fails(artifact, tmp_path, capsys, match, edit)
+
+    def test_filter_sections_keep_their_layout(self, pf_artifact, tmp_path):
+        # the v1 filter section, and the five user-set filter fields in the
+        # config snapshot (r and the PF seed are bound by the fit)
+        path = tmp_path / "artifact.json"
+        save_artifact(pf_artifact, path)
+        blob = json.loads(path.read_text())
+        assert set(blob["filter"]) == {"method", "q_gamma", "r", "pf"}
+        assert set(blob["filter"]["pf"]) == {"n_particles", "ess_tau",
+                                             "predict_sigma", "seed"}
+        assert blob["config"]["filter"] == {
+            "method": "pf", "gamma": 0.5, "n_particles": 300, "ess_tau": 0.3,
+            "predict_sigma": 1.0}
 
     def test_max_features_below_one_exit_2(self, artifact, tmp_path, capsys):
         self.check_load_fails(artifact, tmp_path, capsys, "max_features",
@@ -457,7 +481,7 @@ class TestSessionMatchesBatch:
     def test_replayed_streams_equal_batch_path(self, method):
         data = small_data()
         art = fit_pipeline(data, small_cfg(
-            filter=FilterSpec(method=method, n_particles=300)))
+            filter=FilterConfig(method=method, n_particles=300)))
         raw, rp = data.rss_matrix(), data.rp_ids()
         for r in np.unique(rp):
             rows = np.nonzero(rp == r)[0][:6]
@@ -495,7 +519,7 @@ class TestBench:
 
     def test_identity_filter_stage_sub_microsecond(self):
         art = fit_pipeline(small_data(), small_cfg(
-            filter=FilterSpec(method="none")))
+            filter=FilterConfig(method="none")))
         rep = bench_pipeline(art, n_queries=60, seed=0)
         assert rep["stages_ns"]["filter"] < 1000.0
 
@@ -592,6 +616,13 @@ class TestCli:
         ("fit", {"pipeline": {"filter": {"predict_sigma": float("nan")}}},
          "pipeline"),
         ("ablate", {"filter": {"predict_sigma": float("nan")}}, "filter"),
+        ("fit", {"pipeline": {"filter": {"method": "kf", "gamma": -1}}},
+         "pipeline"),
+        ("fit", {"pipeline": {"filter": {"seed": 3}}}, "pipeline"),
+        ("ablate", {"filter": {"gamma": float("nan")}}, "filter"),
+        ("ablate", {"filter": {"r": [1.0, 1.0, 1.0, 1.0]}}, "ablation"),
+        ("synth", {"synth": {"shadowing_std_dbm": float("nan")}}, "synth"),
+        ("synth", {"synth": {"path_loss_exp": float("inf")}}, "synth"),
     ])
     def test_rejected_config_is_a_usage_error(self, tmp_path, capsys,
                                               command, config, section):
@@ -681,7 +712,7 @@ class TestModeVariants:
 
     def test_ukf_filter_pipeline(self):
         art = fit_pipeline(small_data(), small_cfg(
-            filter=FilterSpec(method="ukf", gamma=0.25)))
+            filter=FilterConfig(method="ukf", gamma=0.25)))
         res = predict_one(art, np.full(6, -60.0))
         assert np.isfinite([res.position.x, res.position.y]).all()
 
