@@ -541,16 +541,20 @@ def _argmin_first(pairs):
 
 
 def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
-                   folds: int = 5, seed: int = 0, filter_method: str = "pf",
+                   folds: int = 5, seed: int = 0,
+                   filter_cfg: FilterConfig = FilterConfig(),
                    norm_mode: str = "dbm_zscore", theta_discount: float = 0.05,
                    dst_point_mode: str = "belief_weighted",
                    probe_k: int = 7) -> SelectedParams:
     """Sequential per-component sweep: filters, then regressors, then fusion,
     each scored by mean fold RMSE with earlier winners held fixed.
 
-    The filter sweep needs a regressor before any has been selected; it uses a
-    weighted-kNN probe with probe_k neighbours.
+    The filter sweep varies the swept fields of the user's filter_cfg (gamma
+    for KF/UKF, n_particles and ess_tau for PF) and keeps the others, such
+    as predict_sigma. It needs a regressor before any has been selected; it
+    uses a weighted-kNN probe with probe_k neighbours.
     """
+    filter_method = filter_cfg.method
     fold_of = _fold_assignment(train, folds, seed)
     raw = train.rss_matrix()
     xy = train.xy_matrix()
@@ -571,9 +575,10 @@ def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
                          "xva": xva, "var": variances,
                          "index": build_knn_index(xtr, xy[tr], variances)})
 
-    def filter_cfg(gamma, n_particles, ess_tau, ctx):
-        return FilterConfig(filter_method, gamma, n_particles, ess_tau,
-                            r=ctx["var"].var, seed=derive_seed(seed, 7))
+    def candidate(gamma, n_particles, ess_tau, ctx):
+        return replace(filter_cfg, gamma=gamma, n_particles=n_particles,
+                       ess_tau=ess_tau, r=ctx["var"].var,
+                       seed=derive_seed(seed, 7))
 
     tables: dict[str, list] = {}
 
@@ -590,7 +595,7 @@ def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
     for combo in combos:
         fold_rmse = []
         for ctx in fold_ctx:
-            cfg = filter_cfg(*combo, ctx)
+            cfg = candidate(*combo, ctx)
             xva_f = filter_streams_by_rp(ctx["xva"], rp[ctx["va"]], cfg)
             index = ctx["index"]
             pred = predict_wknn_batch(index, xva_f, min(probe_k, index.m))
@@ -601,7 +606,7 @@ def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
 
     # cache filtered validation features under the winning filter
     for ctx in fold_ctx:
-        cfg = filter_cfg(gamma, n_particles, ess_tau, ctx)
+        cfg = candidate(gamma, n_particles, ess_tau, ctx)
         ctx["xva_f"] = filter_streams_by_rp(ctx["xva"], rp[ctx["va"]], cfg)
 
     # --- regressors: k for wKNN, (n_trees, depth) for the forest ---

@@ -9,18 +9,22 @@ pair, locates each scan as a batch of one, and evaluate.fuse_point is the one
 DST step, so a streamed session and the batch evaluation agree bit for bit.
 
 The artifact stores everything a deployment needs (normalization statistics,
-metric variances, filter covariances, the forest's node arrays, the kNN
+metric variances, filter covariances, the forest's node table, the kNN
 points/labels, topological feature statistics, fusion parameters, and the
-fitted fuzzy measure) as versioned JSON. Loading rebuilds the search index
-from the stored points and reproduces predictions bit for bit.
+fitted fuzzy measure) as one versioned JSON document. The bulk arrays (the
+node table and the kNN points/labels) are typed binary blobs inside it (see
+_pack); every other field is a plain JSON value. Loading rebuilds the search
+index from the stored points and reproduces predictions bit for bit.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -46,7 +50,7 @@ from .preprocess import fit_zscore_stats  # noqa: F401
 from .regress import train_rf  # noqa: F401
 from .topo import features_matrix  # noqa: F401
 
-ARTIFACT_VERSION = "1"
+ARTIFACT_VERSION = "2"
 
 FUSION_MODES = ("dst", "choquet", "convex")
 
@@ -137,11 +141,62 @@ def _jsonable(obj):
     return obj
 
 
+# The artifact's bulk arrays, each stored as a typed blob (see _pack), with
+# the dtypes and the number of dimensions a loaded blob must have.
+_F8, _INT = ("<f8",), ("<i4", "<i8")
+_BLOBS = {"rf.feature": (_INT, 1), "rf.threshold": (_F8, 1),
+          "rf.left": (_INT, 1), "rf.right": (_INT, 1),
+          "rf.leaf_xy": (_F8, 2), "rf.offsets": (_INT, 1),
+          "knn.points": (_F8, 2), "knn.labels": (_F8, 2)}
+_RF_COLUMNS = ("feature", "threshold", "left", "right", "leaf_xy", "offsets")
+
+
+def _pack(arr: np.ndarray) -> dict:
+    """An array as a typed blob: its little-endian dtype, its shape and the
+    base64 of its C-order bytes. _unpack reverses it bit for bit."""
+    arr = np.asarray(arr)
+    arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+    return {"dtype": arr.dtype.str, "shape": list(arr.shape),
+            "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _unpack(name: str, blob) -> np.ndarray:
+    """The array that a blob of artifact field `name` holds, in native byte
+    order. A blob of a dtype, dimension count or byte length the field does
+    not allow, or whose data is not base64, is an ArtifactError naming the
+    field."""
+    dtypes, ndim = _BLOBS[name]
+
+    def bad(why: str) -> ArtifactError:
+        return ArtifactError(f"artifact field {name}: {why}")
+
+    if not (isinstance(blob, dict)
+            and set(blob) == {"dtype", "shape", "data"}):
+        raise bad("must be a {dtype, shape, data} blob")
+    if blob["dtype"] not in dtypes:
+        raise bad(f"dtype {blob['dtype']!r} is not one of {dtypes}")
+    shape = blob["shape"]
+    if not (isinstance(shape, list) and len(shape) == ndim
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise bad(f"shape {shape!r} is not {ndim} sizes >= 0")
+    if not isinstance(blob["data"], str):
+        raise bad("data must be a base64 string")
+    try:
+        raw = base64.b64decode(blob["data"], validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise bad(f"data is not valid base64 ({exc})") from exc
+    dtype = np.dtype(blob["dtype"])
+    size = math.prod(shape) * dtype.itemsize
+    if len(raw) != size:
+        raise bad(f"data holds {len(raw)} bytes, shape {shape} of "
+                  f"{blob['dtype']} needs {size}")
+    arr = np.frombuffer(raw, dtype).reshape(shape)
+    return arr.astype(dtype.newbyteorder("="), copy=False)
+
+
 def artifact_to_dict(a: PipelineArtifact) -> dict:
-    f = a.filter_cfg
-    # the forest's dict already holds plain Python values: _jsonable would
-    # only walk its ~100k node values one by one
-    return {"rf": a.rf.to_dict()} | _jsonable({
+    f, rf = a.filter_cfg, a.rf
+    return _jsonable({
         "version": a.version,
         "meta": a.meta,
         "config": a.config,
@@ -151,7 +206,9 @@ def artifact_to_dict(a: PipelineArtifact) -> dict:
         "filter": {"method": f.method, "q_gamma": f.gamma, "r": f.r,
                    "pf": {"n_particles": f.n_particles, "ess_tau": f.ess_tau,
                           "predict_sigma": f.predict_sigma, "seed": f.seed}},
-        "knn": {"points": a.knn.points, "labels": a.knn.labels,
+        "rf": {"config": asdict(rf.config), "n_features": rf.n_features}
+        | {name: _pack(getattr(rf, name)) for name in _RF_COLUMNS},
+        "knn": {"points": _pack(a.knn.points), "labels": _pack(a.knn.labels),
                 "var": a.knn.metric.var, "k": a.k, "eps": a.eps},
         "ph_stats": (None if a.ph_stats is None else
                      {"mu": a.ph_stats.mu, "sigma": a.ph_stats.sigma,
@@ -192,10 +249,23 @@ def _filter_from_dict(f: dict) -> FilterConfig:
         raise ArtifactError(f"artifact field filter.{key}: {exc}") from exc
 
 
+def _forest_from_dict(r: dict) -> RfModel:
+    """The rf section as an RfModel; a value it rejects is an ArtifactError
+    naming the rf.* field."""
+    config = _field("rf.config", lambda c: RfConfig(**c), r["config"])
+    columns = [_unpack(f"rf.{name}", r[name]) for name in _RF_COLUMNS]
+    try:
+        return RfModel(config, r["n_features"], *columns)
+    except ValueError as exc:  # "RfModel.<column> ..."
+        name = str(exc).partition(" ")[0].removeprefix("RfModel.")
+        raise ArtifactError(f"artifact field rf.{name}: {exc}") from exc
+
+
 def artifact_from_dict(d: dict) -> PipelineArtifact:
     if d.get("version") != ARTIFACT_VERSION:
         raise ArtifactError(f"artifact version {d.get('version')!r} is not "
-                            f"supported (expected {ARTIFACT_VERSION!r})")
+                            f"supported (expected {ARTIFACT_VERSION!r}); "
+                            "refit it with `fpfuse fit`")
     fusion = d["fusion"]
     for name, allowed in (("mode", FUSION_MODES),
                           ("dst_point_mode", ev.DST_POINT_MODES)):
@@ -226,13 +296,13 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
             if shape != (4,):
                 raise ArtifactError(f"artifact field ph_stats.{name} has "
                                     f"shape {shape}, expected (4,)")
-    rf = RfModel.from_dict(d["rf"])
+    rf = _forest_from_dict(d["rf"])
     n_features = norm.d + (4 if ph_stats is not None else 0)
     if rf.n_features != n_features:
         raise ArtifactError(f"artifact field rf.n_features is {rf.n_features}"
                             f", expected {n_features} (channels plus 4 "
                             "with ph_stats)")
-    points = np.array(d["knn"]["points"])
+    points = _unpack("knn.points", d["knn"]["points"])
     if points.ndim != 2 or points.shape[1] != n_features:
         raise ArtifactError(f"artifact field knn.points has shape "
                             f"{points.shape}, expected rows of {n_features}")
@@ -240,7 +310,7 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
     if knn_var.var.shape != (n_features,):
         raise ArtifactError(f"artifact field knn.var has shape "
                             f"{knn_var.var.shape}, expected ({n_features},)")
-    labels = np.array(d["knn"]["labels"])
+    labels = _unpack("knn.labels", d["knn"]["labels"])
     if labels.shape != (len(points), 2):
         raise ArtifactError(f"artifact field knn.labels has shape "
                             f"{labels.shape}, expected ({len(points)}, 2)")
@@ -297,7 +367,7 @@ def fit_pipeline(data: RadioMap, cfg: PipelineConfig = PipelineConfig()) -> Pipe
     alpha, cell_width = cfg.alpha, cfg.cell_width
     if cfg.grids is not None:
         sel = stage("grid-search", ev.cv_grid_search, train, cfg.grids,
-                    5, cfg.seed, cfg.filter.method, cfg.norm_mode,
+                    5, cfg.seed, cfg.filter, cfg.norm_mode,
                     cfg.theta_discount, cfg.dst_point_mode)
         fcfg = replace(fcfg, gamma=sel.gamma, n_particles=sel.n_particles,
                        ess_tau=sel.ess_tau)

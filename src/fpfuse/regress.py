@@ -83,10 +83,6 @@ class Tree(NamedTuple):
     leaf_xy: np.ndarray
 
 
-def _int_or_none(v):
-    return None if v is None else int(v)
-
-
 def _renumber(children: np.ndarray, shift: int) -> np.ndarray:
     return np.where(children >= 0, children + shift, -1)
 
@@ -110,33 +106,44 @@ class RfModel:
     offsets: np.ndarray  # (T + 1,) first node of each tree, then N
 
     def __post_init__(self):
+        """Checks the table; each error names the column it found at fault
+        (RfModel.<column> ...)."""
         for name in ("feature", "threshold", "left", "right", "leaf_xy",
                      "offsets"):
             getattr(self, name).setflags(write=False)
-        n = len(self.feature)
-        if not (len(self.offsets) >= 2 and self.offsets[0] == 0
-                and self.offsets[-1] == n and self.leaf_xy.shape == (n, 2)
-                and len(self.threshold) == len(self.left)
-                == len(self.right) == n and np.all(np.diff(self.offsets) > 0)):
-            raise ValueError("forest node arrays have inconsistent lengths")
+        n, off = len(self.feature), self.offsets
+        if not (off.ndim == 1 and len(off) >= 2 and off[0] == 0
+                and off[-1] == n and np.all(np.diff(off) > 0)):
+            raise ValueError("RfModel.offsets must rise from 0 to the node "
+                             f"count {n} in steps of at least 1")
+        for name in ("feature", "threshold", "left", "right", "leaf_xy"):
+            shape = (n, 2) if name == "leaf_xy" else (n,)
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"RfModel.{name} has shape "
+                                 f"{getattr(self, name).shape}, expected "
+                                 f"{shape} (one row per node)")
         # children after their node and inside its tree: every descent ends
         node = np.arange(n)
-        end = np.repeat(self.offsets[1:], np.diff(self.offsets))
+        end = np.repeat(off[1:], np.diff(off))
         inner = self.feature >= 0
-        bad = np.where(
-            inner,
-            (self.feature >= self.n_features) | (self.left <= node)
-            | (self.left >= end) | (self.right <= node) | (self.right >= end),
-            (self.feature != -1) | (self.left != -1) | (self.right != -1))
-        if bad.any():
-            j = int(np.argmax(bad))
-            t = int(np.searchsorted(self.offsets, j, side="right")) - 1
+        bad = {"feature": np.where(inner, self.feature >= self.n_features,
+                                   self.feature != -1)}
+        for name in ("left", "right"):
+            child = getattr(self, name)
+            bad[name] = np.where(inner, (child <= node) | (child >= end),
+                                 child != -1)
+        any_bad = bad["feature"] | bad["left"] | bad["right"]
+        if any_bad.any():
+            j = int(np.argmax(any_bad))
+            name = next(name for name, b in bad.items() if b[j])
+            t = int(np.searchsorted(off, j, side="right")) - 1
             raise ValueError(
-                f"forest tree {t} node {j - self.offsets[t]}: feature "
-                f"{self.feature[j]}, children {self.left[j]}, {self.right[j]} "
-                f"(table indices); an inner node needs 0 <= feature < "
-                f"{self.n_features} and both children after it inside its "
-                "tree, a leaf needs feature = left = right = -1")
+                f"RfModel.{name} is out of range at forest tree {t} node "
+                f"{j - off[t]}: feature {self.feature[j]}, children "
+                f"{self.left[j]}, {self.right[j]} (table indices); an inner "
+                f"node needs 0 <= feature < {self.n_features} and both "
+                "children after it inside its tree, a leaf needs feature = "
+                "left = right = -1")
 
     @classmethod
     def from_trees(cls, config: RfConfig, n_features: int,
@@ -225,24 +232,6 @@ class RfModel:
             cur = np.where(go_right, self.right[cur], self.left[cur])
         leaves = self.leaf_xy[node].reshape(n, n_trees, 2)
         return (0.0 + np.cumsum(leaves, axis=1)[:, -1]) / n_trees
-
-    def to_dict(self) -> dict:
-        """Plain Python values only, ready for json."""
-        cfg = self.config
-        return {"n_features": int(self.n_features),
-                "config": {"n_trees": int(cfg.n_trees),
-                           "max_depth": _int_or_none(cfg.max_depth),
-                           "max_features": _int_or_none(cfg.max_features),
-                           "min_leaf": int(cfg.min_leaf),
-                           "seed": int(cfg.seed)},
-                "trees": [{name: col.tolist()
-                           for name, col in zip(Tree._fields, tree)}
-                          for tree in self.trees]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RfModel":
-        trees = [Tree(**t) for t in d["trees"]]
-        return cls.from_trees(RfConfig(**d["config"]), d["n_features"], trees)
 
 
 def _rank_keys(X: np.ndarray) -> np.ndarray:

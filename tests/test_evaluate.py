@@ -240,7 +240,7 @@ class TestCvGridSearch:
                             k=(5,), n_trees=(10,), max_depth=(6,),
                             alpha=(1.0,), cell_width=(1.0,))
         sel = cv_grid_search(tiny_map(), grids, folds=3, seed=0,
-                             filter_method="kf")
+                             filter_cfg=FilterConfig("kf"))
         assert (sel.gamma, sel.k, sel.n_trees, sel.max_depth) == (0.5, 5, 10, 6)
         assert (sel.alpha, sel.cell_width) == (1.0, 1.0)
 
@@ -256,9 +256,9 @@ class TestCvGridSearch:
                             max_depth=(4,), alpha=(0.5, 2.0),
                             cell_width=(1.0,))
         a = cv_grid_search(tiny_map(), grids, folds=3, seed=5,
-                           filter_method="kf")
+                           filter_cfg=FilterConfig("kf"))
         b = cv_grid_search(tiny_map(), grids, folds=3, seed=5,
-                           filter_method="kf")
+                           filter_cfg=FilterConfig("kf"))
         assert a == b
 
     def test_k_winner_consistent_with_table(self):
@@ -266,7 +266,7 @@ class TestCvGridSearch:
                             k=(1, 5), n_trees=(8,), max_depth=(4,),
                             alpha=(1.0,), cell_width=(1.0,))
         sel = cv_grid_search(tiny_map(3), grids, folds=3, seed=1,
-                             filter_method="kf")
+                             filter_cfg=FilterConfig("kf"))
         table = dict(sel.tables["knn_k"])
         assert sel.k == min(table, key=lambda kk: (table[kk],))
 
@@ -280,7 +280,7 @@ class TestCvGridSearch:
                             max_depth=(4, None), alpha=(0.5, 2.0),
                             cell_width=(1.0, 0.5))
         sel = cv_grid_search(tiny_map(), grids, folds=3, seed=5,
-                             filter_method="kf")
+                             filter_cfg=FilterConfig("kf"))
         # one forest per (n_trees, max_depth, fold), none grown again
         assert len(configs) == 2 * 2 * 3
         assert len({(c.n_trees, c.max_depth, c.seed) for c in configs}) == 12
@@ -301,9 +301,9 @@ class TestCvGridSearch:
                     n_trees=(10,), max_depth=(4,), alpha=(1.0,),
                     cell_width=(1.0,))
         fwd = cv_grid_search(tiny_map(), SearchGrids(k=(1, 7), **base),
-                             folds=3, seed=2, filter_method="kf")
+                             folds=3, seed=2, filter_cfg=FilterConfig("kf"))
         rev = cv_grid_search(tiny_map(), SearchGrids(k=(7, 1), **base),
-                             folds=3, seed=2, filter_method="kf")
+                             folds=3, seed=2, filter_cfg=FilterConfig("kf"))
         table = dict(fwd.tables["knn_k"])
         if table[1] != table[7]:  # no tie: order cannot matter
             assert fwd.k == rev.k

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 import fpfuse
 from fpfuse import cli
+from fpfuse import evaluate as ev
 from fpfuse import pipeline as pl
 from fpfuse.datamodel import SynthSpec, synth_radio_map
 from fpfuse.evaluate import SearchGrids, fuse_points_batch, locate
@@ -35,6 +37,23 @@ def small_cfg(**kwargs):
                 alpha_grid=(0.5, 2.0), cell_width=1.0, seed=3)
     base.update(kwargs)
     return PipelineConfig(**base)
+
+
+def edit_blob(blob, field, edit):
+    """Decode the packed array of artifact field `field` ("section.name")
+    in a loaded artifact JSON, and store edit(a writable copy) packed
+    again."""
+    section, name = field.split(".")
+    arr = pl._unpack(field, blob[section][name]).copy()
+    blob[section][name] = pl._pack(edit(arr))
+
+
+def set_at(index, value):
+    """An edit_blob edit that sets one element."""
+    def edit(arr):
+        arr[index] = value
+        return arr
+    return edit
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +106,7 @@ class TestPipelineConfig:
 
 class TestFitPipeline:
     def test_artifact_fields_populated(self, artifact):
-        assert artifact.version == "1"
+        assert artifact.version == "2"
         assert artifact.d == 6
         assert artifact.alpha in (0.5, 2.0)
         assert artifact.beta > 0
@@ -121,6 +140,23 @@ class TestFitPipeline:
         assert art.k in (3, 5)
         assert art.config["k"] in (3, 5)
 
+    def test_cv_search_filters_at_the_users_predict_sigma(self, monkeypatch):
+        # every stream of the PF sweep, and of the fit after it, steps at
+        # the predict_sigma the user set
+        sigmas = []
+        filter_stream = ev.filter_stream
+        monkeypatch.setattr(ev, "filter_stream", lambda x, cfg: (
+            sigmas.append(cfg.predict_sigma), filter_stream(x, cfg))[1])
+        grids = SearchGrids(gamma=(0.5,), n_particles=(100, 200),
+                            ess_tau=(0.3,), k=(3,), n_trees=(6,),
+                            max_depth=(4,), alpha=(1.0,), cell_width=(1.0,))
+        fit_pipeline(small_data(), small_cfg(grids=grids, filter=FilterConfig(
+            "pf", n_particles=100, predict_sigma=0.7)))
+        # 6 RPs per stream set: 2 candidates + the winner on 5 folds, then
+        # the fit's validation streams
+        assert len(sigmas) == 6 * (3 * 5 + 1)
+        assert set(sigmas) == {0.7}
+
 
 class TestArtifactRoundTrip:
     def test_predictions_bit_identical(self, artifact, probe_scans, tmp_path):
@@ -132,6 +168,53 @@ class TestArtifactRoundTrip:
             b = predict_one(loaded, scan)
             assert (a.position.x, a.position.y) == (b.position.x, b.position.y)
 
+    @settings(max_examples=150, deadline=None)
+    @given(arr=hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                     max_side=6),
+        # NaN and the infinities come with st.floats()
+        elements=st.floats() | st.sampled_from(
+            [-0.0, 5e-324, -2.225e-308, np.finfo(float).max,
+             -np.finfo(float).max])))
+    @example(arr=np.empty((0, 2)))
+    @example(arr=np.array([[-0.0, 5e-324]]))
+    def test_float_blob_round_trip_is_bit_exact(self, arr):
+        field = "rf.threshold" if arr.ndim == 1 else "knn.points"
+        self.check_blob_round_trip(field, arr)
+
+    @settings(max_examples=100, deadline=None)
+    @given(field=st.sampled_from(["rf.feature", "rf.left", "rf.offsets"]),
+           arr=hnp.arrays(st.sampled_from([np.int32, np.int64]),
+                          st.integers(0, 6)))
+    def test_index_blob_round_trip_is_bit_exact(self, field, arr):
+        self.check_blob_round_trip(field, arr)
+
+    @staticmethod
+    def check_blob_round_trip(field, arr):
+        out = pl._unpack(field, json.loads(json.dumps(pl._pack(arr))))
+        assert (out.dtype, out.shape) == (arr.dtype, arr.shape)
+        assert out.tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("fixture", ["artifact", "pf_artifact",
+                                         "plain_artifact"])
+    def test_dict_round_trip_predicts_identically(self, fixture, request,
+                                                  probe_scans):
+        a = request.getfixturevalue(fixture)
+        b = pl.artifact_from_dict(json.loads(json.dumps(
+            pl.artifact_to_dict(a))))
+        for name in pl._RF_COLUMNS:
+            col_a, col_b = getattr(a.rf, name), getattr(b.rf, name)
+            assert (col_a.dtype, col_a.tobytes()) == (col_b.dtype,
+                                                      col_b.tobytes())
+        assert a.knn.points.tobytes() == b.knn.points.tobytes()
+        assert a.knn.labels.tobytes() == b.knn.labels.tobytes()
+        sessions = PredictorSession(a), PredictorSession(b)
+        for scan in probe_scans[:20]:
+            ra, rb = (s.predict(scan, keep_bba=True) for s in sessions)
+            assert outputs(ra) == outputs(rb)
+            assert ra.bba.singleton.tobytes() == rb.bba.singleton.tobytes()
+            assert ra.bba.theta_mass == rb.bba.theta_mass
+
     def test_saved_as_compact_json(self, artifact, tmp_path):
         path = tmp_path / "artifact.json"
         save_artifact(artifact, path)
@@ -142,7 +225,8 @@ class TestArtifactRoundTrip:
     @pytest.mark.parametrize("fixture", ["artifact", "plain_artifact"])
     def test_indented_artifact_loads_identically(self, fixture, request,
                                                  probe_scans, tmp_path):
-        # artifacts written before the compact format are indented JSON
+        # an indented copy of the file (the packed arrays are single JSON
+        # strings) loads as the compact file does
         compact, indented = tmp_path / "compact.json", tmp_path / "old.json"
         save_artifact(request.getfixturevalue(fixture), compact)
         indented.write_text(json.dumps(json.loads(compact.read_text()),
@@ -203,7 +287,8 @@ class TestArtifactRoundTrip:
         ("ph_stats.mu", lambda b: b["ph_stats"]["mu"].pop()),
         ("rf.n_features", lambda b: b["rf"].update(
             n_features=b["rf"]["n_features"] + 1)),
-        ("knn.points", lambda b: [row.pop() for row in b["knn"]["points"]]),
+        ("knn.points", lambda b: edit_blob(b, "knn.points",
+                                           lambda a: a[:, :-1])),
     ])
     def test_inconsistent_dimensions_exit_2(self, artifact, tmp_path, capsys,
                                             match, edit):
@@ -217,12 +302,12 @@ class TestArtifactRoundTrip:
             0, float("nan")), id="nan"),
         pytest.param("variances.var", lambda b: b["variances"][
             "var"].__setitem__(0, float("nan")), id="nan variance"),
-        pytest.param("knn.labels", lambda b: b["knn"]["labels"].pop(),
-                     id="labels"),
-        pytest.param("knn.points", lambda b: b["knn"]["points"][2].__setitem__(
-            1, float("nan")), id="nan point"),
-        pytest.param("knn.labels", lambda b: b["knn"]["labels"][4].__setitem__(
-            0, float("inf")), id="inf label"),
+        pytest.param("knn.labels", lambda b: edit_blob(
+            b, "knn.labels", lambda a: a[:-1]), id="labels"),
+        pytest.param("knn.points", lambda b: edit_blob(
+            b, "knn.points", set_at((2, 1), float("nan"))), id="nan point"),
+        pytest.param("knn.labels", lambda b: edit_blob(
+            b, "knn.labels", set_at((4, 0), float("inf"))), id="inf label"),
         pytest.param("fusion.bounds", lambda b: b["fusion"].update(
             bounds=[b["fusion"]["bounds"][i] for i in (2, 1, 0, 3)]),
             id="inverted bounds"),
@@ -241,6 +326,21 @@ class TestArtifactRoundTrip:
             q_gamma=-1.0), id="negative q_gamma"),
         pytest.param("filter.q_gamma", lambda b: b["filter"].update(
             q_gamma=float("inf")), id="inf q_gamma"),
+        pytest.param("rf.threshold", lambda b: b["rf"]["threshold"].update(
+            data="not base64!"), id="bad base64"),
+        pytest.param("knn.points", lambda b: b["knn"]["points"][
+            "shape"].__setitem__(0, b["knn"]["points"]["shape"][0] + 1),
+            id="shape past the bytes"),
+        pytest.param("knn.labels", lambda b: b["knn"]["labels"].update(
+            dtype="|O"), id="object dtype"),
+        pytest.param("rf.threshold", lambda b: b["rf"].update(
+            threshold=pl._pack(pl._unpack("rf.threshold", b["rf"][
+                "threshold"]).astype("<f4"))), id="float32 threshold"),
+        pytest.param("rf.left", lambda b: edit_blob(b, "rf.left",
+                                                    set_at(0, 0)),
+                     id="child is its node"),
+        pytest.param("version", lambda b: b.update(version="1"),
+                     id="v1 artifact"),
     ])
     def test_bad_field_named_exit_2(self, artifact, tmp_path, capsys, match,
                                     edit):

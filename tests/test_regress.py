@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 from unittest import mock
@@ -11,11 +12,25 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (brute_force_knn, forest_walk, kdtree_knn,  # noqa: E402
                      reference_forest, reference_wknn)
 
-from fpfuse import regress  # noqa: E402
+from fpfuse import pipeline, regress  # noqa: E402
 from fpfuse.preprocess import ChannelVariances  # noqa: E402
 from fpfuse.regress import (RfConfig, RfModel, build_knn_index,  # noqa: E402
                             predict_rf, predict_wknn, predict_wknn_batch,
                             query_knn, train_rf)
+
+
+def tree_records(model):
+    """Each tree's node arrays as plain lists, children numbered from the
+    tree's root: the input forest_walk takes."""
+    return [{name: col.tolist() for name, col in tree._asdict().items()}
+            for tree in model.trees]
+
+
+def table(model):
+    """The model's node table as writable copies, keyed by column."""
+    return {name: getattr(model, name).copy()
+            for name in ("feature", "threshold", "left", "right", "leaf_xy",
+                         "offsets")}
 
 
 def assert_matches_reference(model, ref):
@@ -96,7 +111,7 @@ class TestRandomForest:
         model = train_rf(X, Y, RfConfig(n_trees=1, max_depth=3, seed=7))
         x = X[4].reshape(1, -1)
         assert np.array_equal(model.predict_batch(x),
-                              forest_walk(model.to_dict()["trees"], x))
+                              forest_walk(tree_records(model), x))
 
     def test_prediction_permutation_invariant_in_tree_order(self):
         rng = np.random.default_rng(2)
@@ -141,7 +156,7 @@ class TestRandomForest:
         Y = (np.full((30, 2), 1.5) if constant
              else rng.normal(size=(30, 2)))
         model = train_rf(X, Y, RfConfig(n_trees, max_depth, seed=seed))
-        trees = model.to_dict()["trees"]
+        trees = tree_records(model)
         queries = X[rng.integers(0, 30, size=batch)]
         splits = [(f, t) for tree in trees
                   for f, t in zip(tree["feature"], tree["threshold"]) if f >= 0]
@@ -217,11 +232,16 @@ class TestRandomForest:
                                   first.predict_batch(probe))
 
     def test_serialization_round_trip(self):
+        # the node table through the artifact's blob encoding and JSON
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
         Y = rng.normal(size=(40, 2))
         model = train_rf(X, Y, RfConfig(10, 6, seed=9))
-        clone = RfModel.from_dict(model.to_dict())
+        blobs = json.loads(json.dumps({name: pipeline._pack(col) for name, col
+                                       in table(model).items()}))
+        clone = RfModel(model.config, model.n_features,
+                        **{name: pipeline._unpack(f"rf.{name}", blob)
+                           for name, blob in blobs.items()})
         probe = rng.normal(size=(15, 3))
         assert np.array_equal(model.predict_batch(probe),
                               clone.predict_batch(probe))
@@ -235,18 +255,32 @@ class TestRandomForest:
         rng = np.random.default_rng(4)
         model = train_rf(rng.normal(size=(30, 3)), rng.normal(size=(30, 2)),
                          RfConfig(1, 3, seed=2))
-        d = model.to_dict()
-        assert d["trees"][0]["feature"][0] >= 0  # the root is an inner node
-        d["trees"][0][column][0] = value
-        with pytest.raises(ValueError, match=match):
-            RfModel.from_dict(d)
+        columns = table(model)
+        assert columns["feature"][0] >= 0  # the root is an inner node
+        columns[column][0] = value
+        with pytest.raises(ValueError,
+                           match=f"^RfModel.{column} is out of range at "
+                                 f"forest {match}"):
+            RfModel(model.config, model.n_features, **columns)
+
+    # the node count is len(feature), so the other columns are measured
+    # against it
+    @pytest.mark.parametrize("column", ["threshold", "right", "leaf_xy",
+                                        "offsets"])
+    def test_table_names_a_column_of_the_wrong_length(self, column):
+        rng = np.random.default_rng(4)
+        model = train_rf(rng.normal(size=(30, 3)), rng.normal(size=(30, 2)),
+                         RfConfig(2, 3, seed=2))
+        columns = table(model)
+        columns[column] = columns[column][:-1]
+        with pytest.raises(ValueError, match=f"^RfModel.{column} "):
+            RfModel(model.config, model.n_features, **columns)
 
     def test_from_dict_rejects_leaf_with_child(self):
-        d = {"n_features": 2, "config": {"n_trees": 1},
-             "trees": [{"feature": [-1], "threshold": [0.0], "left": [0],
-                        "right": [-1], "leaf_xy": [[0.0, 0.0]]}]}
-        with pytest.raises(ValueError, match="tree 0 node 0"):
-            RfModel.from_dict(d)
+        with pytest.raises(ValueError, match="RfModel.left .* tree 0 node 0"):
+            RfModel(RfConfig(1), 2, np.array([-1]), np.array([0.0]),
+                    np.array([0]), np.array([-1]), np.zeros((1, 2)),
+                    np.array([0, 1]))
 
 
 class TestLockstepGrowth:
