@@ -18,7 +18,7 @@ import numpy as np
 
 from .datamodel import Position, RadioMap, SplitSpec, stratified_split
 from .filters import FilterConfig, filter_stream
-from .fuse import (Bba, GridSpec, centroid_distances, combine_masses,
+from .fuse import (GridSpec, centroid_distances, combine_masses,
                    make_grid, nearest_centroid_distance, singleton_masses,
                    weighted_centroids)
 # Not called in this module (fuse_rows runs the (N, S) blocks), but the traced
@@ -438,15 +438,6 @@ def _fuse_distances(dist: np.ndarray, grid: GridSpec, alpha: float,
     if mode == "belief_weighted":
         return weighted_centroids(fused, grid), fused, theta
     raise ValueError(f"unknown dst point mode {mode!r}")
-
-
-def fuse_point(r_rf: Position, r_knn: Position, grid: GridSpec, alpha: float,
-               theta_discount: float, mode: str) -> tuple[Position, Bba]:
-    """fuse_rows on one row: (point, fused Bba)."""
-    rows = np.array([[r_rf.x, r_rf.y], [r_knn.x, r_knn.y]])
-    points, fused, theta = fuse_rows(rows[:1], rows[1:], grid, alpha,
-                                     theta_discount, mode)
-    return Position(*points[0]), Bba(fused[0], float(theta[0]))
 
 
 def _check_finite(*points) -> None:

@@ -178,9 +178,14 @@ def weighted_centroid(m: Bba, grid: GridSpec) -> Position:
 
 def confidences(points: np.ndarray, grid: GridSpec, beta: float) -> np.ndarray:
     """(N,) exp(-beta * distance to the nearest centroid); 1 on a centroid."""
+    return confidences_from_distances(centroid_distances(points, grid), beta)
+
+
+def confidences_from_distances(dist: np.ndarray, beta: float) -> np.ndarray:
+    """confidences of N points from their (N, S) centroid_distances block."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    return np.exp(-beta * nearest_centroid_distance(points, grid))
+    return np.exp(-beta * dist.min(axis=1))
 
 
 def confidence(r_hat: Position, grid: GridSpec, beta: float) -> float:

@@ -5,16 +5,18 @@ One fit step and one locate step, shared by fit, ladder and session:
 evaluate.fit_regressors fits the PH stats, forest and kNN index of a feature
 space, and evaluate.locate turns filtered rows into the two sources'
 positions. A session keeps the state of the filters' start_filter/step_filter
-pair, locates each scan as a batch of one, and evaluate.fuse_point is the one
-DST step, so a streamed session and the batch evaluation agree bit for bit.
+pair, locates each scan as a batch of one, and fuses it with the DST step
+fuse_rows runs (evaluate._fuse_distances), so a streamed session and the
+batch evaluation agree bit for bit.
 
 The artifact stores everything a deployment needs (normalization statistics,
 metric variances, filter covariances, the forest's node table, the kNN
 points/labels, topological feature statistics, fusion parameters, and the
 fitted fuzzy measure) as one versioned JSON document. The bulk arrays (the
 node table and the kNN points/labels) are typed binary blobs inside it (see
-_pack); every other field is a plain JSON value. Loading rebuilds the search
-index from the stored points and reproduces predictions bit for bit.
+_pack); every other field is a plain JSON value. The node table keeps only
+the entries prediction reads (see _forest_blobs). Loading rebuilds the full
+table and the search index and reproduces predictions bit for bit.
 """
 
 from __future__ import annotations
@@ -35,22 +37,25 @@ from .evaluate import StageError, stage  # noqa: F401 - StageError re-exported
 from .filters import (FilterConfig, KfState, PfState, kf_step, pf_step,
                       start_filter, step_filter)
 from .fuse import (Bba, ChoquetMeasure, GridSpec, argmax_belief, bba_from_point,
-                   choquet, confidence, confidences, convex_combo,
-                   dempster_combine, fit_choquet_measure, make_grid,
-                   weighted_centroid, write_belief_csv, write_belief_pgm)
+                   centroid_distances, choquet, confidences,
+                   confidences_from_distances, convex_combo, dempster_combine,
+                   fit_choquet_measure, make_grid, weighted_centroid,
+                   write_belief_csv, write_belief_pgm)
 from .preprocess import MODES as NORM_MODES
 from .preprocess import (ChannelVariances, NormStats, apply_norm,
                          fit_channel_variances, fit_norm_stats,
                          normalize_matrix)
 from .regress import KnnIndex, RfConfig, RfModel, build_knn_index, predict_wknn
 from .topo import augment, features_for_vector
-# Not called in this module (evaluate.fit_regressors fits), but the traced
-# benchmark (perfbench/spans.py) wraps these names here, so they stay.
+# Not called in this module (evaluate.fit_regressors fits, and a session
+# scores both sources from one distance block), but the traced benchmark
+# (perfbench/spans.py) wraps these names here, so they stay.
+from .fuse import confidence  # noqa: F401
 from .preprocess import fit_zscore_stats  # noqa: F401
 from .regress import train_rf  # noqa: F401
 from .topo import features_matrix  # noqa: F401
 
-ARTIFACT_VERSION = "2"
+ARTIFACT_VERSION = "3"
 
 FUSION_MODES = ("dst", "choquet", "convex")
 
@@ -142,13 +147,12 @@ def _jsonable(obj):
 
 
 # The artifact's bulk arrays, each stored as a typed blob (see _pack), with
-# the dtypes and the number of dimensions a loaded blob must have.
-_F8, _INT = ("<f8",), ("<i4", "<i8")
-_BLOBS = {"rf.feature": (_INT, 1), "rf.threshold": (_F8, 1),
-          "rf.left": (_INT, 1), "rf.right": (_INT, 1),
-          "rf.leaf_xy": (_F8, 2), "rf.offsets": (_INT, 1),
-          "knn.points": (_F8, 2), "knn.labels": (_F8, 2)}
-_RF_COLUMNS = ("feature", "threshold", "left", "right", "leaf_xy", "offsets")
+# the dtype and the number of dimensions a loaded blob must have. Node
+# indices are int32: 2**31 nodes would take ~100 GB in memory.
+_BLOBS = {"rf.feature": ("<i4", 1), "rf.offsets": ("<i4", 1),
+          "rf.right": ("<i4", 1), "rf.threshold": ("<f8", 1),
+          "rf.leaf_xy": ("<f8", 2), "knn.points": ("<f8", 2),
+          "knn.labels": ("<f8", 2)}
 
 
 def _pack(arr: np.ndarray) -> dict:
@@ -165,7 +169,7 @@ def _unpack(name: str, blob) -> np.ndarray:
     order. A blob of a dtype, dimension count or byte length the field does
     not allow, or whose data is not base64, is an ArtifactError naming the
     field."""
-    dtypes, ndim = _BLOBS[name]
+    dtype, ndim = _BLOBS[name]
 
     def bad(why: str) -> ArtifactError:
         return ArtifactError(f"artifact field {name}: {why}")
@@ -173,8 +177,8 @@ def _unpack(name: str, blob) -> np.ndarray:
     if not (isinstance(blob, dict)
             and set(blob) == {"dtype", "shape", "data"}):
         raise bad("must be a {dtype, shape, data} blob")
-    if blob["dtype"] not in dtypes:
-        raise bad(f"dtype {blob['dtype']!r} is not one of {dtypes}")
+    if blob["dtype"] != dtype:
+        raise bad(f"dtype {blob['dtype']!r} is not {dtype!r}")
     shape = blob["shape"]
     if not (isinstance(shape, list) and len(shape) == ndim
             and all(type(n) is int and n >= 0 for n in shape)):
@@ -185,13 +189,26 @@ def _unpack(name: str, blob) -> np.ndarray:
         raw = base64.b64decode(blob["data"], validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise bad(f"data is not valid base64 ({exc})") from exc
-    dtype = np.dtype(blob["dtype"])
+    dtype = np.dtype(dtype)
     size = math.prod(shape) * dtype.itemsize
     if len(raw) != size:
         raise bad(f"data holds {len(raw)} bytes, shape {shape} of "
                   f"{blob['dtype']} needs {size}")
     arr = np.frombuffer(raw, dtype).reshape(shape)
     return arr.astype(dtype.newbyteorder("="), copy=False)
+
+
+def _forest_blobs(rf: RfModel) -> dict:
+    """The node table as format v3 stores it: the entries prediction reads.
+    feature and offsets are whole; right and threshold hold one entry per
+    inner node and leaf_xy one row per leaf, in table order. left is not
+    stored: in preorder an inner node's left child is the next node."""
+    inner = rf.feature >= 0
+    return {"feature": _pack(rf.feature.astype(np.int32)),
+            "offsets": _pack(rf.offsets.astype(np.int32)),
+            "right": _pack(rf.right[inner].astype(np.int32)),
+            "threshold": _pack(rf.threshold[inner]),
+            "leaf_xy": _pack(rf.leaf_xy[~inner])}
 
 
 def artifact_to_dict(a: PipelineArtifact) -> dict:
@@ -207,7 +224,7 @@ def artifact_to_dict(a: PipelineArtifact) -> dict:
                    "pf": {"n_particles": f.n_particles, "ess_tau": f.ess_tau,
                           "predict_sigma": f.predict_sigma, "seed": f.seed}},
         "rf": {"config": asdict(rf.config), "n_features": rf.n_features}
-        | {name: _pack(getattr(rf, name)) for name in _RF_COLUMNS},
+        | _forest_blobs(rf),
         "knn": {"points": _pack(a.knn.points), "labels": _pack(a.knn.labels),
                 "var": a.knn.metric.var, "k": a.k, "eps": a.eps},
         "ph_stats": (None if a.ph_stats is None else
@@ -249,13 +266,41 @@ def _filter_from_dict(f: dict) -> FilterConfig:
         raise ArtifactError(f"artifact field filter.{key}: {exc}") from exc
 
 
+def _full_column(n: int, at: np.ndarray, values: np.ndarray,
+                 fill) -> np.ndarray:
+    """A column of one entry per node of n: `values` at the node indices
+    `at`, `fill` at the others, with the dtype a fit gives the column."""
+    dtype = np.intp if values.dtype.kind == "i" else np.float64
+    out = np.full((n,) + values.shape[1:], fill, dtype=dtype)
+    out[at] = values
+    return out
+
+
 def _forest_from_dict(r: dict) -> RfModel:
-    """The rf section as an RfModel; a value it rejects is an ArtifactError
-    naming the rf.* field."""
+    """The rf section as an RfModel, its full node table rebuilt from the
+    stored entries (see _forest_blobs); a value it rejects is an
+    ArtifactError naming the rf.* field."""
     config = _field("rf.config", lambda c: RfConfig(**c), r["config"])
-    columns = [_unpack(f"rf.{name}", r[name]) for name in _RF_COLUMNS]
+    feature = _unpack("rf.feature", r["feature"])
+    n = len(feature)
+    inner, leaves = np.flatnonzero(feature >= 0), np.flatnonzero(feature < 0)
+    stored = {}
+    for name, shape, per in (("right", (len(inner),), "inner node"),
+                             ("threshold", (len(inner),), "inner node"),
+                             ("leaf_xy", (len(leaves), 2), "leaf")):
+        stored[name] = _unpack(f"rf.{name}", r[name])
+        if stored[name].shape != shape:
+            raise ArtifactError(f"artifact field rf.{name} has shape "
+                                f"{stored[name].shape}, expected {shape}: "
+                                f"one entry per {per} of rf.feature")
+    columns = {"feature": feature,
+               "threshold": _full_column(n, inner, stored["threshold"], 0.0),
+               "left": _full_column(n, inner, inner + 1, -1),
+               "right": _full_column(n, inner, stored["right"], -1),
+               "leaf_xy": _full_column(n, leaves, stored["leaf_xy"], 0.0),
+               "offsets": _unpack("rf.offsets", r["offsets"]).astype(np.intp)}
     try:
-        return RfModel(config, r["n_features"], *columns)
+        return RfModel(config, r["n_features"], **columns)
     except ValueError as exc:  # "RfModel.<column> ..."
         name = str(exc).partition(" ")[0].removeprefix("RfModel.")
         raise ArtifactError(f"artifact field rf.{name}: {exc}") from exc
@@ -344,14 +389,16 @@ def save_artifact(a: PipelineArtifact, path) -> None:
 def load_artifact(path) -> PipelineArtifact:
     """Read an artifact; any content that does not load is an ArtifactError
     naming the file."""
-    with open(path) as fh:
-        try:
-            return artifact_from_dict(json.load(fh))
-        except ArtifactError as exc:
-            raise ArtifactError(f"{path}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactError(f"{path}: malformed artifact "
-                                f"({type(exc).__name__}: {exc})") from exc
+    # json.loads decodes the bytes faster than a text-mode read would
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return artifact_from_dict(json.loads(raw))
+    except ArtifactError as exc:
+        raise ArtifactError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path}: malformed artifact "
+                            f"({type(exc).__name__}: {exc})") from exc
 
 
 def fit_pipeline(data: RadioMap, cfg: PipelineConfig = PipelineConfig()) -> PipelineArtifact:
@@ -481,14 +528,18 @@ class PredictorSession:
         p_rf, p_knn = ev.locate(z[None, :], a.ph_stats, a.rf, a.knn, a.k,
                                 a.eps)
         r_rf, r_knn = Position(*p_rf[0]), Position(*p_knn[0])
-        s_rf = confidence(r_rf, a.grid, a.beta)
-        s_knn = confidence(r_knn, a.grid, a.beta)
+        # one (2, S) block of centroid distances, rf row then knn row, feeds
+        # both confidences and the DST step
+        dist = centroid_distances(np.concatenate([p_rf, p_knn]), a.grid)
+        s_rf, s_knn = confidences_from_distances(dist, a.beta).tolist()
         fused_conf = choquet(s_rf, s_knn, a.measure)
 
         bba = None
         if mode == "dst" or keep_bba:
-            position, bba = ev.fuse_point(r_rf, r_knn, a.grid, a.alpha,
-                                          a.theta_discount, a.dst_point_mode)
+            points, fused, theta = ev._fuse_distances(
+                dist, a.grid, a.alpha, a.theta_discount, a.dst_point_mode)
+            position = Position(*points[0])
+            bba = Bba(fused[0], float(theta[0]))
         if mode == "choquet":
             num = s_rf * a.measure.mu1
             den = num + s_knn * a.measure.mu2

@@ -92,8 +92,9 @@ class RfModel:
     """A forest packed into one node table.
 
     Tree t owns nodes offsets[t]:offsets[t + 1] and its root is offsets[t].
-    Children are node indices into the whole table, so every (row, tree)
-    pair steps down in the same numpy operation.
+    Each tree is numbered in preorder: an inner node's left child is the next
+    node. Children are node indices into the whole table, so every (row,
+    tree) pair steps down in the same numpy operation.
     """
 
     config: RfConfig
@@ -102,7 +103,7 @@ class RfModel:
     threshold: np.ndarray  # (N,) x[feature] <= threshold goes left
     left: np.ndarray  # (N,) table index of the left child, -1 at a leaf
     right: np.ndarray  # (N,)
-    leaf_xy: np.ndarray  # (N, 2) target mean of the node's samples
+    leaf_xy: np.ndarray  # (N, 2) target mean of a leaf's samples
     offsets: np.ndarray  # (T + 1,) first node of each tree, then N
 
     def __post_init__(self):
@@ -122,16 +123,16 @@ class RfModel:
                 raise ValueError(f"RfModel.{name} has shape "
                                  f"{getattr(self, name).shape}, expected "
                                  f"{shape} (one row per node)")
-        # children after their node and inside its tree: every descent ends
+        # preorder: the left child next, the right child after it and inside
+        # the tree, so every descent ends
         node = np.arange(n)
         end = np.repeat(off[1:], np.diff(off))
         inner = self.feature >= 0
         bad = {"feature": np.where(inner, self.feature >= self.n_features,
-                                   self.feature != -1)}
-        for name in ("left", "right"):
-            child = getattr(self, name)
-            bad[name] = np.where(inner, (child <= node) | (child >= end),
-                                 child != -1)
+                                   self.feature != -1),
+               "left": np.where(inner, self.left != node + 1, self.left != -1),
+               "right": np.where(inner, (self.right <= node + 1)
+                                 | (self.right >= end), self.right != -1)}
         any_bad = bad["feature"] | bad["left"] | bad["right"]
         if any_bad.any():
             j = int(np.argmax(any_bad))
@@ -141,9 +142,9 @@ class RfModel:
                 f"RfModel.{name} is out of range at forest tree {t} node "
                 f"{j - off[t]}: feature {self.feature[j]}, children "
                 f"{self.left[j]}, {self.right[j]} (table indices); an inner "
-                f"node needs 0 <= feature < {self.n_features} and both "
-                "children after it inside its tree, a leaf needs feature = "
-                "left = right = -1")
+                f"node needs 0 <= feature < {self.n_features}, its left "
+                "child next to it and its right child after that inside its "
+                "tree (preorder), a leaf needs feature = left = right = -1")
 
     @classmethod
     def from_trees(cls, config: RfConfig, n_features: int,
@@ -514,6 +515,7 @@ def train_rf(X: np.ndarray, Y: np.ndarray, config: RfConfig = RfConfig()) -> RfM
         shift += len(feature)
     feature, threshold, left, right, leaf_xy, count = (
         np.concatenate(col) for col in zip(*parts))
+    leaf_xy[feature >= 0] = 0.0  # prediction reads the means of leaves only
     offsets = np.zeros(len(count) + 1, dtype=np.intp)
     np.cumsum(count, out=offsets[1:])
     return RfModel(config, d, feature.astype(np.int32), threshold, left,

@@ -153,6 +153,7 @@ def reference_forest(X, Y, n_trees, max_depth, max_features, min_leaf, seed):
             mask = X[idx, f] <= thr
             tree["feature"][node] = f
             tree["threshold"][node] = thr
+            tree["leaf_xy"][node] = [0.0, 0.0]  # prediction reads leaves only
             tree["left"][node] = build(idx[mask], depth + 1)
             tree["right"][node] = build(idx[~mask], depth + 1)
             return node

@@ -17,8 +17,8 @@ from oracles import (reference_dempster, reference_fuse_rows,  # noqa: E402
 
 from fpfuse.datamodel import Bounds, Position  # noqa: E402
 from fpfuse import evaluate  # noqa: E402
-from fpfuse.evaluate import (fuse_point, fuse_points_batch,  # noqa: E402
-                             fuse_rows, median_min_centroid_distance, rmse_xy,
+from fpfuse.evaluate import (fuse_points_batch, fuse_rows,  # noqa: E402
+                             median_min_centroid_distance, rmse_xy,
                              select_alpha)
 from fpfuse.fuse import (Bba, ChoquetMeasure, ConflictError,  # noqa: E402
                          argmax_belief, bba_from_point, choquet, confidence,
@@ -346,11 +346,12 @@ class TestDstBlockMatchesReference:
         assert m.singleton.tobytes() == fused.tobytes()
         assert m.theta_mass == fused_theta
         for mode in DST_MODES:
-            point, bba = fuse_point(p1, p2, grid, alpha, theta, mode)
-            assert (point.x, point.y) == reference_point(fused,
-                                                         grid.centroids, mode)
-            assert bba.singleton.tobytes() == fused.tobytes()
-            assert bba.theta_mass == fused_theta
+            point, got, got_theta = fuse_rows(p1.xy[None], p2.xy[None], grid,
+                                              alpha, theta, mode)
+            assert tuple(point[0]) == reference_point(fused, grid.centroids,
+                                                      mode)
+            assert got[0].tobytes() == fused.tobytes()
+            assert got_theta[0] == fused_theta
         w = weighted_centroid(m, grid)
         assert (w.x, w.y) == reference_point(fused, grid.centroids,
                                              "belief_weighted")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +18,15 @@ from fpfuse import pipeline as pl
 from fpfuse.datamodel import SynthSpec, synth_radio_map
 from fpfuse.evaluate import SearchGrids, fuse_points_batch, locate
 from fpfuse.filters import FilterConfig, filter_stream
-from fpfuse.fuse import ConflictError, write_belief_csv, write_belief_pgm
+from fpfuse.fuse import (ConflictError, confidences, write_belief_csv,
+                         write_belief_pgm)
 from fpfuse.pipeline import (ArtifactError, PipelineConfig, PredictorSession,
                              ScanError, StageError, bench_pipeline,
                              export_belief_map, fit_pipeline, load_artifact,
                              predict_one, save_artifact)
-from fpfuse.preprocess import normalize_matrix
-from fpfuse.regress import predict_wknn_batch
+from fpfuse.preprocess import ChannelVariances, NormStats, normalize_matrix
+from fpfuse.regress import (RfConfig, build_knn_index, predict_wknn_batch,
+                            train_rf)
 from fpfuse.topo import features_matrix
 
 
@@ -54,6 +57,10 @@ def set_at(index, value):
         arr[index] = value
         return arr
     return edit
+
+
+# the node table's columns, as RfModel holds them
+RF_COLUMNS = ("feature", "threshold", "left", "right", "leaf_xy", "offsets")
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +113,7 @@ class TestPipelineConfig:
 
 class TestFitPipeline:
     def test_artifact_fields_populated(self, artifact):
-        assert artifact.version == "2"
+        assert artifact.version == "3"
         assert artifact.d == 6
         assert artifact.alpha in (0.5, 2.0)
         assert artifact.beta > 0
@@ -183,11 +190,17 @@ class TestArtifactRoundTrip:
         self.check_blob_round_trip(field, arr)
 
     @settings(max_examples=100, deadline=None)
-    @given(field=st.sampled_from(["rf.feature", "rf.left", "rf.offsets"]),
+    @given(field=st.sampled_from(["rf.feature", "rf.right", "rf.offsets"]),
            arr=hnp.arrays(st.sampled_from([np.int32, np.int64]),
                           st.integers(0, 6)))
     def test_index_blob_round_trip_is_bit_exact(self, field, arr):
-        self.check_blob_round_trip(field, arr)
+        # format v3 stores node indices as int32 only
+        if arr.dtype == np.int32:
+            self.check_blob_round_trip(field, arr)
+        else:
+            with pytest.raises(ArtifactError, match=f"^artifact field "
+                                                    f"{field}: dtype '<i8'"):
+                pl._unpack(field, json.loads(json.dumps(pl._pack(arr))))
 
     @staticmethod
     def check_blob_round_trip(field, arr):
@@ -202,7 +215,7 @@ class TestArtifactRoundTrip:
         a = request.getfixturevalue(fixture)
         b = pl.artifact_from_dict(json.loads(json.dumps(
             pl.artifact_to_dict(a))))
-        for name in pl._RF_COLUMNS:
+        for name in RF_COLUMNS:
             col_a, col_b = getattr(a.rf, name), getattr(b.rf, name)
             assert (col_a.dtype, col_a.tobytes()) == (col_b.dtype,
                                                       col_b.tobytes())
@@ -214,6 +227,40 @@ class TestArtifactRoundTrip:
             assert outputs(ra) == outputs(rb)
             assert ra.bba.singleton.tobytes() == rb.bba.singleton.tobytes()
             assert ra.bba.theta_mass == rb.bba.theta_mass
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           d=st.integers(1, 5), n_trees=st.integers(1, 6),
+           max_depth=st.sampled_from([1, 2, 3, None]),
+           min_leaf=st.integers(1, 3), constant=st.booleans())
+    @example(seed=0, n=2, d=1, n_trees=1, max_depth=1, min_leaf=1,
+             constant=True)
+    def test_forest_round_trip_is_column_equal(self, plain_artifact, seed, n,
+                                               d, n_trees, max_depth,
+                                               min_leaf, constant):
+        # constant targets grow trees that are one leaf each
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, size=(n, d)).astype(float)
+        Y = np.full((n, 2), 1.5) if constant else rng.normal(size=(n, 2))
+        rf = train_rf(X, Y, RfConfig(n_trees, max_depth, min_leaf=min_leaf,
+                                     seed=seed))
+        var = ChannelVariances(np.ones(d))
+        a = replace(plain_artifact, rf=rf, variances=var,
+                    norm=NormStats("dbm_zscore", np.zeros(d), np.ones(d),
+                                   np.zeros(d, dtype=bool)),
+                    filter_cfg=replace(plain_artifact.filter_cfg,
+                                       r=np.ones(d)),
+                    knn=build_knn_index(X, Y, var))
+        text = json.dumps(pl.artifact_to_dict(a), sort_keys=True)
+        b = pl.artifact_from_dict(json.loads(text))
+        for name in RF_COLUMNS:
+            col_a, col_b = getattr(a.rf, name), getattr(b.rf, name)
+            assert (col_a.dtype, col_a.tobytes()) == (col_b.dtype,
+                                                      col_b.tobytes())
+        probe = rng.normal(size=(7, d)) * 3
+        assert (a.rf.predict_batch(probe).tobytes()
+                == b.rf.predict_batch(probe).tobytes())
+        assert json.dumps(pl.artifact_to_dict(b), sort_keys=True) == text
 
     def test_saved_as_compact_json(self, artifact, tmp_path):
         path = tmp_path / "artifact.json"
@@ -336,11 +383,25 @@ class TestArtifactRoundTrip:
         pytest.param("rf.threshold", lambda b: b["rf"].update(
             threshold=pl._pack(pl._unpack("rf.threshold", b["rf"][
                 "threshold"]).astype("<f4"))), id="float32 threshold"),
-        pytest.param("rf.left", lambda b: edit_blob(b, "rf.left",
-                                                    set_at(0, 0)),
+        pytest.param("rf.right", lambda b: edit_blob(b, "rf.right",
+                                                     set_at(0, 0)),
                      id="child is its node"),
         pytest.param("version", lambda b: b.update(version="1"),
                      id="v1 artifact"),
+        pytest.param("rf.right", lambda b: edit_blob(b, "rf.right",
+                                                     lambda a: a[:-1]),
+                     id="right one short"),
+        pytest.param("rf.threshold", lambda b: edit_blob(
+            b, "rf.threshold", lambda a: np.append(a, 0.5)),
+            id="threshold one too many"),
+        pytest.param("rf.leaf_xy", lambda b: edit_blob(
+            b, "rf.leaf_xy", lambda a: a[1:]), id="leaf_xy rows not leaves"),
+        pytest.param("rf.feature", lambda b: edit_blob(
+            b, "rf.feature", lambda a: np.where(
+                np.arange(len(a)) == np.argmin(a), 0, a).astype(np.int32)),
+            id="leaf made inner"),
+        pytest.param("version", lambda b: b.update(version="2"),
+                     id="v2 artifact"),
     ])
     def test_bad_field_named_exit_2(self, artifact, tmp_path, capsys, match,
                                     edit):
@@ -468,7 +529,7 @@ class TestScanContract:
         session = PredictorSession(pf_artifact)
         got = [outputs(session.predict(scans[0]))]
         with monkeypatch.context() as m:
-            m.setattr(pl, "confidence", lambda *a: 1 / 0)
+            m.setattr(pl, "confidences_from_distances", lambda *a: 1 / 0)
             with pytest.raises(ZeroDivisionError):
                 session.predict(scans[1])
         got += [outputs(session.predict(s)) for s in scans[1:]]
@@ -599,6 +660,12 @@ class TestSessionMatchesBatch:
             got = np.array([[res.rf_position.xy, res.knn_position.xy,
                              res.position.xy] for res in results])
             assert np.array_equal(got, np.stack([p_rf, p_knn, fused], axis=1))
+            # the session scores both sources from its one distance block
+            scores = confidences(np.concatenate([p_rf, p_knn]), art.grid,
+                                 art.beta)
+            got = [res.confidence_rf for res in results] + [
+                res.confidence_knn for res in results]
+            assert np.array(got).tobytes() == scores.tobytes()
 
     def test_keep_bba_is_the_dst_mass_in_every_mode(self, artifact):
         scan = np.full(6, -58.0)

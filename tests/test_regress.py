@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -232,16 +233,15 @@ class TestRandomForest:
                                   first.predict_batch(probe))
 
     def test_serialization_round_trip(self):
-        # the node table through the artifact's blob encoding and JSON
+        # the node table through the artifact's rf section and JSON
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
         Y = rng.normal(size=(40, 2))
         model = train_rf(X, Y, RfConfig(10, 6, seed=9))
-        blobs = json.loads(json.dumps({name: pipeline._pack(col) for name, col
-                                       in table(model).items()}))
-        clone = RfModel(model.config, model.n_features,
-                        **{name: pipeline._unpack(f"rf.{name}", blob)
-                           for name, blob in blobs.items()})
+        section = {"config": asdict(model.config),
+                   "n_features": model.n_features}
+        clone = pipeline._forest_from_dict(json.loads(json.dumps(
+            section | pipeline._forest_blobs(model))))
         probe = rng.normal(size=(15, 3))
         assert np.array_equal(model.predict_batch(probe),
                               clone.predict_batch(probe))
@@ -275,6 +275,19 @@ class TestRandomForest:
         columns[column] = columns[column][:-1]
         with pytest.raises(ValueError, match=f"^RfModel.{column} "):
             RfModel(model.config, model.n_features, **columns)
+
+    def test_rejects_a_forest_not_in_preorder(self):
+        # a valid two-level tree, but its root's children are swapped in
+        # position: the left child is node 2, not the next node
+        args = (RfConfig(1), 2, np.array([0, -1, -1]),
+                np.array([0.5, 0.0, 0.0]))
+        leaves = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+        RfModel(*args, np.array([1, -1, -1]), np.array([2, -1, -1]), leaves,
+                np.array([0, 3]))
+        with pytest.raises(ValueError, match="^RfModel.left is out of range "
+                                             "at forest tree 0 node 0"):
+            RfModel(*args, np.array([2, -1, -1]), np.array([1, -1, -1]),
+                    leaves[[0, 2, 1]], np.array([0, 3]))
 
     def test_from_dict_rejects_leaf_with_child(self):
         with pytest.raises(ValueError, match="RfModel.left .* tree 0 node 0"):
