@@ -135,6 +135,9 @@ def _parse_scan(text: str) -> np.ndarray:
 
 
 def cmd_predict(args) -> int:
+    lam = args.convex_lambda
+    if lam is not None and not 0.0 <= lam <= 1.0:  # NaN fails too
+        raise UsageError(f"--lambda must lie in [0, 1], got {lam}")
     artifact = pl.load_artifact(args.artifact)
     session = pl.PredictorSession(artifact)
     scans = []
@@ -218,6 +221,8 @@ def cmd_noise_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.queries < 1:
+        raise UsageError(f"--queries must be >= 1, got {args.queries}")
     artifact = pl.load_artifact(args.artifact)
     report = pl.bench_pipeline(artifact, n_queries=args.queries,
                                seed=args.seed or 0)

@@ -1,4 +1,4 @@
-"""Per-channel scalar denoising filters: Kalman, unscented Kalman, particle.
+"""Per-channel denoising filters: Kalman, unscented Kalman, particle.
 
 Every RSS channel is filtered independently with a random-walk state model
 x_t = x_{t-1} + v,  z_t = x_t + n,  v ~ N(0, q),  n ~ N(0, r).
@@ -17,12 +17,12 @@ Both equal the out-of-place, binary-search forms bit for bit, random draws
 included, so a stream's estimates do not depend on which form ran.
 
 One function pair filters a scan: start_filter on a stream's first scan,
-step_filter on each later one; both return (state, estimate).
+step_filter on each later one; both return (state, estimate). KF/UKF state
+is one KfState of (d,) arrays, and kf_step and ukf_step step every channel
+in one elementwise pass, each channel bit for bit a scalar step.
 PredictorSession runs the pair over live scans. filter_stream denoises a
 recorded stream to the same bits: KF and UKF through the pair, PF channel by
-channel, so that only one particle cloud is alive at a time. Each channel
-starts as in start_filter, draws only from its own generator and steps
-through pf_step, the one particle-filter step.
+channel through pf_step, the one particle-filter step.
 """
 
 from __future__ import annotations
@@ -107,16 +107,22 @@ class FilterConfig:
                 ("method", "gamma", "n_particles", "ess_tau", "predict_sigma")}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KfState:
-    """Scalar posterior: estimate x_hat with variance p."""
+    """Gaussian posteriors: estimates x_hat with variances p, read-only float
+    arrays of one shape, (d,) for d channels or 0-d for one."""
 
-    x_hat: float
-    p: float
+    x_hat: np.ndarray
+    p: np.ndarray
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError("state variance must be positive")
+        x, p = np.array(self.x_hat, dtype=float), np.array(self.p, dtype=float)
+        if x.shape != p.shape or not (p > 0).all():
+            raise ValueError("state variance must be positive, one per "
+                             "estimate")
+        for name, value in (("x_hat", x), ("p", p)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,9 +162,10 @@ class PfState:
         return float(self.weights @ self.particles)
 
 
-def kf_step(state: KfState, z: float, q: float, r: float) -> KfState:
-    """One predict/update cycle of the scalar Kalman filter."""
-    if q < 0 or r <= 0:
+def kf_step(state: KfState, z, q, r) -> KfState:
+    """One Kalman predict/update cycle on every channel; z, q and r are
+    scalars or one value per channel."""
+    if np.less(q, 0).any() or np.less_equal(r, 0).any():
         raise ValueError("need q >= 0 and r > 0")
     p = state.p + q
     gain = p / (p + r)
@@ -167,32 +174,45 @@ def kf_step(state: KfState, z: float, q: float, r: float) -> KfState:
     return KfState(x, p)
 
 
-def ukf_step(state: KfState, z: float, q: float, r: float) -> KfState:
-    """One scalar unscented update.
+def _sigma_points(mean, var) -> np.ndarray:
+    """Each channel's sigma points in a row of four (the fourth repeats the
+    first): like a fresh 3-point array, each row starts 16-byte aligned."""
+    spread = np.sqrt(_UKF_C * var)
+    return np.stack([mean, mean + spread, mean - spread, mean], axis=-1)
+
+
+def _weighted(w: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Each channel's w @ pts[i, :3] as the scalar w @ chi's BLAS dot under
+    any kernel: weights first (points first or np.vecdot may round
+    differently), on a 16-byte aligned row (OpenBLAS Prescott needs it)."""
+    return (w @ pts[..., :3, None])[..., 0]
+
+
+def ukf_step(state: KfState, z, q, r) -> KfState:
+    """One unscented update on every channel; z, q and r as in kf_step.
 
     Sigma points are propagated through the (identity) process and measurement
     models and the moments recomputed from weighted sums, so on this linear
     model the result agrees with kf_step to floating-point cancellation.
     """
-    if q < 0 or r <= 0:
+    if np.less(q, 0).any() or np.less_equal(r, 0).any():
         raise ValueError("need q >= 0 and r > 0")
-    c, wm, wc = _UKF_C, _UKF_WM, _UKF_WC
+    wm, wc = _UKF_WM, _UKF_WC
 
-    spread = math.sqrt(c * state.p)
-    chi = np.array([state.x_hat, state.x_hat + spread, state.x_hat - spread])
+    chi = _sigma_points(state.x_hat, state.p)
     # identity dynamics; recompute predicted moments from the points
-    x_pred = float(wm @ chi)
-    p_pred = float(wc @ (chi - x_pred) ** 2) + q
-    if not p_pred > 0:
-        raise ValueError(f"ukf_step: predicted variance {p_pred!r} is not "
-                         "positive")
+    x_pred = _weighted(wm, chi)
+    p_pred = _weighted(wc, (chi - x_pred[..., None]) ** 2) + q
+    if not (p_pred > 0).all():
+        i = int(np.argmin(p_pred > 0))  # the first failing channel
+        raise ValueError(f"ukf_step: channel {i} predicted variance "
+                         f"{float(p_pred.flat[i])!r} is not positive")
 
-    spread = math.sqrt(c * p_pred)
-    chi = np.array([x_pred, x_pred + spread, x_pred - spread])
-    zeta = chi  # identity measurement model
-    z_pred = float(wm @ zeta)
-    s = float(wc @ (zeta - z_pred) ** 2) + r
-    cross = float(wc @ ((chi - x_pred) * (zeta - z_pred)))
+    chi = _sigma_points(x_pred, p_pred)  # zeta = chi: identity measurement
+    z_pred = _weighted(wm, chi)
+    dz = chi - z_pred[..., None]
+    s = _weighted(wc, dz ** 2) + r
+    cross = _weighted(wc, (chi - x_pred[..., None]) * dz)
     gain = cross / s
     x = x_pred + gain * (z - z_pred)
     p = p_pred - gain * s * gain
@@ -303,11 +323,12 @@ def _start_cloud(cfg: FilterConfig, i: int,
     return PfState(particles, np.full(m, 1.0 / m)), rng
 
 
-def start_filter(cfg: FilterConfig, z: np.ndarray) -> tuple[tuple, np.ndarray]:
+def start_filter(cfg: FilterConfig,
+                 z: np.ndarray) -> tuple[KfState | tuple, np.ndarray]:
     """Start every channel's filter at the first scan z: (state, estimate).
 
-    The state has one entry per channel: for KF/UKF a KfState at the
-    observation with p0 = r_i; for PF the channel's first cloud, its
+    For KF/UKF the state is one KfState at the observation with p0 = r; for
+    PF it has one entry per channel: the channel's first cloud, its
     generator, and that generator's bit state after the draw. Method 'none'
     keeps no state and passes z through.
     """
@@ -315,8 +336,8 @@ def start_filter(cfg: FilterConfig, z: np.ndarray) -> tuple[tuple, np.ndarray]:
         return (), z
     _check_bound(cfg, len(z))
     if cfg.method != "pf":
-        return (tuple(KfState(float(z_i), float(r_i))
-                      for z_i, r_i in zip(z, cfg.r)), z.copy())
+        state = KfState(z, cfg.r)
+        return state, state.x_hat
     state = []
     for i in range(len(z)):
         cloud, rng = _start_cloud(cfg, i, float(z[i]))
@@ -324,8 +345,8 @@ def start_filter(cfg: FilterConfig, z: np.ndarray) -> tuple[tuple, np.ndarray]:
     return tuple(state), np.array([entry[0].estimate for entry in state])
 
 
-def step_filter(cfg: FilterConfig, state: tuple,
-                z: np.ndarray) -> tuple[tuple, np.ndarray]:
+def step_filter(cfg: FilterConfig, state: KfState | tuple,
+                z: np.ndarray) -> tuple[KfState | tuple, np.ndarray]:
     """Advance every channel by one scan z: (new state, estimate).
 
     The result depends only on the given state and z, and that state stays
@@ -336,9 +357,9 @@ def step_filter(cfg: FilterConfig, state: tuple,
     """
     if cfg.method == "none":
         return state, z
-    out = np.empty(len(z))
-    new = []
     if cfg.method == "pf":
+        out = np.empty(len(z))
+        new = []
         for i, (cloud, rng, bits) in enumerate(state):
             rng.bit_generator.state = bits
             cloud = pf_step(cloud, float(z[i]), float(cfg.r[i]),
@@ -346,15 +367,9 @@ def step_filter(cfg: FilterConfig, state: tuple,
             new.append((cloud, rng, rng.bit_generator.state))
             out[i] = cloud.estimate
         return tuple(new), out
-    for i, s in enumerate(state):
-        r = float(cfg.r[i])
-        if cfg.method == "kf":
-            s = kf_step(s, float(z[i]), cfg.gamma * r, r)
-        else:
-            s = ukf_step(s, float(z[i]), cfg.gamma * r, r)
-        new.append(s)
-        out[i] = s.x_hat
-    return tuple(new), out
+    step = kf_step if cfg.method == "kf" else ukf_step
+    state = step(state, z, cfg.gamma * cfg.r, cfg.r)
+    return state, state.x_hat
 
 
 def filter_stream(series: np.ndarray, cfg: FilterConfig) -> np.ndarray:

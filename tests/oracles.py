@@ -10,11 +10,12 @@ afresh at every node for random-forest training.
 
 The reference_* functions further down are the library's earlier one-cloud,
 loop-based persistence features, its out-of-place particle-filter step
-with binary-search resampling, and its per-row evidence fusion (masses,
+with binary-search resampling, its scalar Kalman and unscented steps on one
+channel in Python floats, and its per-row evidence fusion (masses,
 Dempster's rule, point, nearest-centroid distance), and its per-sample
 survey synthesis, stratified split, fold assignment and CSV writer. The
-batched and in-place versions must equal them bit for bit, random draws
-included.
+batched, array-backed and in-place versions must equal them bit for bit,
+random draws included.
 """
 
 from __future__ import annotations
@@ -392,6 +393,62 @@ def reference_pf_step(particles, weights, z, r, tau, predict_sigma, rng):
         particles = reference_systematic_resample(particles, weights, rng)
         weights = np.full(m, 1.0 / m)
     return particles, weights, degenerate
+
+
+# The scalar unscented transform's spread and weights, n = 1.
+_UKF_ALPHA, _UKF_KAPPA, _UKF_BETA = 1e-3, 0.0, 2.0
+_UKF_LAM = _UKF_ALPHA ** 2 * (1.0 + _UKF_KAPPA) - 1.0
+_UKF_C = 1.0 + _UKF_LAM
+_UKF_WM = np.array([_UKF_LAM / _UKF_C, 0.5 / _UKF_C, 0.5 / _UKF_C])
+_UKF_WC = _UKF_WM.copy()
+_UKF_WC[0] += 1.0 - _UKF_ALPHA ** 2 + _UKF_BETA
+
+
+def _reference_posterior(x_hat: float, p: float) -> tuple[float, float]:
+    if not p > 0:
+        raise ValueError("state variance must be positive")
+    return x_hat, p
+
+
+def reference_kf_step(x_hat: float, p: float, z: float, q: float,
+                      r: float) -> tuple[float, float]:
+    """One scalar Kalman predict/update cycle in Python floats: (x_hat, p)."""
+    if q < 0 or r <= 0:
+        raise ValueError("need q >= 0 and r > 0")
+    p = p + q
+    gain = p / (p + r)
+    x = x_hat + gain * (z - x_hat)
+    p = (1.0 - gain) * p
+    return _reference_posterior(x, p)
+
+
+def reference_ukf_step(x_hat: float, p: float, z: float, q: float,
+                       r: float) -> tuple[float, float]:
+    """One scalar unscented update, one 3-element sigma-point array at a
+    time: (x_hat, p)."""
+    if q < 0 or r <= 0:
+        raise ValueError("need q >= 0 and r > 0")
+    c, wm, wc = _UKF_C, _UKF_WM, _UKF_WC
+
+    spread = math.sqrt(c * p)
+    chi = np.array([x_hat, x_hat + spread, x_hat - spread])
+    # identity dynamics; recompute predicted moments from the points
+    x_pred = float(wm @ chi)
+    p_pred = float(wc @ (chi - x_pred) ** 2) + q
+    if not p_pred > 0:
+        raise ValueError(f"ukf_step: predicted variance {p_pred!r} is not "
+                         "positive")
+
+    spread = math.sqrt(c * p_pred)
+    chi = np.array([x_pred, x_pred + spread, x_pred - spread])
+    zeta = chi  # identity measurement model
+    z_pred = float(wm @ zeta)
+    s = float(wc @ (zeta - z_pred) ** 2) + r
+    cross = float(wc @ ((chi - x_pred) * (zeta - z_pred)))
+    gain = cross / s
+    x = x_pred + gain * (z - z_pred)
+    p = p_pred - gain * s * gain
+    return _reference_posterior(x, p)
 
 
 def reference_masses(x, y, centroids, alpha, theta_discount) -> np.ndarray:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import reference_pf_step, reference_systematic_resample  # noqa: E402
+from oracles import (reference_kf_step, reference_pf_step,  # noqa: E402
+                     reference_systematic_resample, reference_ukf_step)
 
 from fpfuse.filters import (FilterConfig, KfState, PfState,
                             _start_cloud, effective_sample_size,
@@ -269,6 +270,89 @@ class TestChannelMajorStream:
             filter_stream(np.zeros((4, 1)), cfg)
         with pytest.raises(ValueError, match="seed must be bound"):
             start_filter(cfg, np.zeros(1))
+
+
+def _outcome(fn):
+    """fn()'s result, or the type of the ValueError it raised."""
+    try:
+        return fn()
+    except ValueError:
+        return ValueError
+
+
+class TestArrayStateMatchesReference:
+    """One KfState of (d,) arrays steps every channel in one elementwise
+    pass; each channel equals the scalar reference steps bit for bit."""
+
+    @staticmethod
+    def reference(method):
+        return reference_kf_step if method == "kf" else reference_ukf_step
+
+    def reference_stream(self, series, cfg):
+        step = self.reference(cfg.method)
+        out = np.empty_like(series)
+        for i, column in enumerate(series.T.tolist()):
+            r = float(cfg.r[i])
+            x, p = column[0], r
+            out[0, i] = x
+            for t in range(1, len(column)):
+                x, p = step(x, p, column[t], cfg.gamma * r, r)
+                out[t, i] = x
+        return out
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(["kf", "ukf"]),
+           t=st.integers(1, 30), d=st.integers(1, 12),
+           r_scale=st.sampled_from([1e-6, 1e-3, 1.0, 25.0]),
+           gamma=st.sampled_from([0.0, 1e-3, 0.5, 2.0]),
+           p_low=st.sampled_from([1e-12, 1e-6, 1.0]))
+    def test_equals_per_channel_reference(self, seed, method, t, d, r_scale,
+                                          gamma, p_low):
+        rng = np.random.default_rng(seed)
+        series = rng.normal(0.0, 2.0, size=(t, d))
+        cfg = FilterConfig(method, gamma, r=r_scale * rng.uniform(0.5, 2.0, d))
+        expect = self.reference_stream(series, cfg).tobytes()
+        assert filter_stream(series, cfg).tobytes() == expect
+        assert _replay(series, cfg)[0].tobytes() == expect
+
+        # any state: variances from p_low up, stepped as d channels and as
+        # the scalar (0-d) case of the same functions
+        x0 = rng.normal(0.0, 2.0, d)
+        p0 = p_low * 10.0 ** rng.uniform(0.0, 2.0, d)
+        z = series[-1]
+        step = self.reference(method)
+        want = [_outcome(lambda i=i: step(x0[i], p0[i], z[i],
+                                          cfg.gamma * cfg.r[i], cfg.r[i]))
+                for i in range(d)]
+        got = _outcome(lambda: step_filter(cfg, KfState(x0, p0), z)[0])
+        if ValueError in want:
+            assert got is ValueError
+            return
+        assert got.x_hat.tobytes() == np.array([w[0] for w in want]).tobytes()
+        assert got.p.tobytes() == np.array([w[1] for w in want]).tobytes()
+        one = (kf_step if method == "kf" else ukf_step)(
+            KfState(x0[0], p0[0]), z[0], cfg.gamma * cfg.r[0], cfg.r[0])
+        assert one.x_hat.shape == one.p.shape == ()
+        assert np.array([one.x_hat, one.p]).tobytes() == np.array(want[0]).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 12))
+    def test_vanishing_variance_names_the_first_channel(self, seed, d):
+        # the smallest subnormal variance underflows in the sigma spread, so
+        # with q = 0 the predicted variance is exactly 0
+        rng = np.random.default_rng(seed)
+        vanish = rng.random(d) < 0.4
+        vanish[rng.integers(d)] = True
+        first = int(np.argmax(vanish))
+        p = np.where(vanish, 5e-324, rng.uniform(0.1, 2.0, d))
+        cfg = FilterConfig("ukf", 0.0, r=rng.uniform(0.5, 2.0, d))
+        for i in range(d):
+            step = _outcome(lambda i=i: reference_ukf_step(
+                0.0, p[i], 2.0, 0.0, cfg.r[i]))
+            assert (step is ValueError) == vanish[i]
+        with pytest.raises(ValueError,
+                           match=f"^ukf_step: channel {first} predicted"):
+            step_filter(cfg, KfState(np.zeros(d), p), np.full(d, 2.0))
 
 
 class _Offset:

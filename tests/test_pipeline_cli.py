@@ -563,6 +563,33 @@ class TestScanContract:
         assert rc == 2
         assert "channel 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["dst", "convex"])
+    @pytest.mark.parametrize("lam", [2.0, -0.1, float("nan")])
+    def test_bad_convex_lambda_leaves_session_as_it_was(self, artifact, mode,
+                                                        lam):
+        scans = np.random.default_rng(6).uniform(-80, -40, size=(3, 6))
+        never_bad = PredictorSession(artifact)
+        expected = [outputs(never_bad.predict(s, mode)) for s in scans]
+        session = PredictorSession(artifact)
+        got = [outputs(session.predict(scans[0], mode))]
+        state = session._filter_state
+        with pytest.raises(ValueError, match="convex_lambda"):
+            session.predict(scans[1], mode, convex_lambda=lam)
+        assert session._filter_state is state
+        got += [outputs(session.predict(s, mode)) for s in scans[1:]]
+        assert got == expected
+
+    @pytest.mark.parametrize("lam", ["2", "-0.1", "nan"])
+    def test_cli_bad_lambda_exits_2(self, artifact, tmp_path, capsys, lam):
+        art_path = tmp_path / "artifact.json"
+        save_artifact(artifact, art_path)
+        rc = cli.main(["predict", "--artifact", str(art_path),
+                       "--scan=-60,-61,-62,-63,-64,-65", "--fusion", "convex",
+                       f"--lambda={lam}"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--lambda" in err and "internal error" not in err
+
 
 class TestTotalConflict:
     """Two sources in total Dempster conflict (theta_discount 0 leaves no
@@ -683,6 +710,10 @@ class TestBench:
         assert rep["pf_vs_kf_ratio"] > 1.0
         assert "n_particles" in rep["scaling"]
         assert "n_cells" in rep["scaling"]
+
+    def test_needs_a_query(self, artifact):
+        with pytest.raises(ValueError, match="n_queries"):
+            bench_pipeline(artifact, n_queries=0)
 
     def test_identity_filter_stage_sub_microsecond(self):
         art = fit_pipeline(small_data(), small_cfg(
@@ -811,6 +842,15 @@ class TestCli:
                        "--queries", "5", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "bench.json").exists()
+
+    def test_bench_without_queries_exits_2(self, tmp_path, artifact, capsys):
+        art_path = tmp_path / "artifact.json"
+        save_artifact(artifact, art_path)
+        rc = cli.main(["bench", "--artifact", str(art_path),
+                       "--queries", "0", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--queries" in err and "internal error" not in err
 
     def test_predict_scans_file_stream(self, tmp_path, artifact, capsys):
         art_path = tmp_path / "artifact.json"
