@@ -26,8 +26,8 @@ from .preprocess import (ChannelVariances, NormStats, apply_norm,
                          fit_channel_variances, fit_norm_stats,
                          normalize_matrix)
 from .regress import (KnnIndex, RfConfig, RfModel, build_knn_index,
-                      predict_rf, predict_wknn, train_rf)
-from .topo import (PersistenceDiagram, PhFeatures, augment, embed_curve,
-                   ph_features, vr_persistence)
+                      predict_wknn, train_rf)
+from .topo import (PersistenceDiagram, augment, embed_curve, ph_features,
+                   vr_persistence)
 
 __version__ = "0.1.0"

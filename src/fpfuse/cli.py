@@ -1,5 +1,5 @@
-"""Command-line surface: fit, predict, ablate, noise-sweep, bench, synth,
-export-belief-map.
+"""Command-line surface: fit, predict, ablate, noise-sweep, bench, synth.
+`predict --belief-map` also writes the fused belief map (PGM and CSV).
 
 Exit codes: 0 success, 1 internal error, 2 usage, input or I/O problem
 (including a rejected scan, an artifact that does not load, and a total
@@ -157,11 +157,13 @@ def cmd_predict(args) -> int:
         res = session.predict(scan, fusion_mode=args.fusion,
                               convex_lambda=args.convex_lambda,
                               keep_bba=bool(args.belief_map))
-        print(json.dumps({"x": res.position.x, "y": res.position.y,
-                          "confidence": res.fused_confidence}))
+        line = {"x": res.position.x, "y": res.position.y,
+                "confidence": res.fused_confidence}
         if args.belief_map:
-            pl.write_belief_map(res.bba, artifact.grid, args.belief_map,
-                                str(args.belief_map) + ".csv")
+            line["argmax_cell"], _ = pl.write_belief_map(
+                res.bba, artifact.grid, args.belief_map,
+                str(args.belief_map) + ".csv")
+        print(json.dumps(line))
     return EXIT_OK
 
 
@@ -237,18 +239,6 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def cmd_export_belief_map(args) -> int:
-    artifact = pl.load_artifact(args.artifact)
-    scan = _parse_scan(args.scan)
-    out = _out_dir(args)
-    pgm = out / (args.name or "belief.pgm")
-    cell, pos = pl.export_belief_map(artifact, scan, pgm,
-                                     csv_path=str(pgm) + ".csv")
-    print(json.dumps({"pgm": str(pgm), "argmax_cell": cell,
-                      "x": pos.x, "y": pos.y}))
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fpfuse",
@@ -282,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="keep filter state across scans")
     sp.add_argument("--fusion", choices=pl.FUSION_MODES, default=None)
     sp.add_argument("--lambda", dest="convex_lambda", type=float, default=None)
-    sp.add_argument("--belief-map", help="write the fused belief map (PGM)")
+    sp.add_argument("--belief-map", help="write the fused belief map (PGM, "
+                    "plus CSV at PATH.csv) and print its argmax cell")
     sp.set_defaults(fn=cmd_predict)
 
     sp = sub.add_parser("ablate", help="run the four-variant ablation ladder")
@@ -300,13 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--artifact", required=True)
     sp.add_argument("--queries", type=int, default=50)
     sp.set_defaults(fn=cmd_bench)
-
-    sp = sub.add_parser("export-belief-map", help="belief map for one scan")
-    common(sp)
-    sp.add_argument("--artifact", required=True)
-    sp.add_argument("--scan", required=True)
-    sp.add_argument("--name")
-    sp.set_defaults(fn=cmd_export_belief_map)
     return p
 
 

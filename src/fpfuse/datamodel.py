@@ -82,9 +82,6 @@ class Position:
     def xy(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
 
-    def distance_to(self, other: "Position") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 def _first_invalid(rss: np.ndarray, xy: np.ndarray, bounds: Bounds | None):
     """(row, description) of the first invalid entry, or None. RSS values
@@ -174,11 +171,6 @@ class RadioMap:
         order = np.argsort(self.rp, kind="stable")
         ids, starts = np.unique(self.rp[order], return_index=True)
         return list(zip(ids.tolist(), np.split(order, starts[1:])))
-
-    def by_rp(self) -> dict[int, list[int]]:
-        """Sample indices grouped by reference point, in stored order."""
-        groups = sorted(self.rp_rows(), key=lambda g: g[1][0])
-        return {rp: rows.tolist() for rp, rows in groups}
 
 
 @dataclass(frozen=True)

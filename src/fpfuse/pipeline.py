@@ -1,5 +1,5 @@
-"""End-to-end pipeline: calibration to a JSON artifact, per-scan prediction,
-and the latency benchmark.
+"""End-to-end pipeline: calibration to a JSON artifact, per-scan prediction
+and belief maps, and the latency benchmark.
 
 One fit step and one locate step, shared by fit, ladder and session:
 evaluate.fit_regressors fits the PH stats, forest and kNN index of a feature
@@ -7,7 +7,8 @@ space, and evaluate.locate turns filtered rows into the two sources'
 positions. A session keeps the state of the filters' start_filter/step_filter
 pair, locates each scan as a batch of one, and fuses it with the DST step
 fuse_rows runs (evaluate._fuse_distances), so a streamed session and the
-batch evaluation agree bit for bit.
+batch evaluation agree bit for bit. A scan's belief map is the fused DST mass
+a session keeps on request (keep_bba), written by write_belief_map.
 
 The artifact stores everything a deployment needs (normalization statistics,
 metric variances, filter covariances, the forest's node table, the kNN
@@ -569,13 +570,6 @@ def write_belief_map(bba: Bba, grid: GridSpec, pgm_path,
     return argmax_belief(bba, grid)
 
 
-def export_belief_map(artifact: PipelineArtifact, raw_scan, pgm_path,
-                      csv_path=None) -> tuple[int, Position]:
-    """Write the fused belief map for one scan; returns the argmax cell."""
-    res = predict_one(artifact, raw_scan, keep_bba=True)
-    return write_belief_map(res.bba, artifact.grid, pgm_path, csv_path)
-
-
 # ---------------------------------------------------------------------------
 # latency benchmark (per-update cost model validation)
 # ---------------------------------------------------------------------------
@@ -594,7 +588,8 @@ def bench_pipeline(artifact: PipelineArtifact, n_queries: int = 50,
     """Median per-stage latency plus log-log scaling slopes in the number of
     trees, particles, and grid cells (each varied alone). A slope fits the
     fastest of each size's repeated timings, which another process on the
-    host can only slow down."""
+    host can only slow down. pf_ns and kf_ns are per-channel update costs:
+    one pf_step, and one d-channel kf_step divided by d."""
     if n_queries < 1:
         raise ValueError(f"n_queries must be >= 1, got {n_queries}")
     rng = np.random.default_rng(seed)
@@ -669,10 +664,13 @@ def bench_pipeline(artifact: PipelineArtifact, n_queries: int = 50,
     report["scaling"]["n_cells"] = _loglog_slope([g.n_cells for g in grids],
                                                  lat)
 
-    # PF-vs-KF per-update cost at the artifact's particle count
+    # PF-vs-KF per-channel update cost at the artifact's particle count; a
+    # KF step moves all d channels of one KfState, as a session's does
     pf_ns = _time_stage(pf_step_once(a.filter_cfg.n_particles), n_queries)
-    kf_state = KfState(0.0, 1.0)
-    kf_ns = _time_stage(lambda: kf_step(kf_state, 0.1, 0.5, 1.0), n_queries)
+    r = a.filter_cfg.r
+    kf_state, q = KfState(z0, r), a.filter_cfg.gamma * r
+    kf_ns = _time_stage(lambda: kf_step(kf_state, z_all[-1], q, r),
+                        n_queries) / a.d
     report["pf_vs_kf_ratio"] = pf_ns / max(kf_ns, 1.0)
     report["pf_ns"] = pf_ns
     report["kf_ns"] = kf_ns

@@ -522,12 +522,6 @@ def train_rf(X: np.ndarray, Y: np.ndarray, config: RfConfig = RfConfig()) -> RfM
                    right, leaf_xy, offsets)
 
 
-def predict_rf(model: RfModel, x: np.ndarray) -> Position:
-    """Unweighted mean of the per-tree leaf means, per coordinate."""
-    out = model.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))[0]
-    return Position(float(out[0]), float(out[1]))
-
-
 @dataclass(frozen=True, eq=False)
 class KnnIndex:
     """Exact k-nearest index over variance-scaled fingerprints."""

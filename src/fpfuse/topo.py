@@ -49,23 +49,6 @@ class PersistenceDiagram:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
-class PhFeatures:
-    """The four topological scalars: [count_h0, entropy_h0, count_h1, entropy_h1]."""
-
-    nop0: int
-    pe0: float
-    nop1: int
-    pe1: float
-
-    def __post_init__(self):
-        if self.nop0 < 0 or self.nop1 < 0 or self.pe0 < 0 or self.pe1 < 0:
-            raise ValueError("counts and entropies are non-negative")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.nop0, self.pe0, self.nop1, self.pe1], dtype=float)
-
-
 def embed_curve(f_norm: np.ndarray) -> np.ndarray:
     """Lift a d-vector to the d planar points (i, f_i), i starting at 1."""
     f = np.asarray(f_norm, dtype=float)
@@ -202,11 +185,12 @@ def _row_entropies(lengths: np.ndarray) -> np.ndarray:
     return -(p * np.log(p)).sum(axis=1)
 
 
-def ph_features(diagram: PersistenceDiagram) -> PhFeatures:
-    """Counts and persistence entropies; zero-length bars do not enter the entropy."""
+def ph_features(diagram: PersistenceDiagram) -> np.ndarray:
+    """The descriptor row [count_h0, entropy_h0, count_h1, entropy_h1], (4,);
+    zero-length bars do not enter the entropy."""
     pe0 = _entropy(diagram.h0[:, 1] - diagram.h0[:, 0]) if diagram.h0.size else 0.0
     pe1 = _entropy(diagram.h1[:, 1] - diagram.h1[:, 0]) if diagram.h1.size else 0.0
-    return PhFeatures(len(diagram.h0), pe0, len(diagram.h1), pe1)
+    return np.array([len(diagram.h0), pe0, len(diagram.h1), pe1])
 
 
 # Rows per pass are capped so that no per-pass array holds more than about
@@ -251,19 +235,19 @@ def features_matrix(F_norm: np.ndarray) -> np.ndarray:
     return out
 
 
-def features_for_vector(f_norm: np.ndarray) -> PhFeatures:
-    """The descriptors of one normalized vector: features_matrix's one-row case."""
+def features_for_vector(f_norm: np.ndarray) -> np.ndarray:
+    """The (4,) descriptor row of one normalized vector: features_matrix's
+    one-row case."""
     f = np.asarray(f_norm, dtype=float)
     if f.ndim != 1 or f.size < 2:
         raise ValueError("need a 1-D vector with at least 2 entries")
-    nop0, pe0, nop1, pe1 = features_matrix(f[None, :])[0].tolist()
-    return PhFeatures(int(nop0), pe0, int(nop1), pe1)
+    return features_matrix(f[None, :])[0]
 
 
-def augment(f_norm: np.ndarray, feats: PhFeatures,
+def augment(f_norm: np.ndarray, feats: np.ndarray,
             feat_stats: NormStats) -> np.ndarray:
-    """Append the z-scored topological descriptors to the normalized vector."""
+    """Append the z-scored (4,) descriptor row to the normalized vector."""
     if feat_stats.d != 4:
         raise ValueError("feature stats must cover exactly the 4 descriptors")
-    z = (feats.as_array() - feat_stats.mu) / feat_stats.sigma
+    z = (np.asarray(feats, dtype=float) - feat_stats.mu) / feat_stats.sigma
     return np.concatenate([np.asarray(f_norm, dtype=float), z])

@@ -318,9 +318,10 @@ class TestMatchesPerSampleReference:
         # RPs out of order and interleaved, as a hand-made CSV may have them
         rp = np.array([3, 1, 3, 7, 1, 1, 3, 7, 7, 1, 3, 7] * 3)
         rmap = radio_map([[-50.0, -60.0]] * rp.size, rp=rp)
-        groups = rmap.by_rp()
-        assert list(groups) == [3, 1, 7]
-        assert groups == {r: np.flatnonzero(rp == r).tolist() for r in (1, 3, 7)}
+        groups = rmap.rp_rows()
+        assert [r for r, _ in groups] == [1, 3, 7]
+        for r, rows in groups:
+            assert rows.tolist() == np.flatnonzero(rp == r).tolist()
         for seed in range(5):
             parts = stratified_split(rmap, SplitSpec((0.5, 0.25, 0.25), seed))
             expect = reference_stratified_split(rp, (0.5, 0.25, 0.25), seed)

@@ -22,8 +22,8 @@ from fpfuse.fuse import (ConflictError, confidences, write_belief_csv,
                          write_belief_pgm)
 from fpfuse.pipeline import (ArtifactError, PipelineConfig, PredictorSession,
                              ScanError, StageError, bench_pipeline,
-                             export_belief_map, fit_pipeline, load_artifact,
-                             predict_one, save_artifact)
+                             fit_pipeline, load_artifact, predict_one,
+                             save_artifact, write_belief_map)
 from fpfuse.preprocess import ChannelVariances, NormStats, normalize_matrix
 from fpfuse.regress import (RfConfig, build_knn_index, predict_wknn_batch,
                             train_rf)
@@ -482,11 +482,15 @@ class TestPredict:
         assert (streamed[0].x, streamed[0].y) == (oneshot[0].x, oneshot[0].y)
         assert (streamed[2].x, streamed[2].y) != (oneshot[2].x, oneshot[2].y)
 
-    def test_belief_export_consistent(self, artifact, tmp_path):
-        scan = np.full(6, -58.0)
+    def test_belief_export_consistent(self, artifact, tmp_path, capsys):
+        art_path = tmp_path / "artifact.json"
+        save_artifact(artifact, art_path)
         pgm = tmp_path / "map.pgm"
-        cell, pos = export_belief_map(artifact, scan, pgm,
-                                      csv_path=tmp_path / "map.csv")
+        rc = cli.main(["predict", "--artifact", str(art_path),
+                       "--scan=" + ",".join(["-58.0"] * 6),
+                       "--belief-map", str(pgm)])
+        assert rc == 0
+        cell = json.loads(capsys.readouterr().out)["argmax_cell"]
         lines = pgm.read_text().splitlines()
         pixels = [int(v) for row in lines[3:] for v in row.split()]
         assert pixels.index(max(pixels)) == cell
@@ -863,6 +867,7 @@ class TestCli:
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert len(lines) == 2
         assert all(np.isfinite([l["x"], l["y"]]).all() for l in lines)
+        assert all("argmax_cell" not in l for l in lines)  # no --belief-map
 
     def test_predict_stream_belief_map_follows_session(self, tmp_path,
                                                        artifact):
@@ -888,17 +893,35 @@ class TestCli:
         assert (tmp_path / "cli.pgm.csv").read_bytes() == \
             (tmp_path / "want.csv").read_bytes()
 
-    def test_export_belief_map_command(self, tmp_path, artifact, capsys):
+    def test_predict_scan_belief_map_command(self, tmp_path, artifact,
+                                             capsys):
+        # the map of a one-shot scan: a fresh session's kept DST mass
         art_path = tmp_path / "artifact.json"
         save_artifact(artifact, art_path)
-        rc = cli.main(["export-belief-map", "--artifact", str(art_path),
-                       "--scan=-60,-61,-62,-63,-64,-65",
-                       "--out", str(tmp_path), "--name", "m.pgm"])
+        scan = np.array([-60.0, -61, -62, -63, -64, -65])
+        rc = cli.main(["predict", "--artifact", str(art_path),
+                       "--scan=" + ",".join(map(str, scan)),
+                       "--belief-map", str(tmp_path / "m.pgm")])
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
-        assert (tmp_path / "m.pgm").exists()
-        assert (tmp_path / "m.pgm.csv").exists()
-        assert 0 <= payload["argmax_cell"] < artifact.grid.n_cells
+        payload = json.loads(capsys.readouterr().out)
+        res = predict_one(load_artifact(art_path), scan, keep_bba=True)
+        cell, _ = write_belief_map(res.bba, artifact.grid,
+                                   tmp_path / "want.pgm", tmp_path / "want.csv")
+        assert (tmp_path / "m.pgm").read_bytes() == \
+            (tmp_path / "want.pgm").read_bytes()
+        assert (tmp_path / "m.pgm.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
+        assert payload["argmax_cell"] == cell
+        assert 0 <= cell < artifact.grid.n_cells
+        assert (payload["x"], payload["y"]) == (res.position.x,
+                                                res.position.y)
+
+    def test_export_belief_map_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["export-belief-map", "--artifact", "a.json",
+                      "--scan=-60,-61"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'export-belief-map'" in capsys.readouterr().err
 
 
 class TestModeVariants:

@@ -16,8 +16,8 @@ from oracles import (brute_force_knn, forest_walk, kdtree_knn,  # noqa: E402
 from fpfuse import pipeline, regress  # noqa: E402
 from fpfuse.preprocess import ChannelVariances  # noqa: E402
 from fpfuse.regress import (RfConfig, RfModel, build_knn_index,  # noqa: E402
-                            predict_rf, predict_wknn, predict_wknn_batch,
-                            query_knn, train_rf)
+                            predict_wknn, predict_wknn_batch, query_knn,
+                            train_rf)
 
 
 def tree_records(model):
@@ -74,8 +74,8 @@ class TestRandomForest:
         X = np.array([[0.0, 1.0], [0.0, 1.0]])
         Y = np.array([[2.5, 3.5], [2.5, 3.5]])
         model = train_rf(X, Y, RfConfig(n_trees=5, seed=0))
-        p = predict_rf(model, np.array([0.0, 1.0]))
-        assert (p.x, p.y) == (2.5, 3.5)
+        p = model.predict_batch(np.array([[0.0, 1.0]]))
+        assert p.tolist() == [[2.5, 3.5]]
 
     def test_xor_layout_memorized_at_depth_two(self):
         # each corner appears 8 times so bootstraps keep all four corners;

@@ -13,7 +13,7 @@ from oracles import (reference_features, reference_vr_persistence,  # noqa: E402
 
 from fpfuse import topo  # noqa: E402
 from fpfuse.preprocess import fit_zscore_stats  # noqa: E402
-from fpfuse.topo import (PersistenceDiagram, PhFeatures, augment, embed_curve,  # noqa: E402
+from fpfuse.topo import (PersistenceDiagram, augment, embed_curve,  # noqa: E402
                          features_for_vector, features_matrix, ph_features,
                          vr_persistence)
 
@@ -104,31 +104,32 @@ class TestPersistence:
 class TestFeatures:
     def test_equal_bars_uniform_entropy(self):
         diag = PersistenceDiagram(np.array([[0.0, 1.0]] * 3), np.empty((0, 2)))
-        feats = ph_features(diag)
-        assert feats.nop0 == 3
-        assert feats.pe0 == pytest.approx(math.log(3.0), abs=1e-12)
+        feats = ph_features(diag)  # [count_h0, entropy_h0, count_h1, entropy_h1]
+        assert feats.shape == (4,)
+        assert feats[0] == 3
+        assert feats[1] == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_single_bar_zero_entropy(self):
         diag = PersistenceDiagram(np.array([[0.0, 2.0]]), np.empty((0, 2)))
-        assert ph_features(diag).pe0 == 0.0
+        assert ph_features(diag)[1] == 0.0
 
     def test_quarter_three_quarter_entropy(self):
         diag = PersistenceDiagram(np.array([[0.0, 1.0], [0.0, 3.0]]),
                                   np.empty((0, 2)))
-        assert ph_features(diag).pe0 == pytest.approx(0.5623351446188083,
-                                                      abs=1e-12)
+        assert ph_features(diag)[1] == pytest.approx(0.5623351446188083,
+                                                     abs=1e-12)
 
     def test_zero_length_bars_dropped_from_entropy_only(self):
         diag = PersistenceDiagram(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
                                   np.empty((0, 2)))
         feats = ph_features(diag)
-        assert feats.nop0 == 3
-        assert feats.pe0 == pytest.approx(math.log(2.0), abs=1e-12)
+        assert feats[0] == 3
+        assert feats[1] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_empty_h1(self):
         diag = PersistenceDiagram(np.array([[0.0, 1.0]]), np.empty((0, 2)))
         feats = ph_features(diag)
-        assert feats.nop1 == 0 and feats.pe1 == 0.0
+        assert feats[2] == 0 and feats[3] == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 5000), scale=st.floats(0.1, 50.0))
@@ -137,9 +138,9 @@ class TestFeatures:
         cloud = rng.normal(size=(7, 2))
         a = ph_features(vr_persistence(cloud))
         b = ph_features(vr_persistence(cloud * scale))
-        assert a.nop0 == b.nop0 and a.nop1 == b.nop1
-        assert a.pe0 == pytest.approx(b.pe0, abs=1e-9)
-        assert a.pe1 == pytest.approx(b.pe1, abs=1e-9)
+        assert a[0] == b[0] and a[2] == b[2]
+        assert a[1] == pytest.approx(b[1], abs=1e-9)
+        assert a[3] == pytest.approx(b[3], abs=1e-9)
 
 
 class TestAugment:
@@ -147,12 +148,9 @@ class TestAugment:
         rng = np.random.default_rng(1)
         feats_train = features_matrix(rng.normal(size=(20, 6)))
         stats = fit_zscore_stats(feats_train)
-        mean_feats = PhFeatures(int(round(stats.mu[0])), stats.mu[1],
-                                int(round(stats.mu[2])), stats.mu[3])
-        out = augment(np.zeros(6), mean_feats, stats)
+        out = augment(np.zeros(6), stats.mu, stats)
         assert len(out) == 10
-        # integer rounding of the counts can shift the first and third slots
-        assert out[7] == pytest.approx(0.0, abs=1e-9)
+        assert np.array_equal(out[6:], np.zeros(4))
 
     def test_output_length(self):
         rng = np.random.default_rng(2)
@@ -198,7 +196,8 @@ class TestBatchedMatchesReference:
                          decimals)
         expect = np.array([reference_features(row) for row in F])
         assert features_matrix(F).tobytes() == expect.tobytes()
-        one = features_for_vector(F[-1]).as_array()
+        one = features_for_vector(F[-1])
+        assert one.shape == (4,)
         assert one.tobytes() == expect[-1].tobytes()
 
     @settings(max_examples=60, deadline=None)
