@@ -84,7 +84,9 @@ def _noise_specs(overrides: dict, default: tuple) -> tuple:
     if not specs:
         return default
     with _config_section("noise"):
-        return tuple(ev.NoiseSpec(**s) for s in specs)
+        specs = tuple(ev.NoiseSpec(**s) for s in specs)
+        ev.check_noise_labels(specs, "noise")
+        return specs
 
 
 def _out_dir(args) -> Path:
@@ -110,8 +112,8 @@ def cmd_fit(args) -> int:
         pcfg_kwargs = dict(overrides.get("pipeline", {}))
         if "filter" in pcfg_kwargs:
             pcfg_kwargs["filter"] = FilterConfig(**pcfg_kwargs["filter"])
-        if pcfg_kwargs.get("grids"):
-            grids = pcfg_kwargs["grids"]
+        grids = pcfg_kwargs.get("grids")
+        if isinstance(grids, dict):  # {} is SearchGrids(), as for "filter"
             pcfg_kwargs["grids"] = ev.SearchGrids(
                 **{key: tuple(v) for key, v in grids.items()})
         for key in ("ratios", "alpha_grid"):

@@ -11,6 +11,7 @@ continued-fraction incomplete beta, and Holm-Bonferroni handles multiplicity.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -26,8 +27,8 @@ from .fuse import (GridSpec, centroid_distances, combine_masses,
 from .fuse import (argmax_belief, bba_from_point,  # noqa: F401
                    dempster_combine, weighted_centroid)
 from .preprocess import MODES as NORM_MODES
-from .preprocess import (NormStats, dbm_to_mw, fit_channel_variances,
-                         fit_norm_stats, fit_zscore_stats, normalize_matrix)
+from .preprocess import (NormStats, fit_channel_variances, fit_norm_stats,
+                         fit_zscore_stats, normalize_matrix)
 from .regress import (KnnIndex, RfConfig, RfModel, build_knn_index,
                       predict_wknn_batch, train_rf)
 from .topo import features_matrix
@@ -59,6 +60,13 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        for name in ("eta", "kappa", "level"):  # checked whatever the kind
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"NoiseSpec.{name} must be finite and >= 0, "
+                                 f"got {value!r}")
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"NoiseSpec.p must be in [0, 1], got {self.p!r}")
 
     @property
     def label(self) -> str:
@@ -67,6 +75,16 @@ class NoiseSpec:
         if self.kind == "bursty":
             return f"bursty(p={self.p:g},kappa={self.kappa:g})"
         return f"dbm({100 * self.level:g}%)"
+
+
+def check_noise_labels(noise, owner: str) -> None:
+    """A ladder names each condition by its spec's label, so no two specs
+    of owner may share one."""
+    labels = [n.label for n in noise]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"{owner} holds two specs labelled {label!r}; "
+                             "each condition needs its own label")
 
 
 def inject_gauss_jitter(z_norm, sigma_hat, eta, rng) -> np.ndarray:
@@ -370,26 +388,10 @@ def ph_augment(x: np.ndarray, ph_stats: NormStats | None,
     return np.hstack([x, (ph - ph_stats.mu) / ph_stats.sigma])
 
 
-def fit_regressors(x: np.ndarray, y: np.ndarray, use_ph: bool,
-                   rf_cfg: RfConfig) -> tuple[NormStats | None, RfModel, KnnIndex]:
-    """(ph_stats, forest, kNN index) on normalized training rows x with
-    positions y: the PH z-score stats (None without use_ph), the kNN metric,
-    the forest and the index, fitted in that order."""
-    ph_stats, ph = None, None
-    if use_ph:
-        ph = stage("ph-features", features_matrix, x)
-        ph_stats = fit_zscore_stats(ph)
-    features = ph_augment(x, ph_stats, ph)
-    metric = stage("metric", fit_channel_variances, features)
-    rf = stage("train-rf", train_rf, features, y, rf_cfg)
-    knn = stage("index-knn", build_knn_index, features, y, metric)
-    return ph_stats, rf, knn
-
-
 def locate(x: np.ndarray, ph_stats: NormStats | None, rf: RfModel,
            knn: KnnIndex, k: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """The forest's and the weighted kNN's positions, (N, 2) each, for N
-    filtered rows x in the space fit_regressors built."""
+    filtered rows x in the feature space fit_split built."""
     x = ph_augment(x, ph_stats)
     return rf.predict_batch(x), predict_wknn_batch(knn, x, min(k, knn.m), eps)
 
@@ -477,12 +479,106 @@ def median_min_centroid_distance(preds_xy: np.ndarray, grid: GridSpec) -> float:
     return float(np.median(nearest_centroid_distance(preds_xy, grid)))
 
 
+def fit_split(train: RadioMap, val: RadioMap, cfg, seed: int, spaces,
+              alpha: float | None = None) -> dict:
+    """Calibrate one split, the step fit_pipeline and the ladder share; cfg
+    is a PipelineConfig or an AblationConfig.
+
+    The training rows give the normalization stats, the channel variances
+    and the filter bound to them (PF seed derived from seed), which runs
+    over the validation rows as RP streams. Returns {"stats", "variances",
+    "fcfg", "grid", "spaces"}; per feature space (name, use_ph, forest seed
+    key), spaces[name] is (ph_stats, rf, knn, val_rf, val_knn, alpha): the
+    PH z-score stats (None without use_ph), forest and kNN index, their
+    positions on the filtered validation rows, and the DST scale (alpha when
+    given, else select_alpha's pick)."""
+    raw = train.rss_matrix()
+    stats = stage("normalize", fit_norm_stats, raw, cfg.norm_mode)
+    xtr = normalize_matrix(raw, stats)
+    variances = stage("variances", fit_channel_variances, xtr)
+    fcfg = replace(cfg.filter, r=variances.var, seed=derive_seed(seed, 101))
+    grid = make_grid(train.bounds, cfg.cell_width)
+    xval_f = filter_streams_by_rp(normalize_matrix(val.rss_matrix(), stats),
+                                  val.rp_ids(), fcfg)
+    ytr, yval = train.xy_matrix(), val.xy_matrix()
+
+    fitted = {}
+    for name, use_ph, key in spaces:
+        ph_stats, ph = None, None
+        if use_ph:
+            ph = stage("ph-features", features_matrix, xtr)
+            ph_stats = fit_zscore_stats(ph)
+        features = ph_augment(xtr, ph_stats, ph)
+        metric = stage("metric", fit_channel_variances, features)
+        rf = stage("train-rf", train_rf, features, ytr,
+                   RfConfig(cfg.n_trees, cfg.max_depth,
+                            seed=derive_seed(seed, key)))
+        knn = stage("index-knn", build_knn_index, features, ytr, metric)
+        p_rf, p_knn = locate(xval_f, ph_stats, rf, knn, cfg.k, cfg.eps)
+        scale = alpha
+        if scale is None:
+            scale = stage("select-alpha", select_alpha, p_rf, p_knn, yval,
+                          grid, cfg.alpha_grid, cfg.theta_discount,
+                          cfg.dst_point_mode)
+        fitted[name] = (ph_stats, rf, knn, p_rf, p_knn, scale)
+    return {"stats": stats, "variances": variances, "fcfg": fcfg,
+            "grid": grid, "spaces": fitted}
+
+
+def _finite_positive(v) -> bool:
+    return math.isfinite(v) and v > 0
+
+
+def _count(v) -> bool:
+    return isinstance(v, numbers.Integral) and v >= 1
+
+
+# (rule, test) per fit field that PipelineConfig and AblationConfig share;
+# a SearchGrids field holds values of the field of its name
+_FIT_RULES = {
+    "norm_mode": (f"one of {NORM_MODES}", lambda v: v in NORM_MODES),
+    "dst_point_mode": (f"one of {DST_POINT_MODES}",
+                       lambda v: v in DST_POINT_MODES),
+    "theta_discount": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "cell_width": ("> 0", lambda v: v > 0),
+    "k": ("an integer >= 1", _count),
+    "n_trees": ("an integer >= 1", _count),
+    "max_depth": ("None or an integer >= 1",
+                  lambda v: v is None or _count(v)),
+    "eps": ("finite and > 0", _finite_positive),
+    "alpha_grid": ("a non-empty tuple of finite values > 0",
+                   lambda v: len(v) > 0 and all(map(_finite_positive, v))),
+}
+
+
+def check_fit_ranges(cfg, owner: str) -> None:
+    """Checks of the fit fields PipelineConfig and AblationConfig share;
+    each error names owner.field and the value it got. The filter's r and
+    seed must be unset: the fit binds them."""
+    for name in ("r", "seed"):
+        value = getattr(cfg.filter, name)
+        if value is not None:
+            raise ValueError(f"{owner}.filter.{name} must be None (the fit "
+                             f"binds it), got {value!r}")
+    for name, (rule, ok) in _FIT_RULES.items():
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise ValueError(f"{owner}.{name} must be {rule}, got {value!r}")
+    try:
+        SplitSpec(cfg.ratios)
+    except ValueError as exc:
+        raise ValueError(f"{owner}.ratios {cfg.ratios!r}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # cross-validated grid search (Table-style per-component sweep)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SearchGrids:
+    """Candidate values per searched field: a non-empty tuple of values the
+    FilterConfig or fit field of its name accepts (alpha: alpha_grid's)."""
+
     gamma: tuple = (0.25, 0.5, 1.0)
     n_particles: tuple = (5_000, 10_000, 20_000)
     ess_tau: tuple = (0.3, 0.5)
@@ -491,6 +587,24 @@ class SearchGrids:
     max_depth: tuple = (16, 24, 28, None)
     alpha: tuple = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
     cell_width: tuple = (0.5, 0.75, 1.0)
+
+    def __post_init__(self):
+        for name, values in vars(self).items():
+            if not (isinstance(values, tuple) and values):
+                raise ValueError(f"SearchGrids.{name} must be a non-empty "
+                                 f"tuple, got {values!r}")
+            for value in values:
+                if name in ("gamma", "n_particles", "ess_tau"):
+                    try:
+                        FilterConfig(**{name: value})
+                    except ValueError as exc:
+                        raise ValueError(f"SearchGrids.{name}: {exc}") from exc
+                    continue
+                rule, ok = _FIT_RULES.get(name, ("finite and > 0",
+                                                 _finite_positive))
+                if not ok(value):
+                    raise ValueError(f"SearchGrids.{name} values must be "
+                                     f"{rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -531,19 +645,21 @@ def _argmin_first(pairs):
     return best_cfg
 
 
+PROBE_K = 7  # neighbours of the kNN probe that scores the filter sweep
+
+
 def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
                    folds: int = 5, seed: int = 0,
                    filter_cfg: FilterConfig = FilterConfig(),
                    norm_mode: str = "dbm_zscore", theta_discount: float = 0.05,
-                   dst_point_mode: str = "belief_weighted",
-                   probe_k: int = 7) -> SelectedParams:
+                   dst_point_mode: str = "belief_weighted") -> SelectedParams:
     """Sequential per-component sweep: filters, then regressors, then fusion,
     each scored by mean fold RMSE with earlier winners held fixed.
 
     The filter sweep varies the swept fields of the user's filter_cfg (gamma
     for KF/UKF, n_particles and ess_tau for PF) and keeps the others, such
     as predict_sigma. It needs a regressor before any has been selected; it
-    uses a weighted-kNN probe with probe_k neighbours.
+    uses a weighted-kNN probe with PROBE_K neighbours.
     """
     filter_method = filter_cfg.method
     fold_of = _fold_assignment(train, folds, seed)
@@ -557,8 +673,7 @@ def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
         va = ~tr
         if va.sum() == 0:
             continue
-        stats = fit_zscore_stats(raw[tr] if norm_mode == "dbm_zscore"
-                                 else dbm_to_mw(raw[tr]), norm_mode)
+        stats = fit_norm_stats(raw[tr], norm_mode)
         xtr = normalize_matrix(raw[tr], stats)
         xva = normalize_matrix(raw[va], stats)
         variances = fit_channel_variances(xtr)
@@ -589,7 +704,7 @@ def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
             cfg = candidate(*combo, ctx)
             xva_f = filter_streams_by_rp(ctx["xva"], rp[ctx["va"]], cfg)
             index = ctx["index"]
-            pred = predict_wknn_batch(index, xva_f, min(probe_k, index.m))
+            pred = predict_wknn_batch(index, xva_f, min(PROBE_K, index.m))
             fold_rmse.append(rmse_xy(pred, xy[ctx["va"]]))
         scored.append((combo, float(np.mean(fold_rmse))))
     tables["filter"] = scored
@@ -654,29 +769,6 @@ def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
 # ablation ladder
 # ---------------------------------------------------------------------------
 
-def check_fit_ranges(cfg, owner: str) -> None:
-    """Range checks of the fit fields PipelineConfig and AblationConfig
-    share; each error names owner.field and the value it got. The filter's
-    r and seed must be unset: the fit binds them."""
-    for name in ("r", "seed"):
-        value = getattr(cfg.filter, name)
-        if value is not None:
-            raise ValueError(f"{owner}.filter.{name} must be None (the fit "
-                             f"binds it), got {value!r}")
-    rules = (("theta_discount", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
-             ("cell_width", "> 0", lambda v: v > 0),
-             ("k", ">= 1", lambda v: v >= 1),
-             ("n_trees", ">= 1", lambda v: v >= 1),
-             ("max_depth", "None or >= 1", lambda v: v is None or v >= 1),
-             ("eps", "> 0", lambda v: v > 0),
-             ("alpha_grid", "a non-empty tuple of values > 0",
-              lambda v: len(v) > 0 and all(a > 0 for a in v)))
-    for name, rule, ok in rules:
-        value = getattr(cfg, name)
-        if not ok(value):
-            raise ValueError(f"{owner}.{name} must be {rule}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class AblationConfig:
     ratios: tuple = (0.70, 0.15, 0.15)
@@ -695,15 +787,11 @@ class AblationConfig:
     norm_mode: str = "dbm_zscore"
 
     def __post_init__(self):
-        for name, allowed in (("dst_point_mode", DST_POINT_MODES),
-                              ("norm_mode", NORM_MODES)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"AblationConfig.{name} must be one of "
-                                 f"{allowed}, got {getattr(self, name)!r}")
         if self.n_splits < 1:
             raise ValueError("AblationConfig.n_splits must be >= 1, "
                              f"got {self.n_splits!r}")
         check_fit_ranges(self, "AblationConfig")
+        check_noise_labels(self.noise, "AblationConfig.noise")
 
 
 def variant_names(filter_method: str) -> tuple[str, str, str, str]:
@@ -754,40 +842,14 @@ class EvalReport:
                 "config": self.config}
 
 
-def _fit_split_models(train, val, cfg: AblationConfig, seed: int):
-    """Everything the four variants share for one split: per feature space,
-    the fitted regressors and the DST scale the clean validation pass picks."""
-    stats = stage("normalize", fit_norm_stats, train, cfg.norm_mode)
-    xtr = normalize_matrix(train.rss_matrix(), stats)
-    variances = stage("variances", fit_channel_variances, xtr)
-    ytr = train.xy_matrix()
-    fcfg = replace(cfg.filter, r=variances.var, seed=derive_seed(seed, 101))
-    grid = make_grid(train.bounds, cfg.cell_width)
-
-    xval_f = filter_streams_by_rp(normalize_matrix(val.rss_matrix(), stats),
-                                  val.rp_ids(), fcfg)
-    spaces = {}
-    for space, use_ph, key in (("plain", False, 1), ("aug", True, 2)):
-        ph_stats, rf, knn = fit_regressors(
-            xtr, ytr, use_ph,
-            RfConfig(cfg.n_trees, cfg.max_depth, seed=derive_seed(seed, key)))
-        p_rf, p_knn = locate(xval_f, ph_stats, rf, knn, cfg.k, cfg.eps)
-        alpha = stage("select-alpha", select_alpha, p_rf, p_knn,
-                      val.xy_matrix(), grid, cfg.alpha_grid,
-                      cfg.theta_discount, cfg.dst_point_mode)
-        spaces[space] = (ph_stats, rf, knn, alpha)
-
-    return {"stats": stats, "variances": variances, "fcfg": fcfg,
-            "sigma_dbm": train.rss_matrix().std(axis=0), "grid": grid,
-            "spaces": spaces}
-
-
-def _evaluate_condition(models, test, cfg: AblationConfig, noise: NoiseSpec | None):
-    """Per-variant error vectors for one (possibly perturbed) test pass."""
+def _evaluate_condition(models, sigma_dbm, test, cfg: AblationConfig,
+                        noise: NoiseSpec | None):
+    """Per-variant error vectors for one (possibly perturbed) test pass of a
+    split fit_split calibrated; sigma_dbm is its training dBm std."""
     stats = models["stats"]
     raw = test.rss_matrix()
     if noise is not None and noise.kind == "dbm_10pct":
-        raw = inject_dbm_noise(raw, models["sigma_dbm"], noise.level,
+        raw = inject_dbm_noise(raw, sigma_dbm, noise.level,
                                np.random.default_rng(noise.seed))
     x = normalize_matrix(raw, stats)
     if noise is not None and noise.kind != "dbm_10pct":
@@ -805,7 +867,7 @@ def _evaluate_condition(models, test, cfg: AblationConfig, noise: NoiseSpec | No
     names = variant_names(cfg.filter.method)
     for (rf_only, full), space in (((names[0], names[1]), "plain"),
                                    ((names[2], names[3]), "aug")):
-        ph_stats, rf, knn, alpha = models["spaces"][space]
+        ph_stats, rf, knn, _, _, alpha = models["spaces"][space]
         p_rf, p_knn = locate(x_f, ph_stats, rf, knn, cfg.k, cfg.eps)
         errors[rf_only] = euclidean_errors(p_rf, truth)
         per_mode = {}
@@ -847,13 +909,16 @@ def run_ablation_ladder(data: RadioMap, cfg: AblationConfig = AblationConfig()) 
         train, val, test = stage("split", stratified_split, data,
                                  SplitSpec(cfg.ratios, seed))
         t_fit = time.perf_counter()
-        models = _fit_split_models(train, val, cfg, seed)
+        models = fit_split(train, val, cfg, seed,
+                           (("plain", False, 1), ("aug", True, 2)))
+        sigma_dbm = train.rss_matrix().std(axis=0)
         runtime["fit"] += time.perf_counter() - t_fit
 
         t_eval = time.perf_counter()
         for cond in conditions:
             noise = noise_by_label.get(cond)
-            errors, modes = _evaluate_condition(models, test, cfg, noise)
+            errors, modes = _evaluate_condition(models, sigma_dbm, test, cfg,
+                                                noise)
             for v in names:
                 rmse[v][cond].append(rmse_xy_from_errors(errors[v]))
                 if split_id == 0:

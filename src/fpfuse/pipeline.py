@@ -1,14 +1,16 @@
 """End-to-end pipeline: calibration to a JSON artifact, per-scan prediction
 and belief maps, and the latency benchmark.
 
-One fit step and one locate step, shared by fit, ladder and session:
-evaluate.fit_regressors fits the PH stats, forest and kNN index of a feature
-space, and evaluate.locate turns filtered rows into the two sources'
-positions. A session keeps the state of the filters' start_filter/step_filter
-pair, locates each scan as a batch of one, and fuses it with the DST step
-fuse_rows runs (evaluate._fuse_distances), so a streamed session and the
-batch evaluation agree bit for bit. A scan's belief map is the fused DST mass
-a session keeps on request (keep_bba), written by write_belief_map.
+One calibration step, shared by fit and ladder, and one locate step, shared
+by fit, ladder and session: evaluate.fit_split calibrates a split
+(normalization, filter, the PH stats, forest and kNN index of a feature
+space, and the DST scale), and evaluate.locate turns filtered rows into the
+two sources' positions. A session keeps the state of the filters'
+start_filter/step_filter pair, locates each scan as a batch of one, and fuses
+it with the DST step fuse_rows runs (evaluate._fuse_distances), so a streamed
+session and the batch evaluation agree bit for bit. A scan's belief map is
+the fused DST mass a session keeps on request (keep_bba), written by
+write_belief_map.
 
 The artifact stores everything a deployment needs (normalization statistics,
 metric variances, filter covariances, the forest's node table, the kNN
@@ -42,17 +44,15 @@ from .fuse import (Bba, ChoquetMeasure, GridSpec, argmax_belief, bba_from_point,
                    confidences_from_distances, convex_combo, dempster_combine,
                    fit_choquet_measure, make_grid, weighted_centroid,
                    write_belief_csv, write_belief_pgm)
-from .preprocess import MODES as NORM_MODES
-from .preprocess import (ChannelVariances, NormStats, apply_norm,
-                         fit_channel_variances, fit_norm_stats,
-                         normalize_matrix)
+from .preprocess import ChannelVariances, NormStats, apply_norm, normalize_matrix
 from .regress import KnnIndex, RfConfig, RfModel, build_knn_index, predict_wknn
 from .topo import augment, features_for_vector
-# Not called in this module (evaluate.fit_regressors fits, and a session
-# scores both sources from one distance block), but the traced benchmark
+# Not called in this module (evaluate.fit_split fits, and a session scores
+# both sources from one distance block), but the traced benchmark
 # (perfbench/spans.py) wraps these names here, so they stay.
 from .fuse import confidence  # noqa: F401
-from .preprocess import fit_zscore_stats  # noqa: F401
+from .preprocess import (fit_channel_variances, fit_norm_stats,  # noqa: F401
+                         fit_zscore_stats)
 from .regress import train_rf  # noqa: F401
 from .topo import features_matrix  # noqa: F401
 
@@ -89,19 +89,21 @@ class PipelineConfig:
     convex_lambda: float = 0.5
 
     def __post_init__(self):
-        for name, allowed in (("fusion_mode", FUSION_MODES),
-                              ("dst_point_mode", ev.DST_POINT_MODES),
-                              ("norm_mode", NORM_MODES)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"PipelineConfig.{name} must be one of "
-                                 f"{allowed}, got {getattr(self, name)!r}")
+        if self.fusion_mode not in FUSION_MODES:
+            raise ValueError(f"PipelineConfig.fusion_mode must be one of "
+                             f"{FUSION_MODES}, got {self.fusion_mode!r}")
         if not 0.0 <= self.convex_lambda <= 1.0:
             raise ValueError("PipelineConfig.convex_lambda must be in [0, 1], "
                              f"got {self.convex_lambda!r}")
         ev.check_fit_ranges(self, "PipelineConfig")
-        if self.alpha is not None and not self.alpha > 0:
-            raise ValueError("PipelineConfig.alpha must be None or > 0, "
-                             f"got {self.alpha!r}")
+        if self.alpha is not None and not (math.isfinite(self.alpha)
+                                           and self.alpha > 0):
+            raise ValueError("PipelineConfig.alpha must be None or finite "
+                             f"and > 0, got {self.alpha!r}")
+        if self.grids is not None and not isinstance(self.grids,
+                                                     ev.SearchGrids):
+            raise ValueError("PipelineConfig.grids must be None or a "
+                             f"SearchGrids, got {self.grids!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +256,23 @@ def _finite(arr: np.ndarray) -> None:
         raise ValueError("values must be finite")
 
 
+def _real(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+# The fusion and kNN scalars a loaded artifact must hold: (field, rule, test)
+_SCALARS = (
+    ("fusion.alpha", "finite and > 0", lambda v: _real(v) and v > 0),
+    ("fusion.beta", "finite and > 0", lambda v: _real(v) and v > 0),
+    ("fusion.theta_discount", "in [0, 1)",
+     lambda v: _real(v) and 0.0 <= v < 1.0),
+    ("fusion.convex_lambda", "in [0, 1]",
+     lambda v: _real(v) and 0.0 <= v <= 1.0),
+    ("knn.k", "an integer >= 1", lambda v: type(v) is int and v >= 1),
+    ("knn.eps", "finite and > 0", lambda v: _real(v) and v > 0))
+
+
 def _filter_from_dict(f: dict) -> FilterConfig:
     """The v1 filter section as a FilterConfig; a value it rejects is an
     ArtifactError naming the filter.* key."""
@@ -318,6 +337,11 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
         if fusion[name] not in allowed:
             raise ArtifactError(f"artifact field fusion.{name} must be one "
                                 f"of {allowed}, got {fusion[name]!r}")
+    for name, rule, ok in _SCALARS:
+        section, key = name.split(".")
+        if not ok(d[section][key]):
+            raise ArtifactError(f"artifact field {name} must be {rule}, got "
+                                f"{d[section][key]!r}")
     norm = NormStats(d["norm"]["mode"], np.array(d["norm"]["mu"]),
                      np.array(d["norm"]["sigma"]),
                      np.array(d["norm"]["floored"], dtype=bool))
@@ -371,7 +395,8 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
         variances=variances, filter_cfg=filter_cfg, rf=rf, knn=knn,
         ph_stats=ph_stats, grid=grid, alpha=fusion["alpha"],
         beta=fusion["beta"], theta_discount=fusion["theta_discount"],
-        measure=ChoquetMeasure(**fusion["measure"]),
+        measure=_field("fusion.measure", lambda m: ChoquetMeasure(**m),
+                       fusion["measure"]),
         dst_point_mode=fusion["dst_point_mode"], fusion_mode=fusion["mode"],
         k=d["knn"]["k"], eps=d["knn"]["eps"],
         convex_lambda=fusion["convex_lambda"])
@@ -403,42 +428,26 @@ def load_artifact(path) -> PipelineArtifact:
 
 
 def fit_pipeline(data: RadioMap, cfg: PipelineConfig = PipelineConfig()) -> PipelineArtifact:
-    """Calibrate one pipeline on a survey; every stage failure names itself."""
+    """Calibrate one pipeline on a survey; every stage failure names itself.
+
+    A grid search's winners replace cfg's fields; evaluate.fit_split then
+    calibrates the split, and its validation positions give the confidence
+    scale beta and the fuzzy measure."""
     train, val, _test = stage("split", stratified_split, data,
                               SplitSpec(cfg.ratios, cfg.seed))
-    norm = stage("normalize", fit_norm_stats, train, cfg.norm_mode)
-    xtr = normalize_matrix(train.rss_matrix(), norm)
-    variances = stage("variances", fit_channel_variances, xtr)
-
-    fcfg = cfg.filter
-    k, n_trees, max_depth = cfg.k, cfg.n_trees, cfg.max_depth
-    alpha, cell_width = cfg.alpha, cfg.cell_width
     if cfg.grids is not None:
         sel = stage("grid-search", ev.cv_grid_search, train, cfg.grids,
                     5, cfg.seed, cfg.filter, cfg.norm_mode,
                     cfg.theta_discount, cfg.dst_point_mode)
-        fcfg = replace(fcfg, gamma=sel.gamma, n_particles=sel.n_particles,
-                       ess_tau=sel.ess_tau)
-        k, n_trees, max_depth = sel.k, sel.n_trees, sel.max_depth
-        alpha, cell_width = sel.alpha, sel.cell_width
-
-    filter_cfg = replace(fcfg, r=variances.var,
-                         seed=ev.derive_seed(cfg.seed, 101))
-
-    ph_stats, rf, knn = ev.fit_regressors(
-        xtr, train.xy_matrix(), cfg.use_ph,
-        RfConfig(n_trees, max_depth, seed=ev.derive_seed(cfg.seed, 1)))
-    grid = make_grid(data.bounds, cell_width)
-
-    # validation pass: DST scale, confidence scale, fuzzy measure
-    xval_f = ev.filter_streams_by_rp(normalize_matrix(val.rss_matrix(), norm),
-                                     val.rp_ids(), filter_cfg)
-    yval = val.xy_matrix()
-    p_rf, p_knn = ev.locate(xval_f, ph_stats, rf, knn, k, cfg.eps)
-    if alpha is None:
-        alpha = stage("select-alpha", ev.select_alpha, p_rf, p_knn, yval,
-                      grid, cfg.alpha_grid, cfg.theta_discount,
-                      cfg.dst_point_mode)
+        cfg = replace(cfg, filter=replace(cfg.filter, gamma=sel.gamma,
+                                          n_particles=sel.n_particles,
+                                          ess_tau=sel.ess_tau),
+                      k=sel.k, n_trees=sel.n_trees, max_depth=sel.max_depth,
+                      alpha=sel.alpha, cell_width=sel.cell_width)
+    fit = ev.fit_split(train, val, cfg, cfg.seed,
+                       [("pipeline", cfg.use_ph, 1)], cfg.alpha)
+    ph_stats, rf, knn, p_rf, p_knn, alpha = fit["spaces"]["pipeline"]
+    grid, yval = fit["grid"], val.xy_matrix()
     preds = np.vstack([p_rf, p_knn])
     med = ev.median_min_centroid_distance(preds, grid)
     beta = 1.0 / max(med, 1e-9)
@@ -455,18 +464,19 @@ def fit_pipeline(data: RadioMap, cfg: PipelineConfig = PipelineConfig()) -> Pipe
             "n_train": train.n_samples, "n_val": val.n_samples,
             "seed": cfg.seed}
     config_snapshot = _jsonable({
-        "norm_mode": cfg.norm_mode, "filter": fcfg.choices(),
-        "use_ph": cfg.use_ph, "k": k, "eps": cfg.eps, "n_trees": n_trees,
-        "max_depth": max_depth, "alpha_grid": list(cfg.alpha_grid),
+        "norm_mode": cfg.norm_mode, "filter": cfg.filter.choices(),
+        "use_ph": cfg.use_ph, "k": cfg.k, "eps": cfg.eps,
+        "n_trees": cfg.n_trees, "max_depth": cfg.max_depth,
+        "alpha_grid": list(cfg.alpha_grid),
         "ratios": list(cfg.ratios), "seed": cfg.seed,
         "fusion_mode": cfg.fusion_mode})
     return PipelineArtifact(
-        version=ARTIFACT_VERSION, meta=meta, config=config_snapshot, norm=norm,
-        variances=variances, filter_cfg=filter_cfg, rf=rf, knn=knn,
-        ph_stats=ph_stats, grid=grid, alpha=float(alpha), beta=float(beta),
-        theta_discount=cfg.theta_discount, measure=measure,
+        version=ARTIFACT_VERSION, meta=meta, config=config_snapshot,
+        norm=fit["stats"], variances=fit["variances"], filter_cfg=fit["fcfg"],
+        rf=rf, knn=knn, ph_stats=ph_stats, grid=grid, alpha=float(alpha),
+        beta=float(beta), theta_discount=cfg.theta_discount, measure=measure,
         dst_point_mode=cfg.dst_point_mode, fusion_mode=cfg.fusion_mode,
-        k=int(k), eps=cfg.eps, convex_lambda=cfg.convex_lambda)
+        k=int(cfg.k), eps=cfg.eps, convex_lambda=cfg.convex_lambda)
 
 
 @dataclass

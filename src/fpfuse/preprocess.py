@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import RadioMap
-
 SIGMA_FLOOR = 1e-9  # replaces the std of (near-)constant channels
 VAR_SHRINKAGE = 1e-6  # l2 term added to metric variances for conditioning
 
@@ -79,14 +77,12 @@ def fit_zscore_stats(matrix: np.ndarray, mode: str = "dbm_zscore") -> NormStats:
     return NormStats(mode, mu, sigma, floored)
 
 
-def fit_norm_stats(train: RadioMap, mode: str = "dbm_zscore") -> NormStats:
-    """Estimate normalization statistics from the training survey only."""
-    raw = train.rss_matrix()
-    if mode == "dbm_zscore":
-        return fit_zscore_stats(raw, mode)
-    if mode == "mw_zscore":
-        return fit_zscore_stats(dbm_to_mw(raw), mode)
-    raise ValueError(f"unknown normalization mode {mode!r}")
+def fit_norm_stats(raw: np.ndarray, mode: str = "dbm_zscore") -> NormStats:
+    """Normalization statistics of the training rows only: the (N, d) raw dBm
+    matrix, converted to mW first in mw_zscore mode (NormStats rejects any
+    other mode)."""
+    return fit_zscore_stats(dbm_to_mw(raw) if mode == "mw_zscore" else raw,
+                            mode)
 
 
 def apply_norm(f, stats: NormStats) -> np.ndarray:

@@ -10,7 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import wilcoxon_exhaustive  # noqa: E402
 
 from fpfuse import evaluate as ev  # noqa: E402
-from fpfuse.datamodel import Position, SynthSpec, synth_radio_map  # noqa: E402
+from fpfuse.datamodel import (Position, SplitSpec, SynthSpec,  # noqa: E402
+                              stratified_split, synth_radio_map)
 from fpfuse.evaluate import (AblationConfig, NoiseSpec,  # noqa: E402
                              SearchGrids, SelectedParams, _argmin_first,
                              confidence_interval,
@@ -20,7 +21,8 @@ from fpfuse.evaluate import (AblationConfig, NoiseSpec,  # noqa: E402
                              rmse_xy, run_ablation_ladder, student_t_ppf,
                              wilcoxon_signed_rank)
 from fpfuse.filters import FilterConfig  # noqa: E402
-from fpfuse.pipeline import PipelineConfig, StageError  # noqa: E402
+from fpfuse.pipeline import (PipelineConfig, StageError,  # noqa: E402
+                             fit_pipeline)
 
 
 class TestNoise:
@@ -77,6 +79,17 @@ class TestNoise:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec(kind="saltpepper")
+
+    @pytest.mark.parametrize("kind", ev.NOISE_KINDS)
+    @pytest.mark.parametrize("field,value", [
+        ("eta", -0.1), ("eta", float("nan")), ("kappa", -1.0),
+        ("kappa", float("inf")), ("level", -0.5), ("level", float("nan")),
+        ("p", 2.0), ("p", -0.1), ("p", float("nan"))])
+    def test_every_field_checked_whatever_the_kind(self, kind, field, value):
+        # a field another kind reads is checked too, so a config never
+        # carries a value that fails only once the condition runs
+        with pytest.raises(ValueError, match=f"^NoiseSpec.{field} must"):
+            NoiseSpec(kind=kind, **{field: value})
 
 
 class TestRmse:
@@ -314,10 +327,41 @@ class TestConfigValidation:
         ("dst_point_mode", "centroid"), ("norm_mode", "linear"),
         ("n_splits", 0), ("n_splits", -1), ("theta_discount", 1.5),
         ("cell_width", 0.0), ("k", 0), ("n_trees", 0), ("max_depth", 0),
-        ("eps", -1e-9), ("alpha_grid", ()), ("alpha_grid", (1.0, -0.5))])
+        ("eps", -1e-9), ("alpha_grid", ()), ("alpha_grid", (1.0, -0.5)),
+        ("ratios", (0.5, 0.5, 0.5)), ("ratios", (0.7, 0.3)),
+        ("eps", float("inf")), ("alpha_grid", (float("inf"),)),
+        ("k", 2.5), ("n_trees", 2.5), ("max_depth", 2.5)])
     def test_ablation_config_rejects(self, field, value):
         with pytest.raises(ValueError, match=f"AblationConfig.{field}"):
             fast_cfg(**{field: value})
+
+    def test_ablation_config_rejects_two_specs_of_one_label(self):
+        # conditions are keyed by label: the second spec would run twice
+        noise = (NoiseSpec("dbm_10pct", seed=1), NoiseSpec("dbm_10pct", seed=2))
+        with pytest.raises(ValueError, match="AblationConfig.noise holds two "
+                                             r"specs labelled 'dbm\(10%\)'"):
+            fast_cfg(noise=noise)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("k", (), "must be a non-empty tuple"), ("k", [3], "non-empty tuple"),
+        ("k", (3, 0), "values must be an integer >= 1"),
+        ("k", (2.5,), "values must be an integer >= 1"),
+        ("n_trees", (0,), "values must be an integer >= 1"),
+        ("max_depth", (None, 0), "values must be None or an integer >= 1"),
+        ("cell_width", (0.0,), "values must be > 0"),
+        ("alpha", (1.0, -2.0), "values must be finite and > 0"),
+        ("alpha", (float("inf"),), "values must be finite and > 0"),
+        ("gamma", (-1.0,), "FilterConfig.gamma"),
+        ("n_particles", (1,), "FilterConfig.n_particles"),
+        ("ess_tau", (1.0,), "FilterConfig.ess_tau")])
+    def test_search_grids_reject(self, field, value, match):
+        with pytest.raises(ValueError, match=f"^SearchGrids.{field}.*{match}"):
+            SearchGrids(**{field: value})
+
+    def test_pipeline_config_takes_only_search_grids(self):
+        assert PipelineConfig(grids=SearchGrids()).grids == SearchGrids()
+        with pytest.raises(ValueError, match="PipelineConfig.grids"):
+            PipelineConfig(grids={})
 
     def test_filter_spec_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="FilterConfig.method"):
@@ -357,6 +401,39 @@ class TestConfigValidation:
 @pytest.fixture(scope="module")
 def report():
     return run_ablation_ladder(tiny_map(), fast_cfg(n_splits=2))
+
+
+class TestFitSplit:
+    def test_fit_pipeline_ships_the_split_fit(self):
+        # the ladder's calibration step is the one fit_pipeline ships
+        data = tiny_map()
+        cfg = PipelineConfig(filter=FilterConfig(method="kf"), n_trees=6,
+                             alpha_grid=(0.5, 2.0), cell_width=1.0, seed=5)
+        artifact = fit_pipeline(data, cfg)
+        train, val, _ = stratified_split(data, SplitSpec(cfg.ratios, cfg.seed))
+        fit = ev.fit_split(train, val, cfg, cfg.seed,
+                           (("aug", True, 1), ("plain", False, 2)))
+        ph_stats, rf, knn, val_rf, val_knn, alpha = fit["spaces"]["aug"]
+        assert np.array_equal(fit["stats"].mu, artifact.norm.mu)
+        assert np.array_equal(fit["fcfg"].r, artifact.filter_cfg.r)
+        assert fit["fcfg"].seed == artifact.filter_cfg.seed
+        assert np.array_equal(ph_stats.mu, artifact.ph_stats.mu)
+        assert np.array_equal(rf.threshold, artifact.rf.threshold)
+        assert np.array_equal(knn.points, artifact.knn.points)
+        assert alpha == artifact.alpha
+        assert val_rf.shape == val_knn.shape == (val.n_samples, 2)
+        assert fit["spaces"]["plain"][0] is None  # no PH stats
+
+    def test_a_given_alpha_skips_the_selection(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("select_alpha ran")
+
+        monkeypatch.setattr(ev, "select_alpha", never)
+        data = tiny_map()
+        train, val, _ = stratified_split(data, SplitSpec(seed=1))
+        fit = ev.fit_split(train, val, fast_cfg(n_trees=4), 1,
+                           (("plain", False, 1),), alpha=0.7)
+        assert fit["spaces"]["plain"][-1] == 0.7
 
 
 class TestAblationLadder:

@@ -9,7 +9,11 @@ tests/fingerprints.json holds sha256 digests of:
   confidences and the DST masses;
 - the PGM and CSV bytes that `fpfuse predict --scan ... --belief-map` writes
   for one held-out scan of the kf fit;
-- the SelectedParams of one small-grid cv_grid_search, tables included.
+- the SelectedParams of one small-grid cv_grid_search, tables included;
+- the report of a small kf and pf ablation ladder (one split, two noise
+  kinds), minus its wall-clock runtime;
+- the saved artifact of a plain-feature (use_ph=False) fit with a fixed
+  alpha in mw_zscore mode, and of a small-grid fit (grid search on).
 
 These bits depend on the host's BLAS kernel and on numpy's SIMD dispatch
 (ROADMAP item 3), so the file also holds a probe: digests of a few BLAS dots
@@ -30,7 +34,7 @@ import json
 import platform
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +42,8 @@ import pytest
 
 from fpfuse import cli
 from fpfuse.datamodel import SplitSpec, SynthSpec, stratified_split, synth_radio_map
-from fpfuse.evaluate import SearchGrids, cv_grid_search
+from fpfuse.evaluate import (AblationConfig, NoiseSpec, SearchGrids,
+                             cv_grid_search, run_ablation_ladder)
 from fpfuse.filters import FilterConfig
 from fpfuse.pipeline import (FUSION_MODES, PipelineConfig, PredictorSession,
                              fit_pipeline, save_artifact)
@@ -109,15 +114,27 @@ def _belief_map_digest(art_path: Path, scan: np.ndarray, out: Path) -> str:
     return _sha(pgm.read_bytes(), Path(str(pgm) + ".csv").read_bytes())
 
 
+SMALL_GRIDS = SearchGrids(gamma=(0.5,), n_particles=(200, 300),
+                          ess_tau=(0.3, 0.5), k=(3, 5), n_trees=(6, 12),
+                          max_depth=(6, None), alpha=(0.5, 2.0),
+                          cell_width=(1.0, 2.0))
+
+
 def _search_digest(train) -> str:
-    grids = SearchGrids(gamma=(0.5,), n_particles=(200, 300),
-                        ess_tau=(0.3, 0.5), k=(3, 5), n_trees=(6, 12),
-                        max_depth=(6, None), alpha=(0.5, 2.0),
-                        cell_width=(1.0, 2.0))
-    sel = cv_grid_search(train, grids, folds=3, seed=5,
+    sel = cv_grid_search(train, SMALL_GRIDS, folds=3, seed=5,
                          filter_cfg=FilterConfig(method="pf",
                                                  n_particles=300))
     return _sha(json.dumps(asdict(sel), sort_keys=True).encode())
+
+
+def _ladder_digest(data, method: str) -> str:
+    cfg = AblationConfig(filter=FilterConfig(method=method, n_particles=300),
+                         n_trees=12, alpha_grid=(0.5, 2.0), cell_width=1.0,
+                         base_seed=3, noise=(NoiseSpec("gauss_jitter"),
+                                             NoiseSpec("bursty", p=0.1)))
+    report = run_ablation_ladder(data, cfg).to_json_dict()
+    del report["runtime"]  # wall-clock seconds
+    return _sha(json.dumps(report, sort_keys=True).encode())
 
 
 def fingerprints() -> dict:
@@ -137,8 +154,18 @@ def fingerprints() -> dict:
             if method == "kf":
                 out["kf.belief_map"] = _belief_map_digest(
                     art_path, test.rss_matrix()[0], tmp)
+        for name, cfg in (
+                ("plain_mw_fixed_alpha",
+                 replace(_cfg("kf"), use_ph=False, alpha=2.0,
+                         norm_mode="mw_zscore")),
+                ("small_grid", replace(_cfg("pf"), grids=SMALL_GRIDS))):
+            art_path = tmp / f"{name}.json"
+            save_artifact(fit_pipeline(data, cfg), art_path)
+            out[f"{name}.artifact"] = _sha(art_path.read_bytes())
         train = stratified_split(data, SplitSpec((0.70, 0.15, 0.15), 3))[0]
         out["cv_grid_search"] = _search_digest(train)
+        for method in ("kf", "pf"):
+            out[f"{method}.ladder"] = _ladder_digest(data, method)
     return out
 
 

@@ -95,7 +95,10 @@ class TestPipelineConfig:
         ("cell_width", 0.0), ("cell_width", -1.0), ("k", 0), ("n_trees", 0),
         ("max_depth", 0), ("eps", 0.0), ("eps", float("nan")),
         ("alpha", 0.0), ("alpha", -2.0), ("alpha_grid", ()),
-        ("alpha_grid", (0.5, 0.0)), ("alpha_grid", (float("nan"),))])
+        ("alpha_grid", (0.5, 0.0)), ("alpha_grid", (float("nan"),)),
+        ("alpha", float("inf")), ("eps", float("inf")),
+        ("ratios", (0.5, 0.5, 0.5)), ("grids", {}), ("k", 2.5),
+        ("n_trees", 2.5), ("max_depth", 2.5)])
     def test_rejects_unknown_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=f"PipelineConfig.{field}"):
             small_cfg(**{field: value})
@@ -419,6 +422,27 @@ class TestArtifactRoundTrip:
         assert blob["config"]["filter"] == {
             "method": "pf", "gamma": 0.5, "n_particles": 300, "ess_tau": 0.3,
             "predict_sigma": 1.0}
+
+    @pytest.mark.parametrize("field,value", [
+        ("fusion.alpha", -1.0), ("fusion.alpha", 0.0),
+        ("fusion.alpha", float("nan")), ("fusion.beta", 0.0),
+        ("fusion.beta", float("inf")), ("fusion.theta_discount", 1.5),
+        ("fusion.theta_discount", 1.0), ("fusion.theta_discount", -0.1),
+        ("fusion.convex_lambda", 2.0), ("fusion.convex_lambda", -0.5),
+        ("fusion.convex_lambda", "0.5"), ("knn.k", 0), ("knn.k", 2.5),
+        ("knn.k", True), ("knn.eps", 0.0), ("knn.eps", float("nan"))])
+    def test_bad_scalar_named_exit_2(self, artifact, tmp_path, capsys,
+                                     field, value):
+        # checked when loaded, not first when a scan is fused (or, under
+        # --fusion convex, never)
+        section, key = field.split(".")
+        self.check_load_fails(artifact, tmp_path, capsys, f"{field} must",
+                              lambda b: b[section].update({key: value}))
+
+    def test_bad_choquet_measure_named_exit_2(self, artifact, tmp_path,
+                                              capsys):
+        self.check_load_fails(artifact, tmp_path, capsys, "fusion.measure",
+                              lambda b: b["fusion"]["measure"].update(mu1=2.0))
 
     def test_max_features_below_one_exit_2(self, artifact, tmp_path, capsys):
         self.check_load_fails(artifact, tmp_path, capsys, "max_features",
@@ -825,6 +849,14 @@ class TestCli:
         ("ablate", {"filter": {"r": [1.0, 1.0, 1.0, 1.0]}}, "ablation"),
         ("synth", {"synth": {"shadowing_std_dbm": float("nan")}}, "synth"),
         ("synth", {"synth": {"path_loss_exp": float("inf")}}, "synth"),
+        ("noise-sweep", {"noise": [{"kind": "bursty", "p": 2}]}, "noise"),
+        ("ablate", {"noise": [{"kind": "dbm_10pct", "seed": 1},
+                              {"kind": "dbm_10pct", "seed": 2}]}, "noise"),
+        ("fit", {"pipeline": {"ratios": [0.5, 0.5, 0.5]}}, "pipeline"),
+        ("ablate", {"ablation": {"ratios": [0.5, 0.5, 0.5]}}, "ablation"),
+        ("fit", {"pipeline": {"grids": {"k": []}}}, "pipeline"),
+        ("fit", {"pipeline": {"grids": {"gamma": [-1.0]}}}, "pipeline"),
+        ("fit", {"pipeline": {"grids": [3]}}, "pipeline"),
     ])
     def test_rejected_config_is_a_usage_error(self, tmp_path, capsys,
                                               command, config, section):
@@ -838,6 +870,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"--config section '{section}'" in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("grids,expected", [
+        ({}, SearchGrids()), (None, None),
+        ({"k": [3], "alpha": [1.0]}, SearchGrids(k=(3,), alpha=(1.0,)))])
+    def test_fit_config_grids(self, tmp_path, monkeypatch, grids, expected):
+        # "grids": {} is the default SearchGrids, as "filter": {} is the
+        # default FilterConfig; null skips the search
+        seen = []
+
+        def stop(data, cfg):
+            seen.append(cfg)
+            raise cli.UsageError("stop before fitting")
+
+        monkeypatch.setattr(pl, "fit_pipeline", stop)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "synth": {"n_rp": 4, "samples_per_rp": 4, "n_wifi": 3,
+                      "n_ble": 1},
+            "pipeline": {"grids": grids}}))
+        assert cli.main(["fit", "--config", str(cfg_path),
+                         "--out", str(tmp_path)]) == 2
+        assert seen[0].grids == expected
 
     def test_bench_command(self, tmp_path, artifact):
         art_path = tmp_path / "artifact.json"

@@ -28,7 +28,7 @@ class TestNormStats:
 
     def test_apply_identity_and_unit(self):
         rmap = small_map()
-        stats = fit_norm_stats(rmap, "dbm_zscore")
+        stats = fit_norm_stats(rmap.rss_matrix(), "dbm_zscore")
         assert np.allclose(apply_norm(stats.mu, stats), 0.0)
         assert np.allclose(apply_norm(stats.mu + stats.sigma, stats), 1.0)
 
@@ -43,14 +43,14 @@ class TestNormStats:
 
     def test_train_matrix_is_standardized(self):
         rmap = small_map()
-        stats = fit_norm_stats(rmap, "dbm_zscore")
+        stats = fit_norm_stats(rmap.rss_matrix(), "dbm_zscore")
         z = normalize_matrix(rmap.rss_matrix(), stats)
         assert np.all(np.abs(z.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(z.std(axis=0) - 1.0) < 1e-9)
 
     def test_mw_mode_equals_composition(self):
         rmap = small_map()
-        stats = fit_norm_stats(rmap, "mw_zscore")
+        stats = fit_norm_stats(rmap.rss_matrix(), "mw_zscore")
         raw = rmap.rss_matrix()
         direct = normalize_matrix(raw, stats)
         composed = (dbm_to_mw(raw) - stats.mu) / stats.sigma
@@ -58,7 +58,7 @@ class TestNormStats:
 
     def test_stats_frozen(self):
         rmap = small_map()
-        stats = fit_norm_stats(rmap)
+        stats = fit_norm_stats(rmap.rss_matrix())
         with pytest.raises(ValueError):
             stats.mu[0] = 0.0
 
