@@ -42,6 +42,13 @@ def derive_seed(base: int, *keys: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def check_seed(value, name: str) -> None:
+    """A seed is an integer >= 0, as numpy's SeedSequence takes it; name is
+    the owner.field an error names."""
+    if not (isinstance(value, numbers.Integral) and value >= 0):
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # noise models (test-time only)
 # ---------------------------------------------------------------------------
@@ -67,6 +74,7 @@ class NoiseSpec:
                                  f"got {value!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"NoiseSpec.p must be in [0, 1], got {self.p!r}")
+        check_seed(self.seed, "NoiseSpec.seed")
 
     @property
     def label(self) -> str:
@@ -787,9 +795,10 @@ class AblationConfig:
     norm_mode: str = "dbm_zscore"
 
     def __post_init__(self):
-        if self.n_splits < 1:
-            raise ValueError("AblationConfig.n_splits must be >= 1, "
+        if not _count(self.n_splits):
+            raise ValueError("AblationConfig.n_splits must be an integer >= 1, "
                              f"got {self.n_splits!r}")
+        check_seed(self.base_seed, "AblationConfig.base_seed")
         check_fit_ranges(self, "AblationConfig")
         check_noise_labels(self.noise, "AblationConfig.noise")
 

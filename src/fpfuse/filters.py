@@ -10,19 +10,28 @@ tau * n_particles.
 One frozen FilterConfig holds every setting of a filter and checks them when
 it is built; the UKF spread is fixed (UKF_ALPHA, UKF_KAPPA, UKF_BETA).
 
-pf_step works in place on its fresh noise draw and one weight buffer, and
-systematic_resample finds each position's particle in one linear pass (an
-arithmetic guess stepped to the exact count) instead of a binary search.
-Both equal the out-of-place, binary-search forms bit for bit, random draws
-included, so a stream's estimates do not depend on which form ran.
+pf_step works in place on one weight buffer, and systematic_resample finds
+each position's particle in one linear pass (an arithmetic guess stepped to
+the exact count) instead of a binary search. Both equal the out-of-place,
+binary-search forms bit for bit, random draws included.
+
+A PF stream (a session, or one RP's rows in a fit) has one generator, seeded
+by FilterConfig.seed. Every channel's first cloud is one N(0, 1) block
+shifted by its z_i; each later scan draws one block of n_particles standard
+normals that every channel's pf_step scales into its own predicted cloud,
+then the resample offsets in channel order. These are common random
+numbers: each channel alone is still the bootstrap particle filter and only
+the Monte Carlo errors of different channels are correlated, while a scan
+makes n_particles normal draws instead of d * n_particles, which were the
+largest cost of a PF scan.
 
 One function pair filters a scan: start_filter on a stream's first scan,
 step_filter on each later one; both return (state, estimate). KF/UKF state
 is one KfState of (d,) arrays, and kf_step and ukf_step step every channel
-in one elementwise pass, each channel bit for bit a scalar step.
-PredictorSession runs the pair over live scans. filter_stream denoises a
-recorded stream to the same bits: KF and UKF through the pair, PF channel by
-channel through pf_step, the one particle-filter step.
+in one elementwise pass, each channel bit for bit a scalar step. PF state is
+the d clouds plus the stream's generator and its bit state.
+PredictorSession runs the pair over live scans, and filter_stream over a
+recorded stream, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -61,8 +70,10 @@ class FilterConfig:
     """Which filter runs on each channel, and its noise model.
 
     A user sets method, gamma and the particle fields. A fit binds r (one
-    measurement variance per channel) and seed (the root of the PF
-    generators) with dataclasses.replace.
+    measurement variance per channel) and seed with dataclasses.replace.
+    seed seeds a PF stream's one generator, whose draws every channel
+    shares: one block per scan instead of one per channel (see the module
+    docstring).
     """
 
     method: str = "pf"  # kf | ukf | pf | none
@@ -268,22 +279,29 @@ def systematic_resample(particles: np.ndarray, weights: np.ndarray,
     return np.repeat(particles, np.diff(bounds))
 
 
-def pf_step(state: PfState, z: float, r: float, tau: float,
+def pf_step(state: PfState, eps: np.ndarray, z: float, r: float, tau: float,
             predict_sigma: float, rng: np.random.Generator) -> PfState:
     """One particle-filter cycle: predict, weight, normalize, maybe resample.
 
+    eps holds one standard normal draw per particle; the step reads it and
+    never writes it, so the channels of one scan share one block. Handed
+    rng.standard_normal(m), the step equals one that draws
+    rng.normal(0.0, predict_sigma, m) itself, bit for bit. rng supplies
+    the resample offset only.
     If every likelihood underflows to zero the weights reset to uniform and
     the returned state is flagged degenerate. The step works in place on
-    the fresh noise draw and on one weight buffer; each operation is the
-    same IEEE operation on the same operands as its out-of-place form.
+    its fresh particle array and on one weight buffer; each operation is
+    the same IEEE operation on the same operands as its out-of-place form.
     """
     _check_sigma(predict_sigma)
+    if np.shape(eps) != state.particles.shape:
+        raise ValueError("eps must hold one standard normal draw per particle")
     m = len(state.particles)
-    # rng.normal(0.0, predict_sigma, m) as numpy computes it, without its
-    # per-element parameter handling: the same standard draws, each scaled,
-    # then shifted by 0.0 (which turns -0.0 into +0.0)
-    particles = rng.standard_normal(m)
-    particles *= predict_sigma
+    # rng.normal(0.0, predict_sigma, m) as numpy computes it from the
+    # standard draws eps, without its per-element parameter handling: each
+    # scaled into a fresh array, then shifted by 0.0 (which turns -0.0 into
+    # +0.0)
+    particles = np.multiply(eps, predict_sigma)
     particles += 0.0
     particles += state.particles
     weights = particles - z
@@ -315,25 +333,15 @@ def _check_bound(cfg: FilterConfig, d: int) -> None:
         raise ValueError("cfg.seed must be bound before a particle filter runs")
 
 
-def _start_cloud(cfg: FilterConfig, i: int,
-                 z_i: float) -> tuple[PfState, np.random.Generator]:
-    """Channel i's first cloud, N(z_i, 1), drawn from its own generator
-    (seeded by (cfg.seed, i)), and that generator."""
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-    m = cfg.n_particles
-    particles = rng.standard_normal(m)  # rng.normal(z_i, 1.0, m), bit for bit
-    particles += z_i
-    return PfState(particles, np.full(m, 1.0 / m)), rng
-
-
 def start_filter(cfg: FilterConfig,
                  z: np.ndarray) -> tuple[KfState | tuple, np.ndarray]:
     """Start every channel's filter at the first scan z: (state, estimate).
 
-    For KF/UKF the state is one KfState at the observation with p0 = r; for
-    PF it has one entry per channel: the channel's first cloud, its
-    generator, and that generator's bit state after the draw. Method 'none'
-    keeps no state and passes z through.
+    For KF/UKF the state is one KfState at the observation with p0 = r. For
+    PF it is (clouds, rng, bits): channel i's first cloud is N(z_i, 1), one
+    block of standard draws from the stream's generator (seeded by
+    cfg.seed) shifted by z_i; then that generator and its bit state after
+    the draw. Method 'none' keeps no state and passes z through.
     """
     if cfg.method == "none":
         return (), z
@@ -341,11 +349,13 @@ def start_filter(cfg: FilterConfig,
     if cfg.method != "pf":
         state = KfState(z, cfg.r)
         return state, state.x_hat
-    state = []
-    for i in range(len(z)):
-        cloud, rng = _start_cloud(cfg, i, float(z[i]))
-        state.append((cloud, rng, rng.bit_generator.state))
-    return tuple(state), np.array([entry[0].estimate for entry in state])
+    rng = np.random.default_rng(cfg.seed)
+    m = cfg.n_particles
+    base = rng.standard_normal(m)  # base + z_i is rng.normal(z_i, 1.0, m)
+    weights = np.full(m, 1.0 / m)
+    clouds = tuple(PfState(base + z_i, weights) for z_i in z.tolist())
+    return ((clouds, rng, rng.bit_generator.state),
+            np.array([cloud.estimate for cloud in clouds]))
 
 
 def step_filter(cfg: FilterConfig, state: KfState | tuple,
@@ -354,51 +364,37 @@ def step_filter(cfg: FilterConfig, state: KfState | tuple,
 
     The result depends only on the given state and z, and that state stays
     valid: a caller that drops the result (because a later stage rejected
-    the scan) goes on from the old state. A PF channel's generator is reset
-    to the entry's bit state before it draws, so the states of one stream
-    share generators and must be stepped from one thread.
+    the scan) goes on from the old state. A PF stream's generator is reset
+    to the state's bit state, draws one block that every channel's pf_step
+    shares, then each channel's resample offset in channel order; the
+    states of one stream share that generator and must be stepped from one
+    thread.
     """
     if cfg.method == "none":
         return state, z
     if cfg.method == "pf":
-        out = np.empty(len(z))
-        new = []
-        for i, (cloud, rng, bits) in enumerate(state):
-            rng.bit_generator.state = bits
-            cloud = pf_step(cloud, float(z[i]), float(cfg.r[i]),
-                            cfg.ess_tau, cfg.predict_sigma, rng)
-            new.append((cloud, rng, rng.bit_generator.state))
-            out[i] = cloud.estimate
-        return tuple(new), out
+        clouds, rng, bits = state
+        rng.bit_generator.state = bits
+        eps = rng.standard_normal(cfg.n_particles)
+        eps.setflags(write=False)
+        clouds = tuple(
+            pf_step(cloud, eps, z_i, r_i, cfg.ess_tau, cfg.predict_sigma, rng)
+            for cloud, z_i, r_i in zip(clouds, z.tolist(), cfg.r.tolist()))
+        return ((clouds, rng, rng.bit_generator.state),
+                np.array([cloud.estimate for cloud in clouds]))
     step = kf_step if cfg.method == "kf" else ukf_step
     state = step(state, z, cfg.gamma * cfg.r, cfg.r)
     return state, state.x_hat
 
 
 def filter_stream(series: np.ndarray, cfg: FilterConfig) -> np.ndarray:
-    """Denoise a (T, d) stream, equal to start_filter on the first row and
-    step_filter on each later one. Method 'none' is the identity.
-
-    A PF stream is filtered channel by channel: each channel's cloud starts
-    as in start_filter, is stepped through every row and is dropped before
-    the next channel starts. A channel draws only from its own generator, so
-    the order of the loops changes no bit.
-    """
+    """Denoise a (T, d) stream: start_filter on the first row and
+    step_filter on each later one, so a recorded stream and a live session
+    give the same bits. Method 'none' is the identity."""
     series = np.asarray(series, dtype=float)
     if series.ndim != 2 or series.shape[0] < 1:
         raise ValueError("series must be a (T, d) matrix with T >= 1")
     out = np.empty_like(series)
-    if cfg.method == "pf":
-        _check_bound(cfg, series.shape[1])
-        for i, column in enumerate(series.T.tolist()):
-            cloud, rng = _start_cloud(cfg, i, column[0])
-            out[0, i] = cloud.estimate
-            r = float(cfg.r[i])
-            for t in range(1, len(column)):
-                cloud = pf_step(cloud, column[t], r, cfg.ess_tau,
-                                cfg.predict_sigma, rng)
-                out[t, i] = cloud.estimate
-        return out
     state, out[0] = start_filter(cfg, series[0])
     for t in range(1, len(series)):
         state, out[t] = step_filter(cfg, state, series[t])

@@ -96,6 +96,7 @@ class PipelineConfig:
             raise ValueError("PipelineConfig.convex_lambda must be in [0, 1], "
                              f"got {self.convex_lambda!r}")
         ev.check_fit_ranges(self, "PipelineConfig")
+        ev.check_seed(self.seed, "PipelineConfig.seed")
         if self.alpha is not None and not (math.isfinite(self.alpha)
                                            and self.alpha > 0):
             raise ValueError("PipelineConfig.alpha must be None or finite "
@@ -599,7 +600,8 @@ def bench_pipeline(artifact: PipelineArtifact, n_queries: int = 50,
     trees, particles, and grid cells (each varied alone). A slope fits the
     fastest of each size's repeated timings, which another process on the
     host can only slow down. pf_ns and kf_ns are per-channel update costs:
-    one pf_step, and one d-channel kf_step divided by d."""
+    one pf_step handed a fresh draw of its particles' noise (the draw timed
+    with it), and one d-channel kf_step divided by d."""
     if n_queries < 1:
         raise ValueError(f"n_queries must be >= 1, got {n_queries}")
     rng = np.random.default_rng(seed)
@@ -653,10 +655,12 @@ def bench_pipeline(artifact: PipelineArtifact, n_queries: int = 50,
     def fastest(fn):
         return _time_stage(fn, max(15, n_queries // 2), np.min)
 
-    def pf_step_once(mp):  # a fresh cloud of mp particles, stepped
+    # a fresh cloud of mp particles, stepped on a fresh draw of mp normals
+    def pf_step_once(mp):
         prng = np.random.default_rng(seed)
         cloud = PfState(prng.normal(0.0, 1.0, mp), np.full(mp, 1.0 / mp))
-        return lambda: pf_step(cloud, 0.1, 1.0, 0.3, 1.0, prng)
+        return lambda: pf_step(cloud, prng.standard_normal(mp), 0.1, 1.0,
+                               0.3, 1.0, prng)
 
     tree_counts = [t for t in (25, 50, 100, 200, 400) if t <= a.rf.n_trees]
     if len(tree_counts) >= 2:

@@ -84,7 +84,8 @@ class TestNoise:
     @pytest.mark.parametrize("field,value", [
         ("eta", -0.1), ("eta", float("nan")), ("kappa", -1.0),
         ("kappa", float("inf")), ("level", -0.5), ("level", float("nan")),
-        ("p", 2.0), ("p", -0.1), ("p", float("nan"))])
+        ("p", 2.0), ("p", -0.1), ("p", float("nan")), ("seed", -3),
+        ("seed", 1.5)])
     def test_every_field_checked_whatever_the_kind(self, kind, field, value):
         # a field another kind reads is checked too, so a config never
         # carries a value that fails only once the condition runs
@@ -330,7 +331,8 @@ class TestConfigValidation:
         ("eps", -1e-9), ("alpha_grid", ()), ("alpha_grid", (1.0, -0.5)),
         ("ratios", (0.5, 0.5, 0.5)), ("ratios", (0.7, 0.3)),
         ("eps", float("inf")), ("alpha_grid", (float("inf"),)),
-        ("k", 2.5), ("n_trees", 2.5), ("max_depth", 2.5)])
+        ("k", 2.5), ("n_trees", 2.5), ("max_depth", 2.5),
+        ("base_seed", -2), ("base_seed", 1.5), ("n_splits", 2.5)])
     def test_ablation_config_rejects(self, field, value):
         with pytest.raises(ValueError, match=f"AblationConfig.{field}"):
             fast_cfg(**{field: value})

@@ -14,7 +14,7 @@ from oracles import (reference_kf_step, reference_pf_step,  # noqa: E402
 
 import fpfuse  # noqa: E402
 from fpfuse.filters import (FilterConfig, KfState, PfState,
-                            _start_cloud, effective_sample_size,
+                            effective_sample_size,
                             filter_stream, kf_step, pf_step, start_filter,
                             step_filter, systematic_resample,
                             ukf_step)  # noqa: E402
@@ -85,7 +85,8 @@ class TestPf:
         m = 64
         state = PfState(np.full(m, 0.9), np.full(m, 1.0 / m))
         rng = np.random.default_rng(0)
-        out = pf_step(state, 0.9, 1.0, 0.3, 0.0, rng)  # no prediction noise
+        out = pf_step(state, rng.standard_normal(m), 0.9, 1.0, 0.3, 0.0,
+                      rng)  # no prediction noise
         assert out.estimate == pytest.approx(0.9, abs=0.0)
         assert np.allclose(out.weights, 1.0 / m)
 
@@ -104,10 +105,25 @@ class TestPf:
         m = 50
         state = PfState(np.linspace(-1.0, 1.0, m), np.full(m, 1.0 / m))
         for tau in (0.0, 1.0):  # without and with resampling
-            out = pf_step(state, 0.2, 0.5, tau, 0.1, np.random.default_rng(1))
+            rng = np.random.default_rng(1)
+            out = pf_step(state, rng.standard_normal(m), 0.2, 0.5, tau, 0.1,
+                          rng)
             assert not out.particles.flags.writeable
             assert not out.weights.flags.writeable
             assert abs(out.weights.sum() - 1.0) < 1e-12
+
+    def test_step_reads_its_noise_block_and_checks_its_length(self):
+        m = 50
+        state = PfState(np.linspace(-1.0, 1.0, m), np.full(m, 1.0 / m))
+        eps = np.random.default_rng(2).standard_normal(m)
+        eps.setflags(write=False)  # one block serves every channel of a scan
+        before = eps.tobytes()
+        pf_step(state, eps, 0.2, 0.5, 1.0, 0.3, np.random.default_rng(3))
+        assert eps.tobytes() == before
+        for bad in (eps[:-1], np.zeros((m, 1))):
+            with pytest.raises(ValueError, match="one standard normal draw"):
+                pf_step(state, bad, 0.2, 0.5, 1.0, 0.3,
+                        np.random.default_rng(3))
 
     def test_ess_definition_no_resample(self):
         w = np.full(100, 0.01)
@@ -137,7 +153,8 @@ class TestPf:
         m = 10_000
         state = PfState(rng.normal(0.7, 1.0, m), np.full(m, 1.0 / m))
         for _ in range(50):
-            state = pf_step(state, 0.7, 1.0, 0.3, 1.0, rng)
+            state = pf_step(state, rng.standard_normal(m), 0.7, 1.0, 0.3,
+                            1.0, rng)
         assert abs(state.estimate - 0.7) < 0.05
 
     def test_weight_simplex_invariant(self):
@@ -145,7 +162,8 @@ class TestPf:
         m = 200
         state = PfState(rng.normal(size=m), np.full(m, 1.0 / m))
         for t in range(50):
-            state = pf_step(state, float(np.sin(t)), 0.5, 0.5, 1.0, rng)
+            state = pf_step(state, rng.standard_normal(m), float(np.sin(t)),
+                            0.5, 0.5, 1.0, rng)
             assert np.all(state.weights >= 0)
             assert abs(state.weights.sum() - 1.0) < 1e-9
             ess = effective_sample_size(state.weights)
@@ -155,8 +173,9 @@ class TestPf:
         # all mass on a particle 1000 sigma from the measurement underflows
         particles = np.array([1000.0, 0.0])
         weights = np.array([1.0, 0.0])
-        out = pf_step(PfState(particles, weights), 0.0, 1e-4, 0.3, 0.0,
-                      np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        out = pf_step(PfState(particles, weights), rng.standard_normal(2), 0.0,
+                      1e-4, 0.3, 0.0, rng)
         assert out.degenerate_reset
 
     def test_systematic_resample_preserves_mean(self):
@@ -232,23 +251,44 @@ class TestFilterStream:
 
 
 def _replay(series, cfg):
-    """Scan-major reference: start_filter on the first row, step_filter on
-    each later one; also returns how many PF steps resampled or reset."""
+    """Scan by scan: start_filter on the first row, step_filter on each
+    later one; also returns how many PF steps resampled or reset."""
     state, first = start_filter(cfg, series[0])
     rows, resampled, degenerate = [first], 0, 0
     for z in series[1:]:
         state, est = step_filter(cfg, state, z)
         rows.append(est)
         if cfg.method == "pf":
-            for cloud, _rng, _bits in state:
+            for cloud in state[0]:
                 degenerate += cloud.degenerate_reset
                 resampled += bool(np.all(cloud.weights == cloud.weights[0]))
     return np.array(rows), resampled, degenerate
 
 
-class TestChannelMajorStream:
-    """filter_stream filters a PF stream channel by channel; it equals the
-    scan-major start_filter/step_filter replay bit for bit."""
+def _hand_pf_replay(series, cfg):
+    """A PF stream by hand: one generator seeded by cfg.seed, one N(0, 1)
+    block shifted by each z_i for the first clouds, then one block of
+    standard normals per scan that pf_step reads channel by channel.
+    Returns (clouds, estimates, the generator's final bit state)."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    m = cfg.n_particles
+    base = rng.standard_normal(m)
+    clouds = [PfState(base + z, np.full(m, 1.0 / m)) for z in series[0]]
+    rows = [[cloud.estimate for cloud in clouds]]
+    for scan in series[1:]:
+        eps = rng.standard_normal(m)
+        for i, z in enumerate(scan):
+            clouds[i] = pf_step(clouds[i], eps, float(z), float(cfg.r[i]),
+                                cfg.ess_tau, cfg.predict_sigma, rng)
+        rows.append([cloud.estimate for cloud in clouds])
+    return clouds, np.array(rows), rng.bit_generator.state
+
+
+class TestSharedDrawStream:
+    """filter_stream runs every method through start_filter/step_filter. A
+    PF stream has one generator: one N(0, 1) block starts every channel's
+    cloud, and each later scan draws one block that every channel's
+    pf_step shares."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 20),
@@ -278,6 +318,35 @@ class TestChannelMajorStream:
             expect, resampled, degenerate = _replay(series, cfg)
             assert {"resampled": resampled, "degenerate": degenerate}[event] > 0
             assert filter_stream(series, cfg).tobytes() == expect.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 12),
+           d=st.integers(1, 12), m=st.sampled_from([2, 3, 50, 1_000]),
+           tau=st.sampled_from([1e-12, 0.3, 0.9, 1.0 - 1e-12]),
+           sigma=st.sampled_from([0.0, 0.3, 1.0, 3.0]),
+           r_scale=st.sampled_from([1e-6, 1e-2, 1.0, 25.0]))
+    def test_pf_equals_hand_replay_of_one_draw_per_scan(self, seed, t, d, m,
+                                                         tau, sigma, r_scale):
+        rng = np.random.default_rng(seed)
+        series = rng.normal(0.0, 2.0, size=(t, d))
+        cfg = FilterConfig("pf", 0.5, m, tau, sigma,
+                           r=r_scale * rng.uniform(0.5, 2.0, d), seed=seed)
+        clouds, expect, bits = _hand_pf_replay(series, cfg)
+        state, first = start_filter(cfg, series[0])
+        rows = [first]
+        for z in series[1:]:
+            state, est = step_filter(cfg, state, z)
+            rows.append(est)
+        got, stream_rng, got_bits = state
+        assert np.array(rows).tobytes() == expect.tobytes()
+        assert filter_stream(series, cfg).tobytes() == expect.tobytes()
+        assert len(got) == d
+        for ours, theirs in zip(got, clouds):
+            assert ours.particles.tobytes() == theirs.particles.tobytes()
+            assert ours.weights.tobytes() == theirs.weights.tobytes()
+            assert ours.degenerate_reset == theirs.degenerate_reset
+        assert got_bits == bits
+        assert stream_rng.bit_generator.state == bits
 
     def test_pf_dimension_mismatch(self):
         cfg = FilterConfig("pf", n_particles=10, ess_tau=0.5,
@@ -442,7 +511,8 @@ class TestPfMatchesReference:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         ref = (state.particles, state.weights)
         for _ in range(3):
-            state = pf_step(state, z, r, tau, sigma, ours)
+            state = pf_step(state, ours.standard_normal(m), z, r, tau, sigma,
+                            ours)
             p, w, degenerate = reference_pf_step(*ref, z, r, tau, sigma, theirs)
             assert state.particles.tobytes() == p.tobytes()
             assert state.weights.tobytes() == w.tobytes()
@@ -463,23 +533,29 @@ class TestPfMatchesReference:
                 particles[::2] = -0.0
         state = PfState(particles, np.full(m, 1.0 / m))
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        out = pf_step(state, 0.0, 1.0, 1e-12, sigma, ours)
+        out = pf_step(state, ours.standard_normal(m), 0.0, 1.0, 1e-12, sigma,
+                      ours)
         expect = particles + theirs.normal(0.0, sigma, size=m)
         assert out.particles.tobytes() == expect.tobytes()
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from(PARTICLE_COUNTS),
-           channel=st.integers(0, 5),
-           z=st.sampled_from([0.0, -0.0, -1.5, 3.25, 1e-300]))
-    def test_start_cloud_equals_normal(self, seed, m, channel, z):
-        state, rng = _start_cloud(FilterConfig(n_particles=m, seed=seed),
-                                  channel, z)
-        theirs = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(channel,)))
-        expect = theirs.normal(z, 1.0, m)
-        assert state.particles.tobytes() == expect.tobytes()
-        assert rng.bit_generator.state == theirs.bit_generator.state
+           z=st.lists(st.sampled_from([0.0, -0.0, -1.5, 3.25, 1e-300]),
+                      min_size=1, max_size=6))
+    def test_start_cloud_equals_normal(self, seed, m, z):
+        # every channel's first cloud is rng.normal(z_i, 1.0, m) from a
+        # fresh generator of the stream's seed: one block, shifted per channel
+        cfg = FilterConfig(n_particles=m, r=np.ones(len(z)), seed=seed)
+        (clouds, rng, bits), est = start_filter(cfg, np.array(z))
+        assert len(clouds) == len(z)
+        for cloud, z_i in zip(clouds, z):
+            theirs = np.random.default_rng(np.random.SeedSequence(seed))
+            expect = theirs.normal(z_i, 1.0, m)
+            assert cloud.particles.tobytes() == expect.tobytes()
+            assert cloud.weights.tobytes() == np.full(m, 1.0 / m).tobytes()
+            assert rng.bit_generator.state == bits == theirs.bit_generator.state
+        assert est.tobytes() == np.array([c.estimate for c in clouds]).tobytes()
 
     def test_negative_zero_sigma_is_rejected_as_numpy_does(self):
         with pytest.raises(ValueError, match="scale < 0"):
@@ -489,7 +565,8 @@ class TestPfMatchesReference:
             with pytest.raises(ValueError, match="predict_sigma"):
                 FilterConfig(predict_sigma=sigma)
             with pytest.raises(ValueError, match="predict_sigma"):
-                pf_step(state, 0.0, 1.0, 0.5, sigma, np.random.default_rng(0))
+                pf_step(state, np.zeros(4), 0.0, 1.0, 0.5, sigma,
+                        np.random.default_rng(0))
         # rng.normal takes a NaN scale, and so does pf_step; the config type
         # rejects it, because a NaN cloud fails only a later stage
         assert np.isnan(np.random.default_rng(0).normal(0.0, np.nan, 1)[0])
@@ -514,8 +591,9 @@ class TestPfMatchesReference:
         particles = np.linspace(0.0, 1.0, m)
         weights = np.zeros(m)
         weights[-1] = 1.0
-        out = pf_step(PfState(particles, weights), -1000.0, 1e-4, tau, 0.0,
-                      np.random.default_rng(m))
+        rng = np.random.default_rng(m)
+        out = pf_step(PfState(particles, weights), rng.standard_normal(m),
+                      -1000.0, 1e-4, tau, 0.0, rng)
         p, w, degenerate = reference_pf_step(particles, weights, -1000.0, 1e-4,
                                              tau, 0.0, np.random.default_rng(m))
         assert out.degenerate_reset and degenerate

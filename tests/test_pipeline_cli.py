@@ -98,7 +98,7 @@ class TestPipelineConfig:
         ("alpha_grid", (0.5, 0.0)), ("alpha_grid", (float("nan"),)),
         ("alpha", float("inf")), ("eps", float("inf")),
         ("ratios", (0.5, 0.5, 0.5)), ("grids", {}), ("k", 2.5),
-        ("n_trees", 2.5), ("max_depth", 2.5)])
+        ("n_trees", 2.5), ("max_depth", 2.5), ("seed", -1), ("seed", 1.5)])
     def test_rejects_unknown_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=f"PipelineConfig.{field}"):
             small_cfg(**{field: value})
@@ -857,14 +857,23 @@ class TestCli:
         ("fit", {"pipeline": {"grids": {"k": []}}}, "pipeline"),
         ("fit", {"pipeline": {"grids": {"gamma": [-1.0]}}}, "pipeline"),
         ("fit", {"pipeline": {"grids": [3]}}, "pipeline"),
+        ("fit", {"pipeline": {"seed": -1}}, "pipeline"),
+        ("fit", {"pipeline": {"seed": 1.5}}, "pipeline"),
+        ("ablate", {"ablation": {"base_seed": -2}}, "ablation"),
+        ("ablate", {"noise": [{"kind": "bursty", "seed": -3}]}, "noise"),
+        ("ablate", {"ablation": {"n_splits": 2.5}}, "ablation"),
     ])
     def test_rejected_config_is_a_usage_error(self, tmp_path, capsys,
                                               command, config, section):
+        # --seed would override a seed the config itself sets
+        own_seed = ("seed" in config.get("pipeline", {})
+                    or "base_seed" in config.get("ablation", {}))
         config.setdefault("synth", {"n_rp": 4, "samples_per_rp": 4,
                                     "n_wifi": 3, "n_ble": 1})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        rc = cli.main([command, "--seed", "0", "--config", str(cfg_path),
+        seed = [] if own_seed else ["--seed", "0"]
+        rc = cli.main([command, *seed, "--config", str(cfg_path),
                        "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
