@@ -19,6 +19,7 @@ import numpy as np
 
 from . import evaluate as ev
 from . import pipeline as pl
+from . import rules
 from .datamodel import (Bounds, SynthSpec, load_radio_map, save_radio_map,
                         synth_radio_map)
 from .filters import FilterConfig
@@ -138,8 +139,8 @@ def _parse_scan(text: str) -> np.ndarray:
 
 def cmd_predict(args) -> int:
     lam = args.convex_lambda
-    if lam is not None and not 0.0 <= lam <= 1.0:  # NaN fails too
-        raise UsageError(f"--lambda must lie in [0, 1], got {lam}")
+    if lam is not None and not rules.UNIT.test(lam):  # NaN fails too
+        raise UsageError(f"--lambda must be {rules.UNIT.text}, got {lam}")
     artifact = pl.load_artifact(args.artifact)
     session = pl.PredictorSession(artifact)
     scans = []
@@ -225,8 +226,9 @@ def cmd_noise_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.queries < 1:
-        raise UsageError(f"--queries must be >= 1, got {args.queries}")
+    if not rules.COUNT.test(args.queries):
+        raise UsageError(f"--queries must be {rules.COUNT.text}, got "
+                         f"{args.queries}")
     artifact = pl.load_artifact(args.artifact)
     report = pl.bench_pipeline(artifact, n_queries=args.queries,
                                seed=args.seed or 0)
@@ -248,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, data_source=False):
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=int, default=None,
+                        help="seed; replaces pipeline.seed, ablation.base_seed "
+                        "and synth.seed from --config")
         sp.add_argument("--config", help="JSON file with config overrides")
         sp.add_argument("--out", help="output directory (default: cwd)")
         if data_source:

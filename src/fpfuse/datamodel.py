@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import rules
+
 DBM_FLOOR = -120.0
 DBM_CEIL = 0.0
 DBM_TOL = 1e-9  # readings this far outside [DBM_FLOOR, DBM_CEIL] still pass
@@ -181,10 +183,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
-            raise ValueError("all three split ratios must be positive")
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError("split ratios must sum to 1")
+        rules.check_fields(self, "SplitSpec", rules.SPLIT)
 
 
 @dataclass(frozen=True)
@@ -208,15 +207,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_rp", "samples_per_rp", "n_wifi", "n_ble"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("path_loss_exp", "tx_power_dbm", "shadowing_std_dbm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"SynthSpec.{name} must be finite, got "
-                                 f"{getattr(self, name)!r}")
-        if self.shadowing_std_dbm < 0:
-            raise ValueError("shadowing_std_dbm must be >= 0")
+        rules.check_fields(self, "SynthSpec", rules.SYNTH)
 
 
 def _expected_header(n_wifi: int, n_ble: int) -> list[str]:

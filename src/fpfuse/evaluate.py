@@ -11,12 +11,12 @@ continued-fraction incomplete beta, and Holm-Bonferroni handles multiplicity.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import rules
 from .datamodel import Position, RadioMap, SplitSpec, stratified_split
 from .filters import FilterConfig, filter_stream
 from .fuse import (GridSpec, centroid_distances, combine_masses,
@@ -26,27 +26,18 @@ from .fuse import (GridSpec, centroid_distances, combine_masses,
 # benchmark (perfbench/spans.py) wraps these names here, so they stay.
 from .fuse import (argmax_belief, bba_from_point,  # noqa: F401
                    dempster_combine, weighted_centroid)
-from .preprocess import MODES as NORM_MODES
 from .preprocess import (NormStats, fit_channel_variances, fit_norm_stats,
                          fit_zscore_stats, normalize_matrix)
 from .regress import (KnnIndex, RfConfig, RfModel, build_knn_index,
                       predict_wknn_batch, train_rf)
+from .rules import NOISE_KINDS  # noqa: F401 - re-exported
 from .topo import features_matrix
-
-NOISE_KINDS = ("gauss_jitter", "bursty", "dbm_10pct")
 
 
 def derive_seed(base: int, *keys: int) -> int:
     """Stable per-task seed so parallel order cannot change results."""
     ss = np.random.SeedSequence(base, spawn_key=tuple(int(k) for k in keys))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def check_seed(value, name: str) -> None:
-    """A seed is an integer >= 0, as numpy's SeedSequence takes it; name is
-    the owner.field an error names."""
-    if not (isinstance(value, numbers.Integral) and value >= 0):
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +55,8 @@ class NoiseSpec:
     level: float = 0.10   # dbm model: fraction of the training std
     seed: int = 123
 
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        for name in ("eta", "kappa", "level"):  # checked whatever the kind
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"NoiseSpec.{name} must be finite and >= 0, "
-                                 f"got {value!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"NoiseSpec.p must be in [0, 1], got {self.p!r}")
-        check_seed(self.seed, "NoiseSpec.seed")
+    def __post_init__(self):  # every field, whatever the kind
+        rules.check_fields(self, "NoiseSpec", rules.NOISE)
 
     @property
     def label(self) -> str:
@@ -422,9 +404,6 @@ def filter_streams_by_rp(matrix: np.ndarray, rp_ids: np.ndarray,
     return out
 
 
-DST_POINT_MODES = ("belief_weighted", "argmax_centroid")
-
-
 def fuse_rows(pred_rf: np.ndarray, pred_knn: np.ndarray, grid: GridSpec,
               alpha: float, theta_discount: float,
               mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -533,51 +512,6 @@ def fit_split(train: RadioMap, val: RadioMap, cfg, seed: int, spaces,
             "grid": grid, "spaces": fitted}
 
 
-def _finite_positive(v) -> bool:
-    return math.isfinite(v) and v > 0
-
-
-def _count(v) -> bool:
-    return isinstance(v, numbers.Integral) and v >= 1
-
-
-# (rule, test) per fit field that PipelineConfig and AblationConfig share;
-# a SearchGrids field holds values of the field of its name
-_FIT_RULES = {
-    "norm_mode": (f"one of {NORM_MODES}", lambda v: v in NORM_MODES),
-    "dst_point_mode": (f"one of {DST_POINT_MODES}",
-                       lambda v: v in DST_POINT_MODES),
-    "theta_discount": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
-    "cell_width": ("> 0", lambda v: v > 0),
-    "k": ("an integer >= 1", _count),
-    "n_trees": ("an integer >= 1", _count),
-    "max_depth": ("None or an integer >= 1",
-                  lambda v: v is None or _count(v)),
-    "eps": ("finite and > 0", _finite_positive),
-    "alpha_grid": ("a non-empty tuple of finite values > 0",
-                   lambda v: len(v) > 0 and all(map(_finite_positive, v))),
-}
-
-
-def check_fit_ranges(cfg, owner: str) -> None:
-    """Checks of the fit fields PipelineConfig and AblationConfig share;
-    each error names owner.field and the value it got. The filter's r and
-    seed must be unset: the fit binds them."""
-    for name in ("r", "seed"):
-        value = getattr(cfg.filter, name)
-        if value is not None:
-            raise ValueError(f"{owner}.filter.{name} must be None (the fit "
-                             f"binds it), got {value!r}")
-    for name, (rule, ok) in _FIT_RULES.items():
-        value = getattr(cfg, name)
-        if not ok(value):
-            raise ValueError(f"{owner}.{name} must be {rule}, got {value!r}")
-    try:
-        SplitSpec(cfg.ratios)
-    except ValueError as exc:
-        raise ValueError(f"{owner}.ratios {cfg.ratios!r}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # cross-validated grid search (Table-style per-component sweep)
 # ---------------------------------------------------------------------------
@@ -598,21 +532,16 @@ class SearchGrids:
 
     def __post_init__(self):
         for name, values in vars(self).items():
-            if not (isinstance(values, tuple) and values):
-                raise ValueError(f"SearchGrids.{name} must be a non-empty "
-                                 f"tuple, got {values!r}")
+            rules.check("SearchGrids", name, values, rules.GRID)
             for value in values:
-                if name in ("gamma", "n_particles", "ess_tau"):
+                if name in rules.FILTER:
                     try:
                         FilterConfig(**{name: value})
                     except ValueError as exc:
                         raise ValueError(f"SearchGrids.{name}: {exc}") from exc
-                    continue
-                rule, ok = _FIT_RULES.get(name, ("finite and > 0",
-                                                 _finite_positive))
-                if not ok(value):
-                    raise ValueError(f"SearchGrids.{name} values must be "
-                                     f"{rule}, got {value!r}")
+                else:  # alpha holds alpha_grid's values
+                    rules.check("SearchGrids", f"{name} values", value,
+                                rules.FIT.get(name, rules.POSITIVE))
 
 
 @dataclass(frozen=True)
@@ -795,11 +724,7 @@ class AblationConfig:
     norm_mode: str = "dbm_zscore"
 
     def __post_init__(self):
-        if not _count(self.n_splits):
-            raise ValueError("AblationConfig.n_splits must be an integer >= 1, "
-                             f"got {self.n_splits!r}")
-        check_seed(self.base_seed, "AblationConfig.base_seed")
-        check_fit_ranges(self, "AblationConfig")
+        rules.check_fields(self, "AblationConfig", rules.ABLATION)
         check_noise_labels(self.noise, "AblationConfig.noise")
 
 

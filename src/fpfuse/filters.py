@@ -37,13 +37,11 @@ recorded stream, so both give the same bits.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-METHODS = ("kf", "ukf", "pf", "none")
+from . import rules
 
 
 # The scalar unscented transform's spread (the standard defaults) and the
@@ -56,13 +54,6 @@ _UKF_C = 1.0 + _UKF_LAM
 _UKF_WM = np.array([_UKF_LAM / _UKF_C, 0.5 / _UKF_C, 0.5 / _UKF_C])
 _UKF_WC = _UKF_WM.copy()
 _UKF_WC[0] += 1.0 - UKF_ALPHA ** 2 + UKF_BETA
-
-
-def _check_sigma(sigma: float) -> None:
-    """Reject a negative noise scale as rng.normal does: -0.0 is negative,
-    NaN is not."""
-    if math.copysign(1.0, sigma) < 0 and not math.isnan(sigma):
-        raise ValueError("predict_sigma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -85,29 +76,9 @@ class FilterConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        def reject(name: str, rule: str):
-            raise ValueError(f"FilterConfig.{name} must be {rule}, got "
-                             f"{getattr(self, name)!r}")
-
-        if self.method not in METHODS:
-            reject("method", f"one of {METHODS}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            reject("gamma", "finite and >= 0")
-        if not isinstance(self.n_particles, numbers.Integral) or self.n_particles < 2:
-            reject("n_particles", "an integer >= 2")
-        if not 0.0 < self.ess_tau < 1.0:
-            reject("ess_tau", "in (0, 1)")
-        if not math.isfinite(self.predict_sigma):  # rng.normal takes NaN
-            reject("predict_sigma", "finite")
-        if math.copysign(1.0, self.predict_sigma) < 0:  # -0.0 too, as numpy
-            reject("predict_sigma", ">= 0")
-        if self.seed is not None and not (
-                isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            reject("seed", "None or an integer >= 0")
+        rules.check_fields(self, "FilterConfig", rules.FILTER)
         if self.r is not None:
             r = np.asarray(self.r, dtype=float)
-            if r.ndim != 1 or not np.all(np.isfinite(r) & (r > 0)):
-                reject("r", "None or a 1-D array of finite values > 0")
             r.setflags(write=False)
             object.__setattr__(self, "r", r)
 
@@ -293,7 +264,7 @@ def pf_step(state: PfState, eps: np.ndarray, z: float, r: float, tau: float,
     its fresh particle array and on one weight buffer; each operation is
     the same IEEE operation on the same operands as its out-of-place form.
     """
-    _check_sigma(predict_sigma)
+    rules.check("pf_step", "predict_sigma", predict_sigma, rules.SIGN)
     if np.shape(eps) != state.particles.shape:
         raise ValueError("eps must hold one standard normal draw per particle")
     m = len(state.particles)

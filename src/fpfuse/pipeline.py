@@ -30,10 +30,13 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 
 from . import evaluate as ev
+from . import rules
 from .datamodel import (DBM_CEIL, DBM_FLOOR, DBM_TOL, Bounds, Position,
                         RadioMap, SplitSpec, stratified_split)
 from .evaluate import StageError, stage  # noqa: F401 - StageError re-exported
@@ -46,6 +49,7 @@ from .fuse import (Bba, ChoquetMeasure, GridSpec, argmax_belief, bba_from_point,
                    write_belief_csv, write_belief_pgm)
 from .preprocess import ChannelVariances, NormStats, apply_norm, normalize_matrix
 from .regress import KnnIndex, RfConfig, RfModel, build_knn_index, predict_wknn
+from .rules import FUSION_MODES  # noqa: F401 - re-exported
 from .topo import augment, features_for_vector
 # Not called in this module (evaluate.fit_split fits, and a session scores
 # both sources from one distance block), but the traced benchmark
@@ -57,8 +61,6 @@ from .regress import train_rf  # noqa: F401
 from .topo import features_matrix  # noqa: F401
 
 ARTIFACT_VERSION = "3"
-
-FUSION_MODES = ("dst", "choquet", "convex")
 
 
 class ArtifactError(ValueError):
@@ -89,18 +91,7 @@ class PipelineConfig:
     convex_lambda: float = 0.5
 
     def __post_init__(self):
-        if self.fusion_mode not in FUSION_MODES:
-            raise ValueError(f"PipelineConfig.fusion_mode must be one of "
-                             f"{FUSION_MODES}, got {self.fusion_mode!r}")
-        if not 0.0 <= self.convex_lambda <= 1.0:
-            raise ValueError("PipelineConfig.convex_lambda must be in [0, 1], "
-                             f"got {self.convex_lambda!r}")
-        ev.check_fit_ranges(self, "PipelineConfig")
-        ev.check_seed(self.seed, "PipelineConfig.seed")
-        if self.alpha is not None and not (math.isfinite(self.alpha)
-                                           and self.alpha > 0):
-            raise ValueError("PipelineConfig.alpha must be None or finite "
-                             f"and > 0, got {self.alpha!r}")
+        rules.check_fields(self, "PipelineConfig", rules.PIPELINE)
         if self.grids is not None and not isinstance(self.grids,
                                                      ev.SearchGrids):
             raise ValueError("PipelineConfig.grids must be None or a "
@@ -257,36 +248,6 @@ def _finite(arr: np.ndarray) -> None:
         raise ValueError("values must be finite")
 
 
-def _real(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
-# The fusion and kNN scalars a loaded artifact must hold: (field, rule, test)
-_SCALARS = (
-    ("fusion.alpha", "finite and > 0", lambda v: _real(v) and v > 0),
-    ("fusion.beta", "finite and > 0", lambda v: _real(v) and v > 0),
-    ("fusion.theta_discount", "in [0, 1)",
-     lambda v: _real(v) and 0.0 <= v < 1.0),
-    ("fusion.convex_lambda", "in [0, 1]",
-     lambda v: _real(v) and 0.0 <= v <= 1.0),
-    ("knn.k", "an integer >= 1", lambda v: type(v) is int and v >= 1),
-    ("knn.eps", "finite and > 0", lambda v: _real(v) and v > 0))
-
-
-def _filter_from_dict(f: dict) -> FilterConfig:
-    """The v1 filter section as a FilterConfig; a value it rejects is an
-    ArtifactError naming the filter.* key."""
-    r = np.array(f["r"])
-    try:  # the pf keys are the particle fields' names
-        return FilterConfig(f["method"], f["q_gamma"], r=r, **f["pf"])
-    except ValueError as exc:  # "FilterConfig.<field> must ..."
-        name = str(exc).partition(" ")[0].removeprefix("FilterConfig.")
-        key = {"gamma": "q_gamma", "method": "method", "r": "r"}.get(
-            name, f"pf.{name}")
-        raise ArtifactError(f"artifact field filter.{key}: {exc}") from exc
-
-
 def _full_column(n: int, at: np.ndarray, values: np.ndarray,
                  fill) -> np.ndarray:
     """A column of one entry per node of n: `values` at the node indices
@@ -332,24 +293,20 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
         raise ArtifactError(f"artifact version {d.get('version')!r} is not "
                             f"supported (expected {ARTIFACT_VERSION!r}); "
                             "refit it with `fpfuse fit`")
-    fusion = d["fusion"]
-    for name, allowed in (("mode", FUSION_MODES),
-                          ("dst_point_mode", ev.DST_POINT_MODES)):
-        if fusion[name] not in allowed:
-            raise ArtifactError(f"artifact field fusion.{name} must be one "
-                                f"of {allowed}, got {fusion[name]!r}")
-    for name, rule, ok in _SCALARS:
-        section, key = name.split(".")
-        if not ok(d[section][key]):
-            raise ArtifactError(f"artifact field {name} must be {rule}, got "
-                                f"{d[section][key]!r}")
+    for key, rule in rules.ARTIFACT.items():  # by its field's rule
+        section, _, name = key.rpartition(".")
+        rules.check(f"artifact field {section}", name,
+                    reduce(getitem, key.split("."), d), rule, ArtifactError)
+    fusion, f = d["fusion"], d["filter"]
     norm = NormStats(d["norm"]["mode"], np.array(d["norm"]["mu"]),
                      np.array(d["norm"]["sigma"]),
                      np.array(d["norm"]["floored"], dtype=bool))
     variances = _field("variances.var", ChannelVariances,
                        np.array(d["variances"]["var"]),
                        d["variances"]["shrinkage"])
-    filter_cfg = _filter_from_dict(d["filter"])
+    # the v1 filter section; its pf keys are the particle fields' names
+    filter_cfg = FilterConfig(f["method"], f["q_gamma"], r=np.array(f["r"]),
+                              **f["pf"])
     for name, arr in (("norm.sigma", norm.sigma), ("norm.floored", norm.floored),
                       ("variances.var", variances.var),
                       ("filter.r", filter_cfg.r)):
@@ -529,11 +486,11 @@ class PredictorSession:
             raise ScanError(f"scan channel {i} is {scan[i]}, not a dBm value "
                             f"in [{DBM_FLOOR}, {DBM_CEIL}]")
         mode = fusion_mode or a.fusion_mode
-        if mode not in FUSION_MODES:
-            raise ValueError(f"unknown fusion mode {mode!r}")
-        if convex_lambda is not None and not 0.0 <= convex_lambda <= 1.0:
-            raise ValueError("convex_lambda must lie in [0, 1], got "
-                             f"{convex_lambda!r}")
+        rules.check("PredictorSession.predict", "fusion_mode", mode,
+                    rules.FUSION_MODE)
+        if convex_lambda is not None:
+            rules.check("PredictorSession.predict", "convex_lambda",
+                        convex_lambda, rules.UNIT)
         lam = a.convex_lambda if convex_lambda is None else convex_lambda
 
         z = apply_norm(scan, a.norm)

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rules
+
 SIGMA_FLOOR = 1e-9  # replaces the std of (near-)constant channels
 VAR_SHRINKAGE = 1e-6  # l2 term added to metric variances for conditioning
-
-MODES = ("dbm_zscore", "mw_zscore")
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,8 +28,7 @@ class NormStats:
     floored: np.ndarray  # bool per channel: sigma fell below SIGMA_FLOOR
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown normalization mode {self.mode!r}")
+        rules.check("NormStats", "mode", self.mode, rules.NORM_MODE)
         for name in ("mu", "sigma", "floored"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)

@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import rules
 from .datamodel import Position
 from .preprocess import ChannelVariances
 
@@ -63,13 +64,7 @@ class RfConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1 or self.min_leaf < 1:
-            raise ValueError("n_trees and min_leaf must be >= 1")
-        if self.max_features is not None and self.max_features < 1:
-            raise ValueError("RfConfig.max_features must be None or >= 1, "
-                             f"got {self.max_features!r}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
+        rules.check_fields(self, "RfConfig", rules.RF)
 
 
 class Tree(NamedTuple):

@@ -98,6 +98,15 @@ class TestTypes:
                                              "finite"):
             SynthSpec(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_rp", 2.5), ("n_rp", 0), ("samples_per_rp", True), ("n_wifi", 0),
+        ("n_ble", 1.5), ("seed", -1), ("seed", 1.5), ("seed", True)])
+    def test_synth_spec_rejects_bad_count_or_seed(self, field, value):
+        # a bool is not a count or a seed
+        with pytest.raises(ValueError, match=f"^SynthSpec.{field} must be an "
+                                             "integer"):
+            SynthSpec(**{field: value})
+
     def test_split_spec_ratios(self):
         with pytest.raises(ValueError):
             SplitSpec((1.0, 0.0, 0.0))

@@ -85,7 +85,7 @@ class TestNoise:
         ("eta", -0.1), ("eta", float("nan")), ("kappa", -1.0),
         ("kappa", float("inf")), ("level", -0.5), ("level", float("nan")),
         ("p", 2.0), ("p", -0.1), ("p", float("nan")), ("seed", -3),
-        ("seed", 1.5)])
+        ("seed", 1.5), ("seed", True)])
     def test_every_field_checked_whatever_the_kind(self, kind, field, value):
         # a field another kind reads is checked too, so a config never
         # carries a value that fails only once the condition runs
@@ -332,7 +332,10 @@ class TestConfigValidation:
         ("ratios", (0.5, 0.5, 0.5)), ("ratios", (0.7, 0.3)),
         ("eps", float("inf")), ("alpha_grid", (float("inf"),)),
         ("k", 2.5), ("n_trees", 2.5), ("max_depth", 2.5),
-        ("base_seed", -2), ("base_seed", 1.5), ("n_splits", 2.5)])
+        ("base_seed", -2), ("base_seed", 1.5), ("n_splits", 2.5),
+        ("n_splits", True), ("k", True), ("n_trees", True),
+        ("max_depth", True), ("base_seed", True),
+        ("cell_width", float("inf"))])
     def test_ablation_config_rejects(self, field, value):
         with pytest.raises(ValueError, match=f"AblationConfig.{field}"):
             fast_cfg(**{field: value})
@@ -355,7 +358,9 @@ class TestConfigValidation:
         ("alpha", (float("inf"),), "values must be finite and > 0"),
         ("gamma", (-1.0,), "FilterConfig.gamma"),
         ("n_particles", (1,), "FilterConfig.n_particles"),
-        ("ess_tau", (1.0,), "FilterConfig.ess_tau")])
+        ("ess_tau", (1.0,), "FilterConfig.ess_tau"),
+        ("cell_width", (float("inf"),), "values must be > 0"),
+        ("k", (True,), "values must be an integer >= 1")])
     def test_search_grids_reject(self, field, value, match):
         with pytest.raises(ValueError, match=f"^SearchGrids.{field}.*{match}"):
             SearchGrids(**{field: value})
@@ -375,7 +380,7 @@ class TestConfigValidation:
         ("n_particles", 1), ("ess_tau", 1.0), ("gamma", -1.0),
         ("gamma", float("nan")), ("gamma", float("inf")),
         ("r", (1.0, float("nan"))), ("r", (1.0, 0.0)), ("r", (float("inf"),)),
-        ("r", ((1.0,),)), ("seed", -1)])
+        ("r", ((1.0,),)), ("seed", -1), ("seed", True)])
     def test_filter_spec_rejects_particle_fields(self, method, field, value):
         # checked when built, not first when a fit binds r and seed
         with pytest.raises(ValueError, match=f"^FilterConfig.{field} must"):

@@ -98,7 +98,10 @@ class TestPipelineConfig:
         ("alpha_grid", (0.5, 0.0)), ("alpha_grid", (float("nan"),)),
         ("alpha", float("inf")), ("eps", float("inf")),
         ("ratios", (0.5, 0.5, 0.5)), ("grids", {}), ("k", 2.5),
-        ("n_trees", 2.5), ("max_depth", 2.5), ("seed", -1), ("seed", 1.5)])
+        ("n_trees", 2.5), ("max_depth", 2.5), ("seed", -1), ("seed", 1.5),
+        ("k", True), ("n_trees", True), ("max_depth", True), ("seed", True),
+        ("cell_width", float("inf")), ("convex_lambda", True),
+        ("use_ph", "no")])
     def test_rejects_unknown_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=f"PipelineConfig.{field}"):
             small_cfg(**{field: value})
@@ -376,6 +379,8 @@ class TestArtifactRoundTrip:
             q_gamma=-1.0), id="negative q_gamma"),
         pytest.param("filter.q_gamma", lambda b: b["filter"].update(
             q_gamma=float("inf")), id="inf q_gamma"),
+        pytest.param("filter.pf.seed", lambda b: b["filter"]["pf"].update(
+            seed=True), id="bool seed"),
         pytest.param("rf.threshold", lambda b: b["rf"]["threshold"].update(
             data="not base64!"), id="bad base64"),
         pytest.param("knn.points", lambda b: b["knn"]["points"][
@@ -430,7 +435,8 @@ class TestArtifactRoundTrip:
         ("fusion.theta_discount", 1.0), ("fusion.theta_discount", -0.1),
         ("fusion.convex_lambda", 2.0), ("fusion.convex_lambda", -0.5),
         ("fusion.convex_lambda", "0.5"), ("knn.k", 0), ("knn.k", 2.5),
-        ("knn.k", True), ("knn.eps", 0.0), ("knn.eps", float("nan"))])
+        ("knn.k", True), ("knn.eps", 0.0), ("knn.eps", float("nan")),
+        ("fusion.cell_width", float("inf")), ("norm.mode", "linear")])
     def test_bad_scalar_named_exit_2(self, artifact, tmp_path, capsys,
                                      field, value):
         # checked when loaded, not first when a scan is fused (or, under
@@ -592,7 +598,7 @@ class TestScanContract:
         assert "channel 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["dst", "convex"])
-    @pytest.mark.parametrize("lam", [2.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("lam", [2.0, -0.1, float("nan"), True])
     def test_bad_convex_lambda_leaves_session_as_it_was(self, artifact, mode,
                                                         lam):
         scans = np.random.default_rng(6).uniform(-80, -40, size=(3, 6))
@@ -862,6 +868,10 @@ class TestCli:
         ("ablate", {"ablation": {"base_seed": -2}}, "ablation"),
         ("ablate", {"noise": [{"kind": "bursty", "seed": -3}]}, "noise"),
         ("ablate", {"ablation": {"n_splits": 2.5}}, "ablation"),
+        ("synth", {"synth": {"n_rp": 2.5}}, "synth"),
+        ("fit", {"pipeline": {"cell_width": float("inf")}}, "pipeline"),
+        ("fit", {"pipeline": {"k": True}}, "pipeline"),
+        ("ablate", {"ablation": {"n_splits": True}}, "ablation"),
     ])
     def test_rejected_config_is_a_usage_error(self, tmp_path, capsys,
                                               command, config, section):
@@ -879,6 +889,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"--config section '{section}'" in err
         assert "internal error" not in err
+
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        rc = cli.main(["synth", "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--config section 'synth'" in err and "SynthSpec.seed" in err
+
+    def test_seed_flag_replaces_the_config_seeds(self, tmp_path):
+        config = {"synth": {"n_rp": 4, "samples_per_rp": 12, "n_wifi": 3,
+                            "n_ble": 1, "seed": 5},
+                  "pipeline": {"filter": {"method": "kf"}, "n_trees": 4,
+                               "alpha_grid": [1.0], "cell_width": 1.0,
+                               "seed": 5}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        common = ["--seed", "3", "--config", str(cfg_path), "--out",
+                  str(tmp_path)]
+        assert cli.main(["synth", *common]) == 0
+        assert (tmp_path / "synth_3.csv").exists()
+        assert cli.main(["fit", *common]) == 0
+        artifact = json.loads((tmp_path / "artifact.json").read_text())
+        assert artifact["config"]["seed"] == artifact["meta"]["seed"] == 3
 
     @pytest.mark.parametrize("grids,expected", [
         ({}, SearchGrids()), (None, None),

@@ -131,7 +131,7 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             train_rf(np.zeros((4, 2)), np.zeros((4, 3)))
 
-    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("value", [0, -1, True])
     def test_config_rejects_max_features_below_one(self, value):
         with pytest.raises(ValueError, match="RfConfig.max_features"):
             RfConfig(max_features=value)
