@@ -13,7 +13,7 @@ from .evaluate import (AblationConfig, EvalReport, NoiseSpec, SearchGrids,
                        inject_dbm_noise, inject_gauss_jitter, paired_t_test,
                        rmse_xy, run_ablation_ladder, wilcoxon_signed_rank)
 from .filters import (FilterConfig, KfState, PfState, effective_sample_size,
-                      filter_stream, kf_step, pf_step, start_filter,
+                      filter_stream, kf_step, pf_noise, pf_step, start_filter,
                       step_filter, systematic_resample, ukf_step)
 from .fuse import (Bba, ChoquetMeasure, ConflictError, GridSpec,
                    argmax_belief, bba_from_point, choquet, confidence,

@@ -2,8 +2,9 @@
 `predict --belief-map` also writes the fused belief map (PGM and CSV).
 
 Exit codes: 0 success, 1 internal error, 2 usage, input or I/O problem
-(including a rejected scan, an artifact that does not load, and a total
-Dempster conflict between the two sources, in a fit or in a prediction).
+(including a rejected scan, a survey CSV that does not parse, a survey too
+small for the split, an artifact that does not load, and a total Dempster
+conflict between the two sources, in a fit or in a prediction).
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from . import evaluate as ev
 from . import pipeline as pl
 from . import rules
-from .datamodel import (Bounds, SynthSpec, load_radio_map, save_radio_map,
+from .datamodel import (Bounds, ParseError, SchemaError, SplitError,
+                        SynthSpec, load_radio_map, save_radio_map,
                         synth_radio_map)
 from .filters import FilterConfig
 from .fuse import ConflictError
@@ -75,7 +77,7 @@ def _ingest(args, overrides: dict):
             raise UsageError(f"stage 'ingest': dataset {path} is not readable")
         try:
             return load_radio_map(path)
-        except OSError as exc:
+        except (OSError, ParseError, SchemaError) as exc:
             raise UsageError(f"stage 'ingest': {exc}") from exc
     return synth_radio_map(_synth_spec_from(overrides, args.seed))
 
@@ -226,12 +228,13 @@ def cmd_noise_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if not rules.COUNT.test(args.queries):
-        raise UsageError(f"--queries must be {rules.COUNT.text}, got "
-                         f"{args.queries}")
+    for flag, value, rule in (("--queries", args.queries, rules.COUNT),
+                              ("--seed", args.seed, rules.SEED)):
+        if not rule.test(value):
+            raise UsageError(f"{flag} must be {rule.text}, got {value}")
     artifact = pl.load_artifact(args.artifact)
     report = pl.bench_pipeline(artifact, n_queries=args.queries,
-                               seed=args.seed or 0)
+                               seed=args.seed)
     out = _out_dir(args) / "bench.json"
     with open(out, "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=1)
@@ -249,12 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hybrid Wi-Fi/BLE fingerprint localization pipeline")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def out(sp):
+        sp.add_argument("--out", help="output directory (default: cwd)")
+
     def common(sp, data_source=False):
         sp.add_argument("--seed", type=int, default=None,
                         help="seed; replaces pipeline.seed, ablation.base_seed "
                         "and synth.seed from --config")
         sp.add_argument("--config", help="JSON file with config overrides")
-        sp.add_argument("--out", help="output directory (default: cwd)")
+        out(sp)
         if data_source:
             sp.add_argument("--data", help="survey CSV path")
 
@@ -269,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_fit)
 
     sp = sub.add_parser("predict", help="locate one or more raw scans")
-    common(sp)
     sp.add_argument("--artifact", required=True)
     sp.add_argument("--scan", help="comma-separated raw dBm vector; "
                     "use the --scan=-60,-55,... form (leading dash)")
@@ -293,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_noise_sweep)
 
     sp = sub.add_parser("bench", help="latency benchmark and scaling slopes")
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the synthetic query scans")
+    out(sp)
     sp.add_argument("--artifact", required=True)
     sp.add_argument("--queries", type=int, default=50)
     sp.set_defaults(fn=cmd_bench)
@@ -312,9 +319,9 @@ def main(argv=None) -> int:
     except ConflictError as exc:  # a scan whose two sources fully disagree
         print(f"error: stage 'fuse': {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except pl.StageError as exc:
-        cause = exc.cause
-        code = (EXIT_USAGE if isinstance(cause, (OSError, ConflictError))
+    except pl.StageError as exc:  # input problems exit 2, the rest 1
+        code = (EXIT_USAGE if isinstance(exc.cause, (OSError, ConflictError,
+                                                     SplitError))
                 else EXIT_INTERNAL)
         print(f"error: {exc}", file=sys.stderr)
         return code

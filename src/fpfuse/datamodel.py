@@ -33,6 +33,11 @@ class SchemaError(ValueError):
     """Header or row layout does not match the declared channel schema."""
 
 
+class SplitError(ValueError):
+    """A survey too small for the split: an RP whose share of validation or
+    test samples would be empty."""
+
+
 @dataclass(frozen=True)
 class Bounds:
     """Axis-aligned floor rectangle in metres."""
@@ -361,7 +366,7 @@ def stratified_split(rmap: RadioMap, spec: SplitSpec):
         n_test = int(math.floor(n * spec.ratios[2]))
         idx = idx[rng.permutation(n)]
         if n_val < 1 or n_test < 1:
-            raise ValueError(
+            raise SplitError(
                 f"RP {rp_id} has {n} samples; ratios {spec.ratios} leave an "
                 "empty validation or test share")
         part[idx[:n_val]] = 1

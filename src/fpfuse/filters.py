@@ -18,20 +18,21 @@ binary-search forms bit for bit, random draws included.
 A PF stream (a session, or one RP's rows in a fit) has one generator, seeded
 by FilterConfig.seed. Every channel's first cloud is one N(0, 1) block
 shifted by its z_i; each later scan draws one block of n_particles standard
-normals that every channel's pf_step scales into its own predicted cloud,
-then the resample offsets in channel order. These are common random
-numbers: each channel alone is still the bootstrap particle filter and only
-the Monte Carlo errors of different channels are correlated, while a scan
-makes n_particles normal draws instead of d * n_particles, which were the
-largest cost of a PF scan.
+normals and scales it once (pf_noise), every channel's pf_step adds that
+block to its own cloud, and the resample offsets follow in channel order.
+These are common random numbers: each channel alone is still the bootstrap
+particle filter and only the Monte Carlo errors of different channels are
+correlated, while a scan makes n_particles normal draws instead of
+d * n_particles, which were the largest cost of a PF scan.
 
 One function pair filters a scan: start_filter on a stream's first scan,
 step_filter on each later one; both return (state, estimate). KF/UKF state
 is one KfState of (d,) arrays, and kf_step and ukf_step step every channel
 in one elementwise pass, each channel bit for bit a scalar step. PF state is
-the d clouds plus the stream's generator and its bit state.
-PredictorSession runs the pair over live scans, and filter_stream over a
-recorded stream, so both give the same bits.
+the d clouds plus the stream's generator and its bit state; step_filter
+reads each channel's estimate right after that channel's step, while its
+cloud is still in cache. PredictorSession runs the pair over live scans, and
+filter_stream over a recorded stream, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -223,58 +224,77 @@ def systematic_resample(particles: np.ndarray, weights: np.ndarray,
     Position p_k = u + k/m takes the first particle whose cumulative weight
     exceeds it, or the last particle when no earlier one does: the result
     of searchsorted(cumsum(weights), p, side="right") clipped to m - 1
-    whenever that cumulative sum is sorted. It is found in linear time.
-    below[i], the number of positions under cumulative[i], starts from the
-    arithmetic guess ceil((cumulative[i] - u) * m) and is stepped down, then
-    up, until position below[i] - 1 lies under cumulative[i] and position
-    below[i] does not; particle i then takes below[i] - below[i - 1]
-    positions and the last particle the rest.
+    whenever that cumulative sum is sorted (weights >= 0). It is found in
+    linear time. below[i], the number of positions under cumulative[i],
+    starts from the arithmetic guess ceil((cumulative[i] - u) * m) and is
+    stepped down, then up, until position below[i] - 1 lies under
+    cumulative[i] and position below[i] does not; particle i then takes
+    below[i] - below[i - 1] positions and the last particle the rest. The
+    guess needs no lower clip: u = fl(1/m) * U with U <= 1 - 2^-53 rounds
+    to at most the float below fl(1/m), so for weights >= 0 and m < 2^52,
+    (cumulative[i] - u) * m rounds above -1 and its ceiling is at least 0.
     """
     m = len(particles)
     u = rng.uniform(0.0, 1.0 / m)
-    positions = u + _strides(m)
+    # ext[b] is position b - 1, with -inf and +inf past either end
+    ext = np.empty(m + 2)
+    ext[0], ext[m + 1] = -np.inf, np.inf
+    np.add(u, _strides(m), out=ext[1:m + 1])
     cumulative = np.cumsum(weights[:-1])
-    guess = (cumulative - u) * m
+    guess = cumulative - u
+    guess *= m
     np.ceil(guess, out=guess)
-    np.clip(guess, 0, m, out=guess)
+    np.minimum(guess, m, out=guess)
     bounds = np.empty(m + 1, dtype=np.intp)  # 0, below[0], ..., below[m-2], m
     bounds[0], bounds[m] = 0, m
     below = bounds[1:m]
     below[:] = guess
-    # ext[b] is position b - 1, with -inf and +inf past either end
-    ext = np.concatenate(([-np.inf], positions, [np.inf]))
-    while (over := ext[below] >= cumulative).any():
+    above = ext[1:]
+    while (over := ext.take(below) >= cumulative).any():
         below -= over
-    while (under := cumulative > ext[1:][below]).any():
+    while (under := cumulative > above.take(below)).any():
         below += under
     return np.repeat(particles, np.diff(bounds))
 
 
-def pf_step(state: PfState, eps: np.ndarray, z: float, r: float, tau: float,
-            predict_sigma: float, rng: np.random.Generator) -> PfState:
+def pf_noise(rng: np.random.Generator, m: int,
+             predict_sigma: float) -> np.ndarray:
+    """One scan's process noise: m draws of N(0, predict_sigma^2), read-only,
+    for every channel's pf_step to share.
+
+    It is rng.normal(0.0, predict_sigma, m) as numpy computes it from
+    standard draws, without its per-element parameter handling: the
+    standard block scaled in place, then shifted by 0.0 (which turns -0.0
+    into +0.0), bit for bit, generator state included.
+    """
+    rules.check("pf_noise", "predict_sigma", predict_sigma, rules.SIGN)
+    noise = rng.standard_normal(m)
+    noise *= predict_sigma
+    noise += 0.0
+    noise.setflags(write=False)
+    return noise
+
+
+def pf_step(state: PfState, noise: np.ndarray, z: float, r: float, tau: float,
+            rng: np.random.Generator) -> PfState:
     """One particle-filter cycle: predict, weight, normalize, maybe resample.
 
-    eps holds one standard normal draw per particle; the step reads it and
-    never writes it, so the channels of one scan share one block. Handed
-    rng.standard_normal(m), the step equals one that draws
-    rng.normal(0.0, predict_sigma, m) itself, bit for bit. rng supplies
-    the resample offset only.
+    noise holds one scaled process-noise draw per particle (pf_noise); the
+    step adds it to the cloud, reads it and never writes it, so the
+    channels of one scan share one block. Handed
+    pf_noise(rng, m, predict_sigma), the step equals one that draws
+    rng.normal(0.0, predict_sigma, m) itself, bit for bit. rng supplies the
+    resample offset only.
     If every likelihood underflows to zero the weights reset to uniform and
     the returned state is flagged degenerate. The step works in place on
     its fresh particle array and on one weight buffer; each operation is
     the same IEEE operation on the same operands as its out-of-place form.
     """
-    rules.check("pf_step", "predict_sigma", predict_sigma, rules.SIGN)
-    if np.shape(eps) != state.particles.shape:
-        raise ValueError("eps must hold one standard normal draw per particle")
+    if np.shape(noise) != state.particles.shape:
+        raise ValueError("noise must hold one standard normal draw per "
+                         "particle, scaled by predict_sigma")
     m = len(state.particles)
-    # rng.normal(0.0, predict_sigma, m) as numpy computes it from the
-    # standard draws eps, without its per-element parameter handling: each
-    # scaled into a fresh array, then shifted by 0.0 (which turns -0.0 into
-    # +0.0)
-    particles = np.multiply(eps, predict_sigma)
-    particles += 0.0
-    particles += state.particles
+    particles = np.add(noise, state.particles)
     weights = particles - z
     np.square(weights, out=weights)
     # the log-likelihood: IEEE division is sign-symmetric, so a / -b is
@@ -324,7 +344,8 @@ def start_filter(cfg: FilterConfig,
     m = cfg.n_particles
     base = rng.standard_normal(m)  # base + z_i is rng.normal(z_i, 1.0, m)
     weights = np.full(m, 1.0 / m)
-    clouds = tuple(PfState(base + z_i, weights) for z_i in z.tolist())
+    clouds = tuple(PfState._trusted(base + z_i, weights, False)
+                   for z_i in z.tolist())
     return ((clouds, rng, rng.bit_generator.state),
             np.array([cloud.estimate for cloud in clouds]))
 
@@ -346,13 +367,14 @@ def step_filter(cfg: FilterConfig, state: KfState | tuple,
     if cfg.method == "pf":
         clouds, rng, bits = state
         rng.bit_generator.state = bits
-        eps = rng.standard_normal(cfg.n_particles)
-        eps.setflags(write=False)
-        clouds = tuple(
-            pf_step(cloud, eps, z_i, r_i, cfg.ess_tau, cfg.predict_sigma, rng)
-            for cloud, z_i, r_i in zip(clouds, z.tolist(), cfg.r.tolist()))
-        return ((clouds, rng, rng.bit_generator.state),
-                np.array([cloud.estimate for cloud in clouds]))
+        noise = pf_noise(rng, cfg.n_particles, cfg.predict_sigma)
+        stepped, est = [], np.empty(len(clouds))
+        for i, (cloud, z_i, r_i) in enumerate(zip(clouds, z.tolist(),
+                                                  cfg.r.tolist())):
+            cloud = pf_step(cloud, noise, z_i, r_i, cfg.ess_tau, rng)
+            est[i] = cloud.estimate  # while the cloud is still in cache
+            stepped.append(cloud)
+        return (tuple(stepped), rng, rng.bit_generator.state), est
     step = kf_step if cfg.method == "kf" else ukf_step
     state = step(state, z, cfg.gamma * cfg.r, cfg.r)
     return state, state.x_hat

@@ -40,8 +40,8 @@ from . import rules
 from .datamodel import (DBM_CEIL, DBM_FLOOR, DBM_TOL, Bounds, Position,
                         RadioMap, SplitSpec, stratified_split)
 from .evaluate import StageError, stage  # noqa: F401 - StageError re-exported
-from .filters import (FilterConfig, KfState, PfState, kf_step, pf_step,
-                      start_filter, step_filter)
+from .filters import (FilterConfig, KfState, PfState, kf_step, pf_noise,
+                      pf_step, start_filter, step_filter)
 from .fuse import (Bba, ChoquetMeasure, GridSpec, argmax_belief, bba_from_point,
                    centroid_distances, choquet, confidences,
                    confidences_from_distances, convex_combo, dempster_combine,
@@ -293,10 +293,21 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
         raise ArtifactError(f"artifact version {d.get('version')!r} is not "
                             f"supported (expected {ARTIFACT_VERSION!r}); "
                             "refit it with `fpfuse fit`")
-    for key, rule in rules.ARTIFACT.items():  # by its field's rule
+
+    def value(key):
+        return reduce(getitem, key.split("."), d)
+
+    def check(key, rule):
         section, _, name = key.rpartition(".")
-        rules.check(f"artifact field {section}", name,
-                    reduce(getitem, key.split("."), d), rule, ArtifactError)
+        rules.check(f"artifact field {section}", name, value(key), rule,
+                    ArtifactError)
+
+    for key, rule in rules.ARTIFACT.items():  # by its field's rule
+        check(key, rule)
+    for key, (other, when, rule) in rules.ARTIFACT_WHEN.items():
+        if value(other) == when:
+            check(key, rules.Rule(f"{rule.text} when {other} is {when!r}",
+                                  rule.test))
     fusion, f = d["fusion"], d["filter"]
     norm = NormStats(d["norm"]["mode"], np.array(d["norm"]["mu"]),
                      np.array(d["norm"]["sigma"]),
@@ -557,8 +568,8 @@ def bench_pipeline(artifact: PipelineArtifact, n_queries: int = 50,
     trees, particles, and grid cells (each varied alone). A slope fits the
     fastest of each size's repeated timings, which another process on the
     host can only slow down. pf_ns and kf_ns are per-channel update costs:
-    one pf_step handed a fresh draw of its particles' noise (the draw timed
-    with it), and one d-channel kf_step divided by d."""
+    one pf_step handed a fresh pf_noise block (the draw and its scaling
+    timed with it), and one d-channel kf_step divided by d."""
     if n_queries < 1:
         raise ValueError(f"n_queries must be >= 1, got {n_queries}")
     rng = np.random.default_rng(seed)
@@ -616,8 +627,8 @@ def bench_pipeline(artifact: PipelineArtifact, n_queries: int = 50,
     def pf_step_once(mp):
         prng = np.random.default_rng(seed)
         cloud = PfState(prng.normal(0.0, 1.0, mp), np.full(mp, 1.0 / mp))
-        return lambda: pf_step(cloud, prng.standard_normal(mp), 0.1, 1.0,
-                               0.3, 1.0, prng)
+        return lambda: pf_step(cloud, pf_noise(prng, mp, 1.0), 0.1, 1.0,
+                               0.3, prng)
 
     tree_counts = [t for t in (25, 50, 100, 200, 400) if t <= a.rf.n_trees]
     if len(tree_counts) >= 2:

@@ -4,14 +4,17 @@ The forest predicts both coordinates with one set of trees (split quality is
 the summed per-coordinate variance reduction). Its trees are packed into one
 node table with child indices global to the table, so prediction steps every
 (row, tree) pair down together, one vectorized step per depth level, instead
-of walking the trees one by one. The trees also grow together: each keeps
-its own generator, bootstrap and preorder stack, and one lockstep step pops
-the next node of every tree, so each tree draws its candidate features in
-its own preorder, while the popped nodes' means, split searches and
-partitions run in shared numpy passes. A node is a range of its bootstrap
-positions, kept ascending; a split search sorts each candidate feature's
-(value rank, position) keys, so ties keep bootstrap order, and scores every
-split of all candidates of all nodes of a pass in one padded block.
+of walking the trees one by one. The steps read a child table, built on the
+first prediction, in which a leaf is its own child: a pair at its leaf
+stays there, so no level has to drop it from the working arrays. The trees
+also grow together: each keeps its own generator, bootstrap and preorder
+stack, and one lockstep step pops the next node of every tree, so each tree
+draws its candidate features in its own preorder, while the popped nodes'
+means, split searches and partitions run in shared numpy passes. A node is
+a range of its bootstrap positions, kept ascending; a split search sorts
+each candidate feature's (value rank, position) keys, so ties keep
+bootstrap order, and scores every split of all candidates of all nodes of a
+pass in one padded block.
 
 The kNN index pre-divides every feature by its channel std, so Euclidean
 distance in the scaled space is the diagonal Mahalanobis distance, and keeps
@@ -25,6 +28,7 @@ index). At D = 14 a kd-tree prunes little (Weber, Schek & Blott, VLDB
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -203,30 +207,54 @@ class RfModel:
             out[i:i + step] = self._descend(X[i:i + step])
         return out
 
+    @functools.cached_property
+    def _walk(self) -> tuple[np.ndarray, int]:
+        """The descent's child table and depth, built on the first predict
+        (a loaded or sliced model that never predicts never pays for it).
+
+        children[2 i + 1] is node i's right child and children[2 i] its left
+        one; a leaf's are the leaf itself, so a (row, tree) pair that has
+        reached its leaf stays there whatever its comparison says. depth is
+        the most steps any root takes to a leaf. int32 entries: 8 bytes per
+        node.
+        """
+        node = np.arange(len(self.feature))
+        inner = self.feature >= 0
+        children = np.empty((len(node), 2), dtype=np.int32)
+        children[:, 0] = np.where(inner, self.left, node)
+        children[:, 1] = np.where(inner, self.right, node)
+        children = children.ravel()
+        children.setflags(write=False)
+        frontier, depth = self.offsets[:-1], 0
+        while len(frontier := frontier[inner[frontier]]):
+            frontier = np.concatenate([self.left[frontier],
+                                       self.right[frontier]])
+            depth += 1
+        return children, depth
+
     def _descend(self, X: np.ndarray) -> np.ndarray:
         """All (row, tree) pairs descend together, one numpy step per depth
-        level over the pairs not yet at a leaf. Leaf values are then summed
-        sequentially in tree order from +0.0, exactly as a per-tree loop
-        accumulating into zeros would."""
+        level of the forest, through the child table of _walk: no pair
+        leaves the working arrays, since one at a leaf steps to itself.
+        Leaf values are then summed sequentially in tree order from +0.0,
+        exactly as a per-tree loop accumulating into zeros would."""
+        children, depth = self._walk
         n, n_trees = len(X), self.n_trees
         flat = X.ravel()
-        # pair p is (row p // T, tree p % T); `cur` is the node of each pair
-        # in `pair` and `base` the offset of its row in `flat`
-        pair = np.arange(n * n_trees)
+        # pair p is (row p // T, tree p % T); `cur` is its node and `base`
+        # the offset of its row in `flat`
         cur = np.tile(self.offsets[:-1], n)
         base = np.repeat(np.arange(n) * self.n_features, n_trees)
-        node = np.empty_like(cur)  # the leaf each pair ends at
-        while len(pair):
-            feat = self.feature[cur]
-            at_leaf = feat < 0
-            if at_leaf.any():
-                node[pair[at_leaf]] = cur[at_leaf]
-                inner = ~at_leaf
-                pair, cur, base, feat = (pair[inner], cur[inner],
-                                         base[inner], feat[inner])
-            go_right = flat[base + feat] > self.threshold[cur]
-            cur = np.where(go_right, self.right[cur], self.left[cur])
-        leaves = self.leaf_xy[node].reshape(n, n_trees, 2)
+        for _ in range(depth):
+            # a leaf's feature -1 reads some value of X: either way it
+            # stays put
+            go_right = flat[base + self.feature[cur]] > self.threshold[cur]
+            cur += cur
+            cur += go_right
+            # intp: numpy indexes with it without a cast on every lookup
+            cur = children[cur].astype(np.intp)
+        # take gathers rows of a 2-D array faster than fancy indexing
+        leaves = self.leaf_xy.take(cur, axis=0).reshape(n, n_trees, 2)
         return (0.0 + np.cumsum(leaves, axis=1)[:, -1]) / n_trees
 
 

@@ -8,7 +8,9 @@ type it is given, such as the loader's ArtifactError), and check_fields runs
 one owner's field map (field name, dotted for a field of a field, to its
 Rule) in order. Counts and seeds are integers, and a bool is not one; a real
 is a Python or numpy int or float that is not a bool; every width or scale
-is finite. The mode lists live here too, so each exists once.
+is finite. A cross-field rule (ARTIFACT_WHEN) binds an artifact field only
+when another field holds a given value, such as the PF seed of a 'pf'
+filter. The mode lists live here too, so each exists once.
 
 This module imports nothing else from fpfuse.
 """
@@ -57,9 +59,13 @@ def _finite(v) -> bool:
     return _real(v) and math.isfinite(v)
 
 
-def _positive_vector(v) -> bool:
-    arr = np.asarray(v, dtype=float)
-    return arr.ndim == 1 and bool(np.all(np.isfinite(arr) & (arr > 0)))
+def _vector(v, positive: bool) -> bool:
+    try:
+        arr = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):  # e.g. strings or ragged lists
+        return False
+    ok = np.isfinite(arr) & (arr > 0) if positive else np.isfinite(arr)
+    return arr.ndim == 1 and bool(np.all(ok))
 
 
 def _at_least(n: int) -> Rule:
@@ -96,7 +102,9 @@ RATIOS = Rule("three values > 0 that sum to 1",
 GRID = Rule("a non-empty tuple",
             lambda v: isinstance(v, tuple) and len(v) > 0)
 FIT_BOUND = Rule("None (the fit binds it)", lambda v: v is None)
-VECTOR = Rule("a 1-D array of finite values > 0", _positive_vector)
+VECTOR = Rule("a 1-D array of finite values > 0", lambda v: _vector(v, True))
+FINITE_VECTOR = Rule("a 1-D array of finite values",
+                     lambda v: _vector(v, False))
 FUSION_MODE = _one_of(FUSION_MODES)
 NORM_MODE = _one_of(NORM_MODES)
 
@@ -128,7 +136,8 @@ SYNTH = {"n_rp": COUNT, "samples_per_rp": COUNT, "n_wifi": COUNT,
 RF = {"n_trees": COUNT, "max_depth": _optional(COUNT),
       "max_features": _optional(COUNT), "min_leaf": COUNT, "seed": SEED}
 # artifact key -> the rule of the field it loads into
-ARTIFACT = {"norm.mode": NORM_MODE, "fusion.mode": FUSION_MODE,
+ARTIFACT = {"norm.mode": NORM_MODE, "norm.mu": FINITE_VECTOR,
+            "norm.sigma": VECTOR, "fusion.mode": FUSION_MODE,
             "fusion.dst_point_mode": FIT["dst_point_mode"],
             "fusion.alpha": POSITIVE, "fusion.beta": POSITIVE,
             "fusion.theta_discount": DISCOUNT, "fusion.convex_lambda": UNIT,
@@ -137,3 +146,6 @@ ARTIFACT = {"norm.mode": NORM_MODE, "fusion.mode": FUSION_MODE,
             "filter.q_gamma": FILTER["gamma"], "filter.r": VECTOR} | {
     f"filter.pf.{name}": FILTER[name]
     for name in ("n_particles", "ess_tau", "predict_sigma", "seed")}
+# cross-field rules: artifact key -> (another key, a value of it, the rule the
+# key's value must pass when the other key holds that value)
+ARTIFACT_WHEN = {"filter.pf.seed": ("filter.method", "pf", SEED)}

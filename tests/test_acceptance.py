@@ -135,8 +135,8 @@ def test_criterion_3_filter_statistics():
     m = 10_000
     state = PfState(rng.normal(0.7, 1.0, m), np.full(m, 1.0 / m))
     for _ in range(50):
-        state = pf_step(state, rng.standard_normal(m), 0.7, 1.0, 0.3, 1.0,
-                        rng)
+        state = pf_step(state, np.multiply(rng.standard_normal(m), 1.0) + 0.0,
+                        0.7, 1.0, 0.3, rng)
     ok &= abs(state.estimate - 0.7) < 0.05
 
     noise = np.random.default_rng(8).normal(size=1000)

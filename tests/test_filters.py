@@ -15,8 +15,8 @@ from oracles import (reference_kf_step, reference_pf_step,  # noqa: E402
 import fpfuse  # noqa: E402
 from fpfuse.filters import (FilterConfig, KfState, PfState,
                             effective_sample_size,
-                            filter_stream, kf_step, pf_step, start_filter,
-                            step_filter, systematic_resample,
+                            filter_stream, kf_step, pf_noise, pf_step,
+                            start_filter, step_filter, systematic_resample,
                             ukf_step)  # noqa: E402
 
 
@@ -85,8 +85,8 @@ class TestPf:
         m = 64
         state = PfState(np.full(m, 0.9), np.full(m, 1.0 / m))
         rng = np.random.default_rng(0)
-        out = pf_step(state, rng.standard_normal(m), 0.9, 1.0, 0.3, 0.0,
-                      rng)  # no prediction noise
+        out = pf_step(state, np.multiply(rng.standard_normal(m), 0.0) + 0.0,
+                      0.9, 1.0, 0.3, rng)  # no prediction noise
         assert out.estimate == pytest.approx(0.9, abs=0.0)
         assert np.allclose(out.weights, 1.0 / m)
 
@@ -106,8 +106,8 @@ class TestPf:
         state = PfState(np.linspace(-1.0, 1.0, m), np.full(m, 1.0 / m))
         for tau in (0.0, 1.0):  # without and with resampling
             rng = np.random.default_rng(1)
-            out = pf_step(state, rng.standard_normal(m), 0.2, 0.5, tau, 0.1,
-                          rng)
+            out = pf_step(state, np.multiply(rng.standard_normal(m), 0.1)
+                          + 0.0, 0.2, 0.5, tau, rng)
             assert not out.particles.flags.writeable
             assert not out.weights.flags.writeable
             assert abs(out.weights.sum() - 1.0) < 1e-12
@@ -115,15 +115,15 @@ class TestPf:
     def test_step_reads_its_noise_block_and_checks_its_length(self):
         m = 50
         state = PfState(np.linspace(-1.0, 1.0, m), np.full(m, 1.0 / m))
-        eps = np.random.default_rng(2).standard_normal(m)
+        eps = np.multiply(np.random.default_rng(2).standard_normal(m), 0.3)
+        eps += 0.0
         eps.setflags(write=False)  # one block serves every channel of a scan
         before = eps.tobytes()
-        pf_step(state, eps, 0.2, 0.5, 1.0, 0.3, np.random.default_rng(3))
+        pf_step(state, eps, 0.2, 0.5, 1.0, np.random.default_rng(3))
         assert eps.tobytes() == before
         for bad in (eps[:-1], np.zeros((m, 1))):
             with pytest.raises(ValueError, match="one standard normal draw"):
-                pf_step(state, bad, 0.2, 0.5, 1.0, 0.3,
-                        np.random.default_rng(3))
+                pf_step(state, bad, 0.2, 0.5, 1.0, np.random.default_rng(3))
 
     def test_ess_definition_no_resample(self):
         w = np.full(100, 0.01)
@@ -153,8 +153,8 @@ class TestPf:
         m = 10_000
         state = PfState(rng.normal(0.7, 1.0, m), np.full(m, 1.0 / m))
         for _ in range(50):
-            state = pf_step(state, rng.standard_normal(m), 0.7, 1.0, 0.3,
-                            1.0, rng)
+            state = pf_step(state, np.multiply(rng.standard_normal(m), 1.0)
+                            + 0.0, 0.7, 1.0, 0.3, rng)
         assert abs(state.estimate - 0.7) < 0.05
 
     def test_weight_simplex_invariant(self):
@@ -162,8 +162,8 @@ class TestPf:
         m = 200
         state = PfState(rng.normal(size=m), np.full(m, 1.0 / m))
         for t in range(50):
-            state = pf_step(state, rng.standard_normal(m), float(np.sin(t)),
-                            0.5, 0.5, 1.0, rng)
+            state = pf_step(state, np.multiply(rng.standard_normal(m), 1.0)
+                            + 0.0, float(np.sin(t)), 0.5, 0.5, rng)
             assert np.all(state.weights >= 0)
             assert abs(state.weights.sum() - 1.0) < 1e-9
             ess = effective_sample_size(state.weights)
@@ -174,8 +174,9 @@ class TestPf:
         particles = np.array([1000.0, 0.0])
         weights = np.array([1.0, 0.0])
         rng = np.random.default_rng(0)
-        out = pf_step(PfState(particles, weights), rng.standard_normal(2), 0.0,
-                      1e-4, 0.3, 0.0, rng)
+        out = pf_step(PfState(particles, weights),
+                      np.multiply(rng.standard_normal(2), 0.0) + 0.0, 0.0,
+                      1e-4, 0.3, rng)
         assert out.degenerate_reset
 
     def test_systematic_resample_preserves_mean(self):
@@ -268,7 +269,8 @@ def _replay(series, cfg):
 def _hand_pf_replay(series, cfg):
     """A PF stream by hand: one generator seeded by cfg.seed, one N(0, 1)
     block shifted by each z_i for the first clouds, then one block of
-    standard normals per scan that pf_step reads channel by channel.
+    standard normals per scan, scaled by predict_sigma, that pf_step reads
+    channel by channel.
     Returns (clouds, estimates, the generator's final bit state)."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     m = cfg.n_particles
@@ -276,10 +278,10 @@ def _hand_pf_replay(series, cfg):
     clouds = [PfState(base + z, np.full(m, 1.0 / m)) for z in series[0]]
     rows = [[cloud.estimate for cloud in clouds]]
     for scan in series[1:]:
-        eps = rng.standard_normal(m)
+        noise = np.multiply(rng.standard_normal(m), cfg.predict_sigma) + 0.0
         for i, z in enumerate(scan):
-            clouds[i] = pf_step(clouds[i], eps, float(z), float(cfg.r[i]),
-                                cfg.ess_tau, cfg.predict_sigma, rng)
+            clouds[i] = pf_step(clouds[i], noise, float(z), float(cfg.r[i]),
+                                cfg.ess_tau, rng)
         rows.append([cloud.estimate for cloud in clouds])
     return clouds, np.array(rows), rng.bit_generator.state
 
@@ -511,8 +513,8 @@ class TestPfMatchesReference:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         ref = (state.particles, state.weights)
         for _ in range(3):
-            state = pf_step(state, ours.standard_normal(m), z, r, tau, sigma,
-                            ours)
+            state = pf_step(state, np.multiply(ours.standard_normal(m), sigma)
+                            + 0.0, z, r, tau, ours)
             p, w, degenerate = reference_pf_step(*ref, z, r, tau, sigma, theirs)
             assert state.particles.tobytes() == p.tobytes()
             assert state.weights.tobytes() == w.tobytes()
@@ -533,10 +535,21 @@ class TestPfMatchesReference:
                 particles[::2] = -0.0
         state = PfState(particles, np.full(m, 1.0 / m))
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        out = pf_step(state, ours.standard_normal(m), 0.0, 1.0, 1e-12, sigma,
-                      ours)
+        out = pf_step(state, np.multiply(ours.standard_normal(m), sigma) + 0.0,
+                      0.0, 1.0, 1e-12, ours)
         expect = particles + theirs.normal(0.0, sigma, size=m)
         assert out.particles.tobytes() == expect.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from(PARTICLE_COUNTS),
+           sigma=st.sampled_from([0.0, 5e-324, 1e-300, 0.3, 1.0, 4.0]))
+    def test_pf_noise_equals_normal(self, seed, m, sigma):
+        # the block step_filter scales once per scan is rng.normal's draw
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        noise = pf_noise(ours, m, sigma)
+        assert noise.tobytes() == theirs.normal(0.0, sigma, m).tobytes()
+        assert not noise.flags.writeable
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     @settings(max_examples=40, deadline=None)
@@ -560,14 +573,12 @@ class TestPfMatchesReference:
     def test_negative_zero_sigma_is_rejected_as_numpy_does(self):
         with pytest.raises(ValueError, match="scale < 0"):
             np.random.default_rng(0).normal(0.0, -0.0, 3)
-        state = PfState(np.zeros(4), np.full(4, 0.25))
         for sigma in (-0.0, -1.0):
             with pytest.raises(ValueError, match="predict_sigma"):
                 FilterConfig(predict_sigma=sigma)
             with pytest.raises(ValueError, match="predict_sigma"):
-                pf_step(state, np.zeros(4), 0.0, 1.0, 0.5, sigma,
-                        np.random.default_rng(0))
-        # rng.normal takes a NaN scale, and so does pf_step; the config type
+                pf_noise(np.random.default_rng(0), 4, sigma)
+        # rng.normal takes a NaN scale, and so does pf_noise; the config type
         # rejects it, because a NaN cloud fails only a later stage
         assert np.isnan(np.random.default_rng(0).normal(0.0, np.nan, 1)[0])
         for sigma in (np.nan, np.inf):
@@ -592,8 +603,9 @@ class TestPfMatchesReference:
         weights = np.zeros(m)
         weights[-1] = 1.0
         rng = np.random.default_rng(m)
-        out = pf_step(PfState(particles, weights), rng.standard_normal(m),
-                      -1000.0, 1e-4, tau, 0.0, rng)
+        out = pf_step(PfState(particles, weights),
+                      np.multiply(rng.standard_normal(m), 0.0) + 0.0,
+                      -1000.0, 1e-4, tau, rng)
         p, w, degenerate = reference_pf_step(particles, weights, -1000.0, 1e-4,
                                              tau, 0.0, np.random.default_rng(m))
         assert out.degenerate_reset and degenerate

@@ -445,6 +445,36 @@ class TestArtifactRoundTrip:
         self.check_load_fails(artifact, tmp_path, capsys, f"{field} must",
                               lambda b: b[section].update({key: value}))
 
+    @pytest.mark.parametrize("field,value", [
+        ("norm.mu", None), ("norm.sigma", None), ("norm.mu", "x"),
+        ("norm.sigma", [1.0, "a", 1.0, 1.0, 1.0, 1.0]),
+        ("norm.mu", [[0.0], [1.0, 2.0]])])
+    def test_bad_norm_vector_named_exit_2(self, artifact, tmp_path, capsys,
+                                          field, value):
+        section, key = field.split(".")
+        self.check_load_fails(artifact, tmp_path, capsys, f"{field} must",
+                              lambda b: b[section].update({key: value}))
+
+    def test_unbound_pf_seed_named_exit_2(self, pf_artifact, tmp_path,
+                                         capsys):
+        # named when loaded, not first when predict starts the filter
+        self.check_load_fails(pf_artifact, tmp_path, capsys,
+                              "filter.pf.seed must",
+                              lambda b: b["filter"]["pf"].update(seed=None))
+
+    def test_kf_artifact_loads_without_a_pf_seed(self, artifact, tmp_path,
+                                                 probe_scans):
+        # the cross-field rule binds the seed of a 'pf' filter only
+        path = tmp_path / "artifact.json"
+        save_artifact(artifact, path)
+        blob = json.loads(path.read_text())
+        blob["filter"]["pf"]["seed"] = None
+        path.write_text(json.dumps(blob))
+        loaded = load_artifact(path)
+        assert loaded.filter_cfg.seed is None
+        assert predict_one(loaded, probe_scans[0]).position == \
+            predict_one(artifact, probe_scans[0]).position
+
     def test_bad_choquet_measure_named_exit_2(self, artifact, tmp_path,
                                               capsys):
         self.check_load_fails(artifact, tmp_path, capsys, "fusion.measure",
@@ -789,6 +819,58 @@ class TestCli:
         rc = cli.main(["fit", "--data", str(tmp_path / "missing.csv"),
                        "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("text", [
+        "x,y,rp,wifi_0\n1,2,0,abc\n",  # the header lacks the ble column
+        "x,y,rp,wifi_0,ble_0\n1,2,0,-60,abc\n"])  # a cell that is no number
+    def test_unparsable_data_is_a_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        rc = cli.main(["fit", "--data", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "stage 'ingest'" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("command", ["fit", "ablate"])
+    def test_survey_too_small_for_the_split_is_a_usage_error(
+            self, tmp_path, capsys, command):
+        # 6 samples per RP leave floor(6 * 0.15) = 0 for validation and test
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"synth": {"n_rp": 4, "samples_per_rp": 6}}))
+        rc = cli.main([command, "--config", str(cfg_path),
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "stage 'split'" in err and "RP 0 has 6 samples" in err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("predict", "--config", "/nonexistent.json"),
+        ("predict", "--seed", "99"), ("predict", "--out", "/nonexistent/dir"),
+        ("bench", "--config", "/nonexistent.json")])
+    def test_flag_the_command_ignores_is_a_usage_error(
+            self, tmp_path, capsys, artifact, command, flag, value):
+        # predict reads none of the three and bench no --config: argparse
+        # rejects them instead of printing a result that did not use them
+        path = tmp_path / "artifact.json"
+        save_artifact(artifact, path)
+        extra = (["--scan=-60,-61,-62,-63,-64,-65"] if command == "predict"
+                 else ["--queries", "1", "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--artifact", str(path), flag, value, *extra])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+
+    def test_negative_bench_seed_is_a_usage_error(self, tmp_path, capsys,
+                                                 artifact):
+        path = tmp_path / "artifact.json"
+        save_artifact(artifact, path)
+        rc = cli.main(["bench", "--artifact", str(path), "--queries", "1",
+                       "--seed", "-1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--seed must be an integer >= 0" in err
 
     def test_fit_twice_byte_identical(self, tmp_path):
         config = {"synth": {"n_rp": 5, "samples_per_rp": 10, "n_wifi": 3,

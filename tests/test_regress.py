@@ -232,6 +232,35 @@ class TestRandomForest:
             assert np.array_equal(model.prefix(t).predict_batch(probe),
                                   first.predict_batch(probe))
 
+    def test_walk_table_is_lazy_and_order_free(self):
+        # a prefix and a reloaded model predict the same bits whether or
+        # not the full model built its walk table first; loading builds none
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(40, 3))
+        Y = rng.normal(size=(40, 2))
+        model = train_rf(X, Y, RfConfig(12, 6, seed=4))
+        section = {"config": asdict(model.config),
+                   "n_features": model.n_features}
+
+        def reload():
+            return pipeline._forest_from_dict(json.loads(json.dumps(
+                section | pipeline._forest_blobs(model))))
+
+        probe = rng.normal(size=(9, 3))
+        records = tree_records(model)
+        cold, warm = reload(), reload()
+        assert "_walk" not in vars(cold) and "_walk" not in vars(warm)
+        warm.predict_batch(probe)
+        assert "_walk" in vars(warm)
+        for t in (1, 5, 12):
+            want = forest_walk(records[:t], probe).tobytes()
+            for full in (cold, warm, model):
+                assert full.prefix(t).predict_batch(probe).tobytes() == want
+        assert "_walk" not in vars(cold)
+        for full in (cold, warm, model):
+            assert full.predict_batch(probe).tobytes() == \
+                forest_walk(records, probe).tobytes()
+
     def test_serialization_round_trip(self):
         # the node table through the artifact's rf section and JSON
         rng = np.random.default_rng(5)
