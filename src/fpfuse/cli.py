@@ -3,8 +3,9 @@
 
 Exit codes: 0 success, 1 internal error, 2 usage, input or I/O problem
 (including a rejected scan, a survey CSV that does not parse, a survey too
-small for the split, an artifact that does not load, and a total Dempster
-conflict between the two sources, in a fit or in a prediction).
+small for the split, an artifact that does not load, a particle filter
+whose predict_sigma overflows its cloud, and a total Dempster conflict
+between the two sources, in a fit or in a prediction).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import rules
 from .datamodel import (Bounds, ParseError, SchemaError, SplitError,
                         SynthSpec, load_radio_map, save_radio_map,
                         synth_radio_map)
-from .filters import FilterConfig
+from .filters import FilterConfig, FilterOverflowError
 from .fuse import ConflictError
 
 EXIT_OK = 0
@@ -319,9 +320,12 @@ def main(argv=None) -> int:
     except ConflictError as exc:  # a scan whose two sources fully disagree
         print(f"error: stage 'fuse': {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except FilterOverflowError as exc:  # a predict_sigma too large to carry
+        print(f"error: stage 'filter': {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except pl.StageError as exc:  # input problems exit 2, the rest 1
-        code = (EXIT_USAGE if isinstance(exc.cause, (OSError, ConflictError,
-                                                     SplitError))
+        code = (EXIT_USAGE if isinstance(exc.cause, (
+            OSError, ConflictError, SplitError, FilterOverflowError))
                 else EXIT_INTERNAL)
         print(f"error: {exc}", file=sys.stderr)
         return code

@@ -10,10 +10,12 @@ tau * n_particles.
 One frozen FilterConfig holds every setting of a filter and checks them when
 it is built; the UKF spread is fixed (UKF_ALPHA, UKF_KAPPA, UKF_BETA).
 
-pf_step works in place on one weight buffer, and systematic_resample finds
-each position's particle in one linear pass (an arithmetic guess stepped to
-the exact count) instead of a binary search. Both equal the out-of-place,
-binary-search forms bit for bit, random draws included.
+pf_step works in place on one weight buffer. systematic_resample counts the
+resampling positions under each cumulative weight in one linear pass (an
+arithmetic guess stepped to the exact count) instead of a binary search per
+position, then gathers every position's particle by a running sum of those
+counts. Both equal the out-of-place, binary-search forms bit for bit, random
+draws included.
 
 A PF stream (a session, or one RP's rows in a fit) has one generator, seeded
 by FilterConfig.seed. Every channel's first cloud is one N(0, 1) block
@@ -55,6 +57,11 @@ _UKF_C = 1.0 + _UKF_LAM
 _UKF_WM = np.array([_UKF_LAM / _UKF_C, 0.5 / _UKF_C, 0.5 / _UKF_C])
 _UKF_WC = _UKF_WM.copy()
 _UKF_WC[0] += 1.0 - UKF_ALPHA ** 2 + UKF_BETA
+
+
+class FilterOverflowError(ValueError):
+    """A particle filter's estimate is not finite: its process noise
+    (predict_sigma) has overflowed the cloud."""
 
 
 @dataclass(frozen=True)
@@ -233,6 +240,12 @@ def systematic_resample(particles: np.ndarray, weights: np.ndarray,
     guess needs no lower clip: u = fl(1/m) * U with U <= 1 - 2^-53 rounds
     to at most the float below fl(1/m), so for weights >= 0 and m < 2^52,
     (cumulative[i] - u) * m rounds above -1 and its ceiling is at least 0.
+
+    below is sorted, so position k takes particle idx[k], the number of
+    below[i] that are <= k: a count of each value of below, summed up, then
+    one gather (np.repeat over the per-particle counts, most of them 0,
+    measured slower). The fix-up steps gather into one scratch buffer, and
+    the inputs are never written.
     """
     m = len(particles)
     u = rng.uniform(0.0, 1.0 / m)
@@ -245,16 +258,19 @@ def systematic_resample(particles: np.ndarray, weights: np.ndarray,
     guess *= m
     np.ceil(guess, out=guess)
     np.minimum(guess, m, out=guess)
-    bounds = np.empty(m + 1, dtype=np.intp)  # 0, below[0], ..., below[m-2], m
-    bounds[0], bounds[m] = 0, m
-    below = bounds[1:m]
-    below[:] = guess
+    below = guess.astype(np.intp)
     above = ext[1:]
-    while (over := ext.take(below) >= cumulative).any():
+    # the guess's buffer takes the fix-up gathers: below stays in [0, m],
+    # so "clip" never clips ("raise" would gather into a copy first)
+    seen = guess
+    while (over := ext.take(below, out=seen, mode="clip")
+           >= cumulative).any():
         below -= over
-    while (under := cumulative > above.take(below)).any():
+    while (under := cumulative
+           > above.take(below, out=seen, mode="clip")).any():
         below += under
-    return np.repeat(particles, np.diff(bounds))
+    idx = np.bincount(below, minlength=m + 1)[:m].cumsum()
+    return particles.take(idx)
 
 
 def pf_noise(rng: np.random.Generator, m: int,
@@ -374,6 +390,11 @@ def step_filter(cfg: FilterConfig, state: KfState | tuple,
             cloud = pf_step(cloud, noise, z_i, r_i, cfg.ess_tau, rng)
             est[i] = cloud.estimate  # while the cloud is still in cache
             stepped.append(cloud)
+        if not np.isfinite(est).all():
+            i = int(np.argmin(np.isfinite(est)))
+            raise FilterOverflowError(
+                f"channel {i}'s particle-filter estimate is {float(est[i])}: "
+                f"predict_sigma {cfg.predict_sigma!r} overflows the cloud")
         return (tuple(stepped), rng, rng.bit_generator.state), est
     step = kf_step if cfg.method == "kf" else ukf_step
     state = step(state, z, cfg.gamma * cfg.r, cfg.r)

@@ -243,6 +243,20 @@ def _field(name: str, build, *args):
         raise ArtifactError(f"artifact field {name}: {exc}") from exc
 
 
+def _check_process_noise(cfg: FilterConfig) -> None:
+    """One KF/UKF step from a first state, which keeps a finite, positive
+    variance unless q = gamma * r overflows or swamps r (the gain then
+    rounds to 1). The variances do not depend on the scans, and the first
+    step's predicted variance r + q is the largest of a stream."""
+    zeros = np.zeros(len(cfg.r))
+    try:
+        step_filter(cfg, start_filter(cfg, zeros)[0], zeros)
+    except ValueError as exc:
+        raise ValueError(f"q = q_gamma * r overflows or swamps r, and a "
+                         f"{cfg.method} step loses its variance ({exc})") \
+            from exc
+
+
 def _finite(arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise ValueError("values must be finite")
@@ -325,6 +339,8 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
             raise ArtifactError(f"artifact field {name} has shape "
                                 f"{np.shape(arr)}, expected ({norm.d},) as "
                                 "norm.mu")
+    if filter_cfg.method in ("kf", "ukf"):
+        _field("filter.q_gamma", _check_process_noise, filter_cfg)
     ph_stats = None
     if d["ph_stats"] is not None:
         ph_stats = NormStats("dbm_zscore", np.array(d["ph_stats"]["mu"]),

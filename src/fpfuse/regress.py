@@ -208,51 +208,61 @@ class RfModel:
         return out
 
     @functools.cached_property
-    def _walk(self) -> tuple[np.ndarray, int]:
-        """The descent's child table and depth, built on the first predict
-        (a loaded or sliced model that never predicts never pays for it).
+    def _walk(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The descent's child table, split features and depth, built on the
+        first predict (a loaded or sliced model that never predicts never
+        pays for it).
 
         children[2 i + 1] is node i's right child and children[2 i] its left
         one; a leaf's are the leaf itself, so a (row, tree) pair that has
-        reached its leaf stays there whatever its comparison says. depth is
-        the most steps any root takes to a leaf. int32 entries: 8 bytes per
-        node.
+        reached its leaf stays there whatever its comparison says. feature
+        is the feature column again. Both hold intp entries, which numpy
+        indexes with as they are, so no level casts: 16 bytes per node for
+        the child table and 8 for the features. depth is the most steps any
+        root takes to a leaf.
         """
         node = np.arange(len(self.feature))
         inner = self.feature >= 0
-        children = np.empty((len(node), 2), dtype=np.int32)
+        children = np.empty((len(node), 2), dtype=np.intp)
         children[:, 0] = np.where(inner, self.left, node)
         children[:, 1] = np.where(inner, self.right, node)
         children = children.ravel()
-        children.setflags(write=False)
+        feature = self.feature.astype(np.intp)
+        for table in (children, feature):
+            table.setflags(write=False)
         frontier, depth = self.offsets[:-1], 0
         while len(frontier := frontier[inner[frontier]]):
             frontier = np.concatenate([self.left[frontier],
                                        self.right[frontier]])
             depth += 1
-        return children, depth
+        return children, feature, depth
 
     def _descend(self, X: np.ndarray) -> np.ndarray:
         """All (row, tree) pairs descend together, one numpy step per depth
-        level of the forest, through the child table of _walk: no pair
-        leaves the working arrays, since one at a leaf steps to itself.
-        Leaf values are then summed sequentially in tree order from +0.0,
+        level of the forest, through the tables of _walk: no pair leaves
+        the working arrays, since one at a leaf steps to itself. Leaf
+        values are then summed sequentially in tree order from +0.0,
         exactly as a per-tree loop accumulating into zeros would."""
-        children, depth = self._walk
+        children, feature, depth = self._walk
         n, n_trees = len(X), self.n_trees
         flat = X.ravel()
-        # pair p is (row p // T, tree p % T); `cur` is its node and `base`
-        # the offset of its row in `flat`
-        cur = np.tile(self.offsets[:-1], n)
-        base = np.repeat(np.arange(n) * self.n_features, n_trees)
+        # pair p is (row p // T, tree p % T) and `cur` is its node; `base`
+        # is the offset of its row in `flat`, none for one row
+        if n == 1:
+            cur, base = self.offsets[:-1].copy(), None
+        else:
+            cur = np.tile(self.offsets[:-1], n)
+            base = np.repeat(np.arange(n) * self.n_features, n_trees)
         for _ in range(depth):
             # a leaf's feature -1 reads some value of X: either way it
             # stays put
-            go_right = flat[base + self.feature[cur]] > self.threshold[cur]
+            col = feature[cur]
+            if base is not None:
+                col += base
+            go_right = flat[col] > self.threshold[cur]
             cur += cur
             cur += go_right
-            # intp: numpy indexes with it without a cast on every lookup
-            cur = children[cur].astype(np.intp)
+            cur = children[cur]
         # take gathers rows of a 2-D array faster than fancy indexing
         leaves = self.leaf_xy.take(cur, axis=0).reshape(n, n_trees, 2)
         return (0.0 + np.cumsum(leaves, axis=1)[:, -1]) / n_trees
@@ -581,18 +591,16 @@ def _distances(points_t: np.ndarray, q: np.ndarray) -> np.ndarray:
     """(n, M) Euclidean distances from n query rows (n, D) to the points of
     a (D, M) matrix, bit-equal to cKDTree's: the squared differences of
     dimensions j, j + 4, ... add up in four running sums, combined as
-    ((a0 + a1) + a2) + a3; the last D mod 4 dimensions add one at a time."""
+    ((a0 + a1) + a2) + a3; the last D mod 4 dimensions add one at a time.
+    A sum over the first axis adds its slices in order, one after another,
+    so each running sum is one reduction."""
     d = len(points_t)
     sq = points_t[:, None, :] - q.T[:, :, None]  # (D, n, M)
     np.multiply(sq, sq, out=sq)
     full = d - d % 4
     if full:
-        acc = sq[:4]
-        for j in range(4, full, 4):
-            acc += sq[j:j + 4]
-        s = acc[0]
-        for j in range(1, 4):
-            s += acc[j]
+        groups = sq[:full].reshape(full // 4, 4, *sq.shape[1:])
+        s = groups.sum(axis=0).sum(axis=0)
     else:  # no group of four: 0.0 plus the first square is that square
         s, full = sq[0], 1
     for j in range(full, d):
@@ -604,6 +612,13 @@ def _nearest(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k smallest distances and their indices, in (distance,
     index) order: (dist (n, k), idx (n, k))."""
     n = len(dist)
+    if n == 1:
+        # a stable sort of the candidates, in index order, by distance puts
+        # ties at the k-th distance in index order too
+        row = dist[0]
+        cand = np.flatnonzero(row <= np.partition(row, k - 1)[k - 1])
+        idx = cand[np.argsort(row[cand], kind="stable")[:k]]
+        return row[idx][None], idx[None]
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
     keep = dist <= kth
     if np.count_nonzero(keep) > n * k:  # ties at the k-th distance

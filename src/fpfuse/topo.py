@@ -68,19 +68,29 @@ def _distance_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _simplex_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edges (i, j), i < j, and triangles (i, j, k), i < j < k, in
-    lexicographic order: (edge rows, edge columns, (T, 3) edge indices of
-    each triangle's edges ij, ik, jk)."""
+    lexicographic order: (edge rows, edge columns, (3, T) edge indices of
+    each triangle's edges ij, ik, jk, one row per edge)."""
     rows, cols = np.triu_indices(n, 1)
     edge_id = np.zeros((n, n), dtype=np.intp)
     edge_id[rows, cols] = np.arange(len(rows))
     tri = np.array(list(itertools.combinations(range(n), 3)),
                    dtype=np.intp).reshape(-1, 3)
-    tri_edges = np.column_stack([edge_id[tri[:, 0], tri[:, 1]],
-                                 edge_id[tri[:, 0], tri[:, 2]],
-                                 edge_id[tri[:, 1], tri[:, 2]]])
+    tri_edges = np.stack([edge_id[tri[:, 0], tri[:, 1]],
+                          edge_id[tri[:, 0], tri[:, 2]],
+                          edge_id[tri[:, 1], tri[:, 2]]])
     for arr in (rows, cols, tri_edges):
         arr.setflags(write=False)
     return rows, cols, tri_edges
+
+
+@functools.lru_cache(maxsize=8)
+def _rank_bits(n_edges: int) -> np.ndarray:
+    """1 << r for each edge rank r, read-only: uint64 while the ranks fit
+    in 64 bits, Python ints past that."""
+    out = np.array([1 << r for r in range(n_edges)],
+                   dtype=np.uint64 if n_edges <= 64 else object)
+    out.setflags(write=False)
+    return out
 
 
 def _mst_weights(dist: np.ndarray) -> np.ndarray:
@@ -115,23 +125,26 @@ def _h1_pairs(dist: np.ndarray) -> list[list[tuple[float, float]]]:
     enclosing = dist.max(axis=2).min(axis=1)
 
     e_rows, e_cols, tri_edges = _simplex_tables(n)
-    E, T = len(e_rows), len(tri_edges)
+    E, T = len(e_rows), tri_edges.shape[1]
     w = dist[:, e_rows, e_cols]  # (N, E) in (i, j) order
     e_at = np.argsort(w, axis=1, kind="stable")  # (weight, i, j) order
-    e_at += np.arange(0, N * E, E)[:, None]
+    if N > 1:  # flat indices, row by row
+        e_at += np.arange(0, N * E, E)[:, None]
     births = w.reshape(-1)[e_at]  # edge weights by rank
-    # each edge's bit is 1 << its rank; uint64 holds them while E <= 64
-    edge_bits = np.empty((N, E), dtype=np.uint64 if E <= 64 else object)
-    edge_bits.reshape(-1)[e_at] = np.array([1 << r for r in range(E)],
-                                           dtype=edge_bits.dtype)
+    rank_bits = _rank_bits(E)
+    edge_bits = np.empty((N, E), dtype=rank_bits.dtype)
+    edge_bits.reshape(-1)[e_at] = rank_bits
 
-    filt = w[:, tri_edges].max(axis=2)  # (N, T) in (i, j, k) order
+    # (N, T) in (i, j, k) order; a max over a middle axis of 3 compares
+    # three (N, T) slices
+    filt = w.take(tri_edges, axis=1).max(axis=1)
     t_at = np.argsort(filt, axis=1, kind="stable")  # (filtration, i, j, k)
-    t_at += np.arange(0, N * T, T)[:, None]
+    if N > 1:
+        t_at += np.arange(0, N * T, T)[:, None]
     filt = filt.reshape(-1)[t_at]
-    tri_bits = edge_bits[:, tri_edges]
-    columns = (tri_bits[:, :, 0] | tri_bits[:, :, 1]
-               | tri_bits[:, :, 2]).reshape(-1)[t_at]
+    tri_bits = edge_bits.take(tri_edges, axis=1)
+    columns = (tri_bits[:, 0] | tri_bits[:, 1] | tri_bits[:, 2]).reshape(
+        -1)[t_at]
     n_capped = (filt <= enclosing[:, None]).sum(axis=1).tolist()
 
     out = []
@@ -220,7 +233,7 @@ def features_matrix(F_norm: np.ndarray) -> np.ndarray:
     out[:, 0] = n - 1
     out[:, 3] = 0.0
     xs = np.arange(1, n + 1, dtype=float)[None, :]  # shared by every row
-    step = max(1, _CHUNK_CELLS // max(len(_simplex_tables(n)[2]), n * n))
+    step = max(1, _CHUNK_CELLS // max(_simplex_tables(n)[2].shape[1], n * n))
     for lo in range(0, N, step):
         dist = _distance_stack(xs, F[lo:lo + step])
         block = out[lo:lo + step]

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oracles import (reference_kf_step, reference_pf_step,  # noqa: E402
                      reference_systematic_resample, reference_ukf_step)
 
 import fpfuse  # noqa: E402
+from fpfuse import filters  # noqa: E402
 from fpfuse.filters import (FilterConfig, KfState, PfState,
                             effective_sample_size,
                             filter_stream, kf_step, pf_noise, pf_step,
@@ -611,3 +613,99 @@ class TestPfMatchesReference:
         assert out.degenerate_reset and degenerate
         assert out.particles.tobytes() == p.tobytes()
         assert out.weights.tobytes() == w.tobytes()
+
+
+class TestUniformWeights:
+    """A first cloud's uniform weights step like the out-of-place reference,
+    a degenerate reset leaves uniform weights whether or not it resamples,
+    and no step writes its caller's arrays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from(PARTICLE_COUNTS),
+           z=st.floats(-5.0, 5.0), r=st.sampled_from([1e-4, 0.05, 1.0, 30.0]),
+           tau=st.sampled_from([1e-12, 0.3, 0.9, 1.0 - 1e-12]),
+           sigma=st.sampled_from([0.0, 1.0]))
+    def test_first_cloud_steps_like_reference(self, seed, m, z, r, tau,
+                                              sigma):
+        cfg = FilterConfig(n_particles=m, r=np.ones(1), seed=seed)
+        (clouds, _, _), _ = start_filter(cfg, np.array([z]))
+        state = clouds[0]
+        uniform = np.full(m, 1.0 / m)
+        assert state.weights.tobytes() == uniform.tobytes()
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref = (state.particles, uniform)
+        for _ in range(4):
+            with mock.patch.object(filters, "systematic_resample",
+                                   wraps=systematic_resample) as resample:
+                state = pf_step(state, np.multiply(ours.standard_normal(m),
+                                                   sigma) + 0.0,
+                                z, r, tau, ours)
+            p, w, degenerate = reference_pf_step(*ref, z, r, tau, sigma,
+                                                 theirs)
+            assert state.particles.tobytes() == p.tobytes()
+            assert state.weights.tobytes() == w.tobytes()
+            assert state.degenerate_reset == degenerate
+            if degenerate or resample.called:
+                assert state.weights.tobytes() == uniform.tobytes()
+            ref = (p, w)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("m", PARTICLE_COUNTS)
+    @pytest.mark.parametrize("tau", [1.0, 2.0])
+    def test_degenerate_reset_then_resample(self, m, tau):
+        # every weight underflows and the weights reset to uniform; pf_step
+        # does not check tau, so at tau = 2 the reset cloud is always
+        # resampled, and at tau = 1 whenever its ESS, as computed, rounds
+        # below m
+        particles = np.linspace(0.0, 1.0, m)
+        weights = np.zeros(m)
+        weights[-1] = 1.0
+        ours, theirs = np.random.default_rng(m), np.random.default_rng(m)
+        out = pf_step(PfState(particles, weights), np.zeros(m), -1000.0,
+                      1e-4, tau, ours)
+        uniform = np.full(m, 1.0 / m)
+        assert out.degenerate_reset
+        assert out.weights.tobytes() == uniform.tobytes()
+        resampled = effective_sample_size(uniform) < tau * m
+        assert resampled or tau == 1.0
+        reference = (systematic_resample(particles, uniform, theirs)
+                     if resampled else particles)
+        assert out.particles.tobytes() == reference.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from(PARTICLE_COUNTS),
+           kind=st.sampled_from(["flat", "peaked", "one-hot", "sparse",
+                                 "dirichlet", "first-cloud", "underflow"]),
+           tau=st.sampled_from([1e-12, 0.3, 1.0 - 1e-12, 1.0]))
+    def test_no_step_writes_its_inputs(self, seed, m, kind, tau):
+        rng = np.random.default_rng(seed)
+        particles = rng.normal(size=m)
+        z, r = 0.3, 0.5
+        if kind == "first-cloud":  # start_filter's read-only weights
+            cfg = FilterConfig(n_particles=m, r=np.ones(1), seed=seed)
+            (clouds, _, _), _ = start_filter(cfg, np.array([z]))
+            particles, weights = clouds[0].particles, clouds[0].weights
+        elif kind == "underflow":  # all mass far from z: the step resets
+            particles = np.linspace(0.0, 1.0, m)
+            weights = np.zeros(m)
+            weights[-1] = 1.0
+            z, r = -1000.0, 1e-4
+        else:
+            weights = _weights(rng, particles, kind)
+        sigma = 0.0 if kind == "underflow" else 1.0
+        noise = np.multiply(rng.standard_normal(m), sigma) + 0.0
+        arrays = (particles, weights, noise)
+        before = [a.tobytes() for a in arrays]
+        # the resample on the caller's arrays, then a step
+        systematic_resample(particles, weights, np.random.default_rng(seed))
+        assert [a.tobytes() for a in arrays] == before
+        out = pf_step(PfState(particles, weights), noise, z, r, tau,
+                      np.random.default_rng(seed))
+        assert [a.tobytes() for a in arrays] == before
+        assert out.particles is not particles
+        assert out.weights is not weights
+        assert not (out.particles.flags.writeable or out.weights.flags.writeable)
+        if kind == "underflow":
+            assert out.degenerate_reset
+            assert out.weights.tobytes() == np.full(m, 1.0 / m).tobytes()

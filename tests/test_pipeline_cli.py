@@ -17,7 +17,7 @@ from fpfuse import evaluate as ev
 from fpfuse import pipeline as pl
 from fpfuse.datamodel import SynthSpec, synth_radio_map
 from fpfuse.evaluate import SearchGrids, fuse_points_batch, locate
-from fpfuse.filters import FilterConfig, filter_stream
+from fpfuse.filters import FilterConfig, FilterOverflowError, filter_stream
 from fpfuse.fuse import (ConflictError, confidences, write_belief_csv,
                          write_belief_pgm)
 from fpfuse.pipeline import (ArtifactError, PipelineConfig, PredictorSession,
@@ -485,6 +485,28 @@ class TestArtifactRoundTrip:
                               lambda b: b["rf"]["config"].update(
                                   max_features=0))
 
+    @pytest.mark.parametrize("method", ["kf", "ukf"])
+    @pytest.mark.parametrize("q_gamma", [1e308, 1e17])
+    def test_overflowing_process_noise_named_exit_2(self, artifact, tmp_path,
+                                                    capsys, method, q_gamma):
+        # q = q_gamma * r overflows (1e308 on a channel with r > 1) or swamps
+        # r, so that the gain rounds to 1 and the variance to 0: refused when
+        # loaded, not first at the second scan of a stream
+        self.check_load_fails(artifact, tmp_path, capsys, "filter.q_gamma",
+                              lambda b: b["filter"].update(method=method,
+                                                           q_gamma=q_gamma))
+
+    def test_pf_artifact_loads_with_any_finite_q_gamma(self, pf_artifact,
+                                                       tmp_path, probe_scans):
+        # a particle filter never adds q, so its q_gamma is not stepped
+        path = tmp_path / "artifact.json"
+        save_artifact(pf_artifact, path)
+        blob = json.loads(path.read_text())
+        blob["filter"]["q_gamma"] = 1e308
+        path.write_text(json.dumps(blob))
+        assert predict_one(load_artifact(path), probe_scans[0]).position == \
+            predict_one(pf_artifact, probe_scans[0]).position
+
     @staticmethod
     def check_load_fails(artifact, tmp_path, capsys, match, edit):
         path = tmp_path / "artifact.json"
@@ -584,6 +606,33 @@ class TestScanContract:
                     session.predict(bad)
             got.append(outputs(session.predict(scan)))
         assert got == expected
+
+    def test_overflowing_pf_noise_exits_2_and_commits_nothing(
+            self, pf_artifact, tmp_path, capsys):
+        # predict_sigma 1e308 overflows the cloud at the first step: a typed
+        # error naming it, exit 2, and the session keeps its state
+        path = tmp_path / "artifact.json"
+        save_artifact(pf_artifact, path)
+        blob = json.loads(path.read_text())
+        blob["filter"]["pf"]["predict_sigma"] = 1e308
+        path.write_text(json.dumps(blob))
+        scans = np.random.default_rng(6).uniform(-80, -40, size=(2, 6))
+        session = PredictorSession(load_artifact(path))
+        first = outputs(session.predict(scans[0]))  # no noise drawn yet
+        state = session._filter_state
+        with np.errstate(all="ignore"), pytest.raises(
+                FilterOverflowError, match="predict_sigma 1e[+]308"):
+            session.predict(scans[1])
+        assert session._filter_state is state
+        assert first == outputs(PredictorSession(pf_artifact).predict(scans[0]))
+        scan_file = tmp_path / "scans.txt"
+        scan_file.write_text("\n".join(",".join(map(str, s)) for s in scans))
+        with np.errstate(all="ignore"):
+            rc = cli.main(["predict", "--artifact", str(path), "--scans",
+                           str(scan_file), "--stream"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "stage 'filter'" in err and "predict_sigma" in err
 
     def test_failure_after_the_filter_commits_nothing(self, pf_artifact,
                                                       monkeypatch):
@@ -830,6 +879,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert "stage 'ingest'" in err and "internal error" not in err
+
+    def test_overflowing_pf_noise_in_a_fit_is_a_usage_error(self, tmp_path,
+                                                             capsys):
+        cfg_path = tmp_path / "cfg.json"
+        # 20 samples per RP leave 3 per validation stream, so it steps
+        cfg_path.write_text(json.dumps(
+            {"synth": {"n_rp": 4, "samples_per_rp": 20},
+             "pipeline": {"filter": {"n_particles": 200,
+                                     "predict_sigma": 1e308}}}))
+        with np.errstate(all="ignore"):
+            rc = cli.main(["fit", "--config", str(cfg_path),
+                           "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "stage 'filter'" in err and "predict_sigma" in err
 
     @pytest.mark.parametrize("command", ["fit", "ablate"])
     def test_survey_too_small_for_the_split_is_a_usage_error(

@@ -609,3 +609,72 @@ class TestKnnKernel:
         index, X, *_ = toy_index()
         assert predict_wknn_batch(index, X[2], 4).tobytes() == \
             predict_wknn(index, X[2], 4).xy[None].tobytes()
+
+
+class TestOneRowPaths:
+    """A one-row query takes its own, shorter path through the forest and
+    the kNN scan; each row answered alone equals that row of a block."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 12),
+           max_depth=st.sampled_from([1, 3, None]), n=st.integers(2, 9))
+    def test_forest_row_alone_equals_its_block_row(self, seed, n_trees,
+                                                   max_depth, n):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(30, 3)), 1)
+        Y = rng.normal(size=(30, 2))
+        model = train_rf(X, Y, RfConfig(n_trees, max_depth, seed=seed % 97))
+        # rows on training values sit on split thresholds
+        probe = np.vstack([X[rng.integers(0, 30, n // 2)],
+                           rng.normal(size=(n - n // 2, 3))])
+        block = model.predict_batch(probe)
+        assert block.tobytes() == forest_walk(tree_records(model),
+                                              probe).tobytes()
+        for i, row in enumerate(probe):
+            assert model.predict_batch(probe[i:i + 1]).tobytes() == \
+                block[i:i + 1].tobytes()
+            assert model.predict_batch(row).tobytes() == \
+                block[i:i + 1].tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+           d=st.integers(1, 20), n=st.integers(2, 12),
+           layout=st.sampled_from(["gauss", "rounded", "duplicates"]),
+           data=st.data())
+    def test_knn_row_alone_equals_its_block_row(self, seed, m, d, n, layout,
+                                                data):
+        X, Y, var, rng = _knn_case(seed, m, d, layout)
+        k = data.draw(st.integers(1, m), label="k")
+        Q = np.round(rng.normal(size=(n, d)) * 3.0)
+        on_point = rng.random(n) < 0.3
+        Q[on_point] = X[rng.integers(0, m, n)][on_point]
+        index = build_knn_index(X, Y, ChannelVariances(var, 0.0))
+        delta, idx = regress._query_rows(index, Q, k)
+        block = predict_wknn_batch(index, Q, k, 1e-9)
+        for i in range(n):
+            one_delta, one_idx = regress._query_rows(index, Q[i:i + 1], k)
+            assert one_delta.tobytes() == delta[i:i + 1].tobytes()
+            assert one_idx.tolist() == idx[i:i + 1].tolist()
+            assert predict_wknn_batch(index, Q[i:i + 1], k, 1e-9).tobytes() \
+                == block[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_ties_at_the_kth_neighbour(self, k):
+        # eight points at distance 1 from the origin, two at sqrt 2, and
+        # the blocks' other rows off the lattice: ties straddle the k-th
+        # neighbour for most k
+        unit = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        X = np.vstack([unit, [[1.0, 1.0]], unit, [[-1.0, -1.0], [3.0, 3.0]]])
+        Y = np.arange(2 * len(X), dtype=float).reshape(-1, 2)
+        index = build_knn_index(X, Y, ChannelVariances(np.ones(2), 0.0))
+        Q = np.array([[0.0, 0.0], [0.3, -0.2], [0.0, 0.0], [1.0, 1.0]])
+        delta, idx = regress._query_rows(index, Q, k)
+        block = predict_wknn_batch(index, Q, k, 1e-9)
+        # (distance, index) order from the origin
+        assert idx[0].tolist() == [0, 1, 2, 3, 5, 6, 7, 8, 4, 9, 10][:k]
+        for i in range(len(Q)):
+            one_delta, one_idx = query_knn(index, Q[i], k)
+            assert one_delta.tobytes() == delta[i].tobytes()
+            assert one_idx.tolist() == idx[i].tolist()
+            assert predict_wknn_batch(index, Q[i:i + 1], k, 1e-9).tobytes() \
+                == block[i:i + 1].tobytes()
