@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rules
 from .datamodel import Position, RadioMap, SplitSpec, stratified_split
-from .filters import FilterConfig, filter_stream
+from .filters import FilterConfig, check_process_noise, filter_stream
 from .fuse import (GridSpec, centroid_distances, combine_masses,
                    make_grid, nearest_centroid_distance, singleton_masses,
                    weighted_centroids)
@@ -484,6 +484,7 @@ def fit_split(train: RadioMap, val: RadioMap, cfg, seed: int, spaces,
     xtr = normalize_matrix(raw, stats)
     variances = stage("variances", fit_channel_variances, xtr)
     fcfg = replace(cfg.filter, r=variances.var, seed=derive_seed(seed, 101))
+    stage("filter", check_process_noise, fcfg)
     grid = make_grid(train.bounds, cfg.cell_width)
     xval_f = filter_streams_by_rp(normalize_matrix(val.rss_matrix(), stats),
                                   val.rp_ids(), fcfg)
@@ -639,6 +640,7 @@ def cv_grid_search(train: RadioMap, grids: SearchGrids = SearchGrids(),
         fold_rmse = []
         for ctx in fold_ctx:
             cfg = candidate(*combo, ctx)
+            check_process_noise(cfg)
             xva_f = filter_streams_by_rp(ctx["xva"], rp[ctx["va"]], cfg)
             index = ctx["index"]
             pred = predict_wknn_batch(index, xva_f, min(PROBE_K, index.m))

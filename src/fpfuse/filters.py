@@ -60,8 +60,9 @@ _UKF_WC[0] += 1.0 - UKF_ALPHA ** 2 + UKF_BETA
 
 
 class FilterOverflowError(ValueError):
-    """A particle filter's estimate is not finite: its process noise
-    (predict_sigma) has overflowed the cloud."""
+    """A filter's process noise is too large to carry: a particle filter's
+    estimate is not finite (predict_sigma has overflowed the cloud), or a
+    KF/UKF's q = gamma * r overflows or swamps r (check_process_noise)."""
 
 
 @dataclass(frozen=True)
@@ -399,6 +400,25 @@ def step_filter(cfg: FilterConfig, state: KfState | tuple,
     step = kf_step if cfg.method == "kf" else ukf_step
     state = step(state, z, cfg.gamma * cfg.r, cfg.r)
     return state, state.x_hat
+
+
+def check_process_noise(cfg: FilterConfig) -> None:
+    """Raise FilterOverflowError, naming gamma, if a KF/UKF with r bound
+    would lose its variance; other methods pass.
+
+    One step from a first state keeps a finite, positive variance unless
+    q = gamma * r overflows or swamps r (the gain then rounds to 1). The
+    variances do not depend on the scans, and the first step's predicted
+    variance r + q is the largest of a stream, so that one step decides."""
+    if cfg.method not in ("kf", "ukf"):
+        return
+    zeros = np.zeros(len(cfg.r))
+    try:
+        step_filter(cfg, start_filter(cfg, zeros)[0], zeros)
+    except ValueError as exc:
+        raise FilterOverflowError(
+            f"q = gamma * r overflows or swamps r at gamma {cfg.gamma!r}, "
+            f"and a {cfg.method} step loses its variance ({exc})") from exc
 
 
 def filter_stream(series: np.ndarray, cfg: FilterConfig) -> np.ndarray:

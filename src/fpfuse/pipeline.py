@@ -40,8 +40,8 @@ from . import rules
 from .datamodel import (DBM_CEIL, DBM_FLOOR, DBM_TOL, Bounds, Position,
                         RadioMap, SplitSpec, stratified_split)
 from .evaluate import StageError, stage  # noqa: F401 - StageError re-exported
-from .filters import (FilterConfig, KfState, PfState, kf_step, pf_noise,
-                      pf_step, start_filter, step_filter)
+from .filters import (FilterConfig, KfState, PfState, check_process_noise,
+                      kf_step, pf_noise, pf_step, start_filter, step_filter)
 from .fuse import (Bba, ChoquetMeasure, GridSpec, argmax_belief, bba_from_point,
                    centroid_distances, choquet, confidences,
                    confidences_from_distances, convex_combo, dempster_combine,
@@ -243,20 +243,6 @@ def _field(name: str, build, *args):
         raise ArtifactError(f"artifact field {name}: {exc}") from exc
 
 
-def _check_process_noise(cfg: FilterConfig) -> None:
-    """One KF/UKF step from a first state, which keeps a finite, positive
-    variance unless q = gamma * r overflows or swamps r (the gain then
-    rounds to 1). The variances do not depend on the scans, and the first
-    step's predicted variance r + q is the largest of a stream."""
-    zeros = np.zeros(len(cfg.r))
-    try:
-        step_filter(cfg, start_filter(cfg, zeros)[0], zeros)
-    except ValueError as exc:
-        raise ValueError(f"q = q_gamma * r overflows or swamps r, and a "
-                         f"{cfg.method} step loses its variance ({exc})") \
-            from exc
-
-
 def _finite(arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise ValueError("values must be finite")
@@ -339,8 +325,7 @@ def artifact_from_dict(d: dict) -> PipelineArtifact:
             raise ArtifactError(f"artifact field {name} has shape "
                                 f"{np.shape(arr)}, expected ({norm.d},) as "
                                 "norm.mu")
-    if filter_cfg.method in ("kf", "ukf"):
-        _field("filter.q_gamma", _check_process_noise, filter_cfg)
+    _field("filter.q_gamma", check_process_noise, filter_cfg)
     ph_stats = None
     if d["ph_stats"] is not None:
         ph_stats = NormStats("dbm_zscore", np.array(d["ph_stats"]["mu"]),

@@ -10,11 +10,16 @@ stays there, so no level has to drop it from the working arrays. The trees
 also grow together: each keeps its own generator, bootstrap and preorder
 stack, and one lockstep step pops the next node of every tree, so each tree
 draws its candidate features in its own preorder, while the popped nodes'
-means, split searches and partitions run in shared numpy passes. A node is
-a range of its bootstrap positions, kept ascending; a split search sorts
-each candidate feature's (value rank, position) keys, so ties keep
-bootstrap order, and scores every split of all candidates of all nodes of a
-pass in one padded block.
+means, split searches and partitions run in shared numpy passes. A tree
+holds its bootstrap as a multiset, as scikit-learn does: its distinct rows,
+ascending, each with its draw count c, so a node's mean is sum(c y) /
+sum(c), its SSE sums c (y - mean)^2 and min_leaf counts draws. A node is a
+range of the tree's row positions, kept ascending; a split search sorts
+each candidate feature's (value rank, position) keys, so ties keep row
+order, and scores every split of all candidates of all nodes of a pass in
+one padded block of running sums of c, c y and c y^2. A tree draws the
+candidate sets of its next nodes in one call, equal to as many calls of
+rng.choice(d, mtry, replace=False) for d <= 10 000 (_candidates).
 
 The kNN index pre-divides every feature by its channel std, so Euclidean
 distance in the scaled space is the diagonal Mahalanobis distance, and keeps
@@ -48,9 +53,13 @@ _PAIRS_PER_PASS = 1 << 14
 # block cells: a scoring pass holds about a dozen arrays of this size, 256 KB
 # each, and larger passes measured no faster.
 _GROW_CELLS = 1 << 15
-# At most this many bootstrap positions (trees x rows) grow together; each
-# holds an X row index and a slot in its node's range, 12 bytes in all.
+# At most this many bootstrap rows (trees x rows) grow together; a tree's
+# distinct rows take one position each, which holds an X row index, a slot
+# in its node's range and five counted sums' terms, 48 bytes in all.
 _GROW_POSITIONS = 1 << 18
+# A tree draws the candidate sets of its next nodes in one call of about
+# this many bounded draws (one set takes 2 mtry - 1).
+_DRAWS_AHEAD = 1 << 9
 # A kNN pass holds one (dimension, query row, point) block of at most this
 # many cells, 512 KB (or one row's block, if larger); passes of 2^14 and
 # 2^20 cells measured slower per row.
@@ -271,13 +280,59 @@ class RfModel:
 def _rank_keys(X: np.ndarray) -> np.ndarray:
     """Per feature, each row's rank among the column's distinct values, then
     a column of m for the padding position: (rank, position) sorts a node's
-    positions exactly as a stable sort of their values does."""
+    positions by value, ties by row, since a tree's positions hold its rows
+    in ascending order."""
     m, d = X.shape
     keys = np.empty((d, m + 1), dtype=np.intp)
     for f in range(d):
         keys[f, :m] = np.unique(X[:, f], return_inverse=True)[1]
     keys[:, m] = m
     return keys
+
+
+def _bootstrap(rngs, m: int):
+    """Each generator's bootstrap, its first draw rng.integers(0, m, size=m),
+    as the distinct rows it drew, ascending, and how often it drew each.
+    The trees' rows follow one another: returns (rows, counts, positions),
+    tree t holding positions[t]:positions[t + 1]."""
+    rows, counts = [], []
+    for rng in rngs:
+        c = np.bincount(rng.integers(0, m, size=m), minlength=m)
+        rows.append(np.flatnonzero(c))
+        counts.append(c[rows[-1]])
+    positions = np.zeros(len(rngs) + 1, dtype=np.intp)
+    np.cumsum([len(r) for r in rows], out=positions[1:])
+    return np.concatenate(rows), np.concatenate(counts), positions
+
+
+def _candidates(rngs, d: int, mtry: int, n_nodes: int) -> np.ndarray:
+    """n_nodes candidate sets from each generator, (generators, n_nodes,
+    mtry): set j of a generator is what its j-th call of rng.choice(d,
+    mtry, replace=False) would return, and the generator ends where those
+    calls leave it.
+
+    choice (with d <= 10 000, its Floyd branch) makes one bounded draw from
+    [0, j] for each j from d - mtry to d - 1, then shuffles the selection
+    with one from [0, i] for each i from mtry - 1 down to 1. One
+    rng.integers call with those bounds repeated n_nodes times makes the
+    same draws in the same order (a bound of 0 draws nothing either way);
+    Floyd's selection and the shuffle then run over all sets together.
+    Above 10 000 features choice may shuffle a tail instead: the sets are
+    still uniform, but no longer choice's."""
+    high = np.concatenate([np.arange(d - mtry + 1, d + 1),
+                           np.arange(mtry, 1, -1)])
+    v = np.concatenate([rng.integers(0, np.tile(high, n_nodes))
+                        for rng in rngs]).reshape(-1, len(high))
+    out = np.empty((len(v), mtry), dtype=np.intp)
+    for k in range(mtry):  # Floyd: j itself where the draw was taken before
+        taken = (out[:, :k] == v[:, k, None]).any(axis=1)
+        out[:, k] = np.where(taken, d - mtry + k, v[:, k])
+    r = np.arange(len(v))
+    for i, j in zip(range(mtry - 1, 0, -1), v[:, mtry:].T):  # swap i and j
+        held = out[r, j]
+        out[r, j] = out[:, i]
+        out[:, i] = held
+    return out.reshape(len(rngs), n_nodes, mtry)
 
 
 def _passes(size: np.ndarray, width: int) -> list[np.ndarray]:
@@ -306,60 +361,67 @@ def _passes(size: np.ndarray, width: int) -> list[np.ndarray]:
 def _padded_columns(start: np.ndarray, size: np.ndarray) -> np.ndarray:
     """(nodes, first node's size) columns of each node of a pass; past a
     node's end, -1: the last slot of `pos`, which holds the padding
-    position (X row m, zero targets, a key above every real one)."""
+    position (X row m, count 0, a key above every real one)."""
     j = np.arange(size[0])
     return np.where(j < size[:, None], start[:, None] + j, -1)
 
 
-def _node_stats(YT, rows, pos, start, size):
-    """Each node's target mean and whether its SSE is at most _PURITY_EPS.
+def _node_stats(YT, terms, rows, pos, start, size):
+    """Each node's draw count n = sum(c), target mean and whether its SSE
+    is at most _PURITY_EPS, for a node of distinct rows with counts c and
+    targets y in row order.
 
-    The mean is y.mean(axis=0) for y = Y[rows[p]], the node's targets in
-    position order: a mean along axis 0 of a C-ordered (n, 2) array adds row
-    after row to +0.0, as cumsum does along each padded row once +0.0 is
-    added to its first entry (which only turns -0.0 into +0.0), then
-    divides by n. The SSE is ((y - mean) ** 2).sum(), a pairwise sum. Any
-    order of summing the same 2n non-negative terms is within a relative
-    (2n - 1) * 2**-53 of the exact sum, so the padded rows' sum decides
-    every node but those within a relative n * 2**-40 of the threshold,
-    which are summed again as a pairwise sum."""
+    The mean is sum(c * y) / n, the sum taken row after row from +0.0, as
+    cumsum does along each padded row once +0.0 is added to its first entry
+    (which only turns -0.0 into +0.0). The SSE is (c * (y - mean) ** 2)
+    .sum(), a pairwise sum. Any order of summing the same 2k non-negative
+    terms of k rows is within a relative (2k - 1) * 2**-53 of the exact
+    sum, so the padded rows' sum decides every node but those within a
+    relative k * 2**-40 of the threshold, which are summed again as a
+    pairwise sum."""
+    n = np.empty(len(start))
     mean = np.empty((len(start), 2))
     sse = np.empty(len(start))
-    for g in _passes(size, 2):
-        n = size[g]
-        y = YT.take(rows[pos[_padded_columns(start[g], n)]], axis=1)
-        y[:, :, 0] += 0.0
-        run = np.cumsum(y, axis=2)
-        mean[g] = (run[:, np.arange(len(g)), n - 1] / n).T
+    for g in _passes(size, 3):
+        k = size[g]
+        p = pos[_padded_columns(start[g], k)]
+        run = terms[:3].take(p, axis=1)  # c, c * y0, c * y1; padding 0
+        c = run[0].copy()
+        run[:, :, 0] += 0.0
+        np.cumsum(run, axis=2, out=run)
+        total = run[:, np.arange(len(g)), k - 1]
+        n[g] = total[0]
+        mean[g] = (total[1:] / total[0]).T
+        y = YT.take(rows[p], axis=1)
         y -= mean[g].T[:, :, None]
         np.square(y, out=y)
-        np.copyto(y, 0.0, where=np.arange(n[0]) >= n[:, None])  # padding
+        y *= c  # padding: count 0
         sse[g] = y.sum(axis=(0, 2))
     near = np.abs(sse - _PURITY_EPS) <= size * 2.0 ** -40 * _PURITY_EPS
     for i in np.flatnonzero(near):
-        y = YT[:, rows[pos[start[i]:start[i] + size[i]]]].T.copy()
-        sse[i] = ((y - mean[i]) ** 2).sum()
-    return mean, sse <= _PURITY_EPS
+        p = pos[start[i]:start[i] + size[i]]
+        y = YT[:, rows[p]].T.copy()
+        sse[i] = (terms[0, p, None] * (y - mean[i]) ** 2).sum()
+    return n, mean, sse <= _PURITY_EPS
 
 
-def _best_splits(XT, YT, keys, rows, pos, start, size, cand, min_leaf,
+def _best_splits(XT, terms, keys, rows, pos, start, size, n, cand, min_leaf,
                  shift):
     """Lowest child SSE over the candidate features of each node of a pass,
-    all in one padded (4, nodes, candidates, largest size) block.
+    all in one padded (5, nodes, candidates, largest size) block.
 
     Each (node, candidate) row sorts the keys rank << shift | position, so
-    its positions come out sorted by value, ties by position, and padding
-    last. The block holds y0, y1, y0*y0, y1*y1 in that order; padding
-    follows each row's end, so the running sums through a row's own entries
-    are bit-equal to an unpadded node's, and costs past a node's last
-    allowed split are masked. The first minimum along a feature wins, then
-    the first candidate with the strictly smallest one. Returns (feature,
-    threshold) per node, feature -1 where no split exists."""
-    n_nodes, k = cand.shape
-    width = int(size[0])
-    n = size[:, None, None]
-    lo = min_leaf - 1  # split after sorted index lo + j, j < w
-    w = width - 2 * min_leaf + 1
+    its rows come out sorted by value, ties by row, and padding last. The
+    block holds c, c*y0, c*y1, c*y0*y0, c*y1*y1 in that order; padding
+    (count 0) follows each row's end, so the running sums through a row's
+    own entries are bit-equal to an unpadded node's, and its last entries
+    are the node's totals. A split after sorted row j leaves nl, the running
+    count, draws on the left and n - nl on the right, each at least
+    min_leaf. The first minimum along a feature wins, then the first
+    candidate with the strictly smallest one. Returns (feature, threshold)
+    per node, feature -1 where no split exists."""
+    n_nodes = len(cand)
+    n = n[:, None, None]
     p = pos[_padded_columns(start, size)]
     key = keys.take(cand[:, :, None] * keys.shape[1] + rows[p][:, None, :])
     key <<= shift
@@ -367,19 +429,19 @@ def _best_splits(XT, YT, keys, rows, pos, start, size, cand, min_leaf,
     key.sort(axis=2)
     rank = key >> shift
     key &= (1 << shift) - 1  # now the sorted positions
-    c = np.empty((4,) + key.shape)
-    np.take(YT, rows[key], axis=1, out=c[:2], mode="clip")  # unbuffered
-    np.multiply(c[:2], c[:2], out=c[2:])
+    c = np.empty((5,) + key.shape)
+    np.take(terms, key, axis=1, out=c, mode="clip")  # unbuffered
     np.cumsum(c, axis=3, out=c)
-    s, q = c[:2, ..., lo:lo + w], c[2:, ..., lo:lo + w]  # left sums through j
-    last = np.arange(n_nodes * k).reshape(n_nodes, k) * width + n[:, :, 0] - 1
-    total = c.reshape(4, -1).take(last, axis=1)[..., None]  # node totals
-    t, u = total[:2], total[2:]
+    nl, s, q = c[0, ..., :-1], c[1:3, ..., :-1], c[3:, ..., :-1]
+    t, u = c[1:3, ..., -1:], c[3:, ..., -1:]  # node totals
     # cost = (sse_l[0] + sse_l[1]) + (sse_r[0] + sse_r[1]) with, per
     # coordinate, sse_l = q - s ** 2 / nl and sse_r = (u - q) - (t - s) ** 2
     # / nr, each operation in that order
-    nl = np.arange(lo + 1, lo + w + 1, dtype=float)
-    nr = np.maximum(n - nl, 1.0)  # n - nl >= min_leaf at every allowed split
+    nr = n - nl  # 0 past the node's last row
+    shut = rank[..., 1:] == rank[..., :-1]  # no gap
+    shut |= nl < min_leaf
+    shut |= nr < min_leaf
+    np.maximum(nr, 1.0, out=nr)
     sse_l = np.square(s)
     sse_l /= nl
     np.subtract(q, sse_l, out=sse_l)
@@ -389,15 +451,13 @@ def _best_splits(XT, YT, keys, rows, pos, start, size, cand, min_leaf,
     np.subtract(u - q, sse_r, out=sse_r)
     cost = sse_l[0] + sse_l[1]
     cost += sse_r[0] + sse_r[1]
-    shut = rank[..., lo + 1:lo + w + 1] == rank[..., lo:lo + w]  # no gap
-    shut |= np.arange(w) >= n - 2 * min_leaf + 1  # past the node's end
     np.copyto(cost, np.inf, where=shut)
     r = np.arange(n_nodes)
     b = cost.min(axis=2).argmin(axis=1)
     row = cost[r, b]
     j = row.argmin(axis=1)
-    f, at = cand[r, b], lo + j
-    a, z = XT[f, rows[key[r, b, at]]], XT[f, rows[key[r, b, at + 1]]]
+    f = cand[r, b]
+    a, z = XT[f, rows[key[r, b, j]]], XT[f, rows[key[r, b, j + 1]]]
     thr = a + (z - a) / 2.0
     thr = np.where((a <= thr) & (thr < z), thr, a)  # adjacent floats: keep
     return np.where(row[r, j] == np.inf, -1, f), thr  # both sides non-empty
@@ -421,56 +481,76 @@ def _partition(XT, rows, pos, start, size, feature, threshold):
 def _grow_trees(XT, YT, keys, cfg, mtry, rngs):
     """Grow trees in lockstep, each numbering its nodes in preorder.
 
-    Tree i owns positions i*m:(i+1)*m, one per bootstrap draw. A node is a
-    column range of `pos` holding its positions ascending; a split partitions
-    the range stably. Each tree keeps a stack of pending (start, size, depth,
-    link) nodes. One step pops the top node of every tree that has one, so
-    each tree draws its candidates from its own generator in its own
-    preorder, while means, split searches and partitions run for all popped
-    nodes together. Returns each step's (trees, links, features, thresholds,
-    means) of the popped nodes, and each tree's node count."""
+    Each tree holds the distinct rows of its bootstrap, ascending, one
+    position per row, with the row's draw count c (_bootstrap). A node is a
+    column range of `pos` holding its positions ascending; a split
+    partitions the range stably. Each tree keeps a stack of pending (start,
+    size, depth, link) nodes. One step pops the top node of every tree that
+    has one, so each tree draws its candidates from its own generator in its
+    own preorder (a tree draws the sets of its next few nodes at once,
+    _candidates), while means, split searches and partitions run for all
+    popped nodes together. Returns each step's (trees, links, features,
+    thresholds, means) of the popped nodes, and each tree's node count."""
     d, m = XT.shape
     n_trees = len(rngs)
-    n_pos = n_trees * m
+    held, counts, first = _bootstrap(rngs, m)
+    n_pos = len(held)
     shift = n_pos.bit_length()
     dtype = np.int32 if (m << shift | n_pos) < 1 << 31 else np.int64
-    # one more position pads node rows: its key sorts after every real one
+    # one more position pads node rows: X row m, count 0, and a key that
+    # sorts after every real one
     rows = np.empty(n_pos + 1, dtype=dtype)  # X row of each position
-    for i, rng in enumerate(rngs):
-        rows[i * m:(i + 1) * m] = rng.integers(0, m, size=m)
+    rows[:n_pos] = held
     rows[n_pos] = m
+    terms = np.zeros((5, n_pos + 1))  # c, c * y, c * y * y per position
+    terms[0, :n_pos] = counts
+    del held, counts
+    np.take(YT, rows, axis=1, out=terms[1:3])  # YT's padding row m is 0
+    np.take(YT, rows, axis=1, out=terms[3:])
+    terms[1:3] *= terms[0]
+    terms[3:] *= terms[1:3]
     keys = keys.astype(dtype)
     pos = np.arange(n_pos + 1, dtype=dtype)
     # stack[h, i] is tree i's pending node at height h: (start, size,
-    # depth, link), link = 2 * parent + (1 for a right child), -1 at the
-    # root. A tree holds at most one pending node per level, plus two.
+    # depth, link), link the parent's node for a right child, else -1. A
+    # tree holds at most one pending node per level, plus two.
     stack = np.empty((min(m, cfg.max_depth or m) + 2, n_trees, 4),
                      dtype=np.intp)
-    stack[0] = np.column_stack([np.arange(n_trees) * m, np.full(n_trees, m),
+    stack[0] = np.column_stack([first[:-1], np.diff(first),
                                 np.zeros(n_trees, dtype=np.intp),
                                 np.full(n_trees, -1)])
     height = np.ones(n_trees, dtype=np.intp)
     count = np.zeros(n_trees, dtype=np.intp)
+    # each tree's candidate sets drawn ahead, and how many it has used
+    ahead = max(1, _DRAWS_AHEAD // (2 * mtry - 1))
+    drawn = np.empty((n_trees, ahead, mtry), dtype=np.intp)
+    used = np.full(n_trees, ahead)
     steps = []
     while (live := np.flatnonzero(height)).size:
         height[live] -= 1
         start, size, depth, link = stack[height[live], live].T
         node = count[live]
         count[live] += 1
-        mean, pure = _node_stats(YT, rows, pos, start, size)
-        grow = (size >= 2 * cfg.min_leaf) & ~pure
+        n, mean, pure = _node_stats(YT, terms, rows, pos, start, size)
+        grow = (n >= 2 * cfg.min_leaf) & ~pure
         if cfg.max_depth is not None:
             grow &= depth < cfg.max_depth
         grow = np.flatnonzero(grow)
-        cand = np.empty((len(grow), mtry), dtype=np.intp)
-        for r, t in enumerate(live[grow].tolist()):
-            cand[r] = rngs[t].choice(d, size=mtry, replace=False)
+        t = live[grow]
+        if (out := t[used[t] == ahead]).size:
+            drawn[out] = _candidates([rngs[i] for i in out.tolist()], d,
+                                     mtry, ahead)
+            used[out] = 0
+        cand = drawn[t, used[t]]
+        used[t] += 1
+        # one row cannot split, however its SSE rounds
+        cand, grow = cand[size[grow] > 1], grow[size[grow] > 1]
         feature = np.full(len(live), -1, dtype=np.intp)
         threshold = np.zeros(len(live))
-        for g in _passes(size[grow], 4 * mtry):
+        for g in _passes(size[grow], 5 * mtry):
             i = grow[g]
             feature[i], threshold[i] = _best_splits(
-                XT, YT, keys, rows, pos, start[i], size[i], cand[g],
+                XT, terms, keys, rows, pos, start[i], size[i], n[i], cand[g],
                 cfg.min_leaf, shift)
         threshold[feature < 0] = 0.0
         steps.append((live, link, feature, threshold, mean))
@@ -488,28 +568,28 @@ def _grow_trees(XT, YT, keys, cfg, mtry, rngs):
         # right child in preorder
         stack[h, t] = np.column_stack([start[inner] + n_left,
                                        size[inner] - n_left, below,
-                                       2 * node[inner] + 1])
+                                       node[inner]])
         stack[h + 1, t] = np.column_stack([start[inner], n_left, below,
-                                           2 * node[inner]])
+                                           np.full(len(inner), -1)])
         height[t] += 2
     return steps, count
 
 
 def _pack(steps, count):
     """The node arrays of _grow_trees' steps in tree order, children
-    numbered within these trees' table."""
+    numbered within these trees' table: in preorder an inner node's left
+    child is the next node, and its right child is the node linked to it."""
     tree = np.concatenate([s[0] for s in steps])
     o = np.argsort(tree, kind="stable")  # a tree's nodes were popped in order
     tree, link, feature, threshold, leaf_xy = (
         np.concatenate([s[k] for s in steps])[o] for k in range(5))
-    first = np.concatenate([[0], np.cumsum(count)[:-1]])
-    children = [np.full(len(o), -1, dtype=np.intp) for _ in range(2)]
+    node = np.arange(len(o))
+    left = np.where(feature >= 0, node + 1, -1)
+    right = np.full(len(o), -1, dtype=np.intp)
     child = np.flatnonzero(link >= 0)
-    parent = first[tree[child]] + (link[child] >> 1)
-    for side, col in enumerate(children):
-        on = (link[child] & 1) == side
-        col[parent[on]] = child[on]
-    return feature, threshold, children[0], children[1], leaf_xy
+    first = np.concatenate([[0], np.cumsum(count)[:-1]])
+    right[first[tree[child]] + link[child]] = child
+    return feature, threshold, left, right, leaf_xy
 
 
 def train_rf(X: np.ndarray, Y: np.ndarray, config: RfConfig = RfConfig()) -> RfModel:
@@ -517,8 +597,16 @@ def train_rf(X: np.ndarray, Y: np.ndarray, config: RfConfig = RfConfig()) -> RfM
 
     Tree t draws its bootstrap and its per-node feature subsets from a
     generator seeded by (config.seed, t), so the forest is reproducible and
-    independent of training order. Trees grow in lockstep, as many at a time
-    as fit in _GROW_POSITIONS bootstrap positions.
+    independent of training order, and its first t trees are the forest of
+    t trees (RfModel.prefix). The bootstrap is the generator's first draw,
+    rng.integers(0, m, size=m); the tree grows on the distinct rows drawn,
+    each weighted by its count, which is CART on the drawn rows up to the
+    rounding of sums over repeated rows. Each splittable node then takes
+    the candidate set rng.choice(d, mtry, replace=False) would draw, in
+    preorder; the sets are drawn a batch of nodes at a time, and equal
+    choice's for d <= 10 000 (numpy's Floyd branch; above that they stay
+    uniform). Trees grow in lockstep, as many at a time as fit in
+    _GROW_POSITIONS bootstrap draws.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)

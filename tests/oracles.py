@@ -6,7 +6,7 @@ implementation under test: an exhaustive scan for kNN, full enumeration of
 sign assignments for the Wilcoxon distribution, reduction of the complete
 boundary matrix for Rips persistence, a row-by-row, tree-by-tree node walk
 for random-forest prediction, and a grower that sorts every candidate feature
-afresh at every node for random-forest training.
+afresh at every node, one tree at a time, for random-forest training.
 
 The reference_* functions further down are the library's earlier one-cloud,
 loop-based persistence features, its out-of-place particle-filter step
@@ -83,28 +83,32 @@ def forest_walk(trees, X) -> np.ndarray:
     return np.array(out)
 
 
-def _reference_split(X, Y, idx, features, min_leaf):
+def _reference_split(X, Y, rows, counts, features, min_leaf):
     """Scan candidate features one at a time for the threshold minimizing
-    the summed per-coordinate child SSE; returns (cost, feature, threshold)."""
+    the summed per-coordinate child SSE of the counted rows (distinct rows,
+    ascending, each standing for counts[i] draws); returns (cost, feature,
+    threshold)."""
     best = None
-    n = len(idx)
     for f in features:
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="stable")
+        xs = X[rows, f]
+        order = np.argsort(xs, kind="stable")  # ties by row
         xs_s = xs[order]
-        ys = Y[idx][order]
-        csum = np.cumsum(ys, axis=0)
-        csq = np.cumsum(ys * ys, axis=0)
-        tot, totsq = csum[-1], csq[-1]
-        pos = np.arange(1, n)
-        nl = pos.astype(float)
-        nr = (n - pos).astype(float)
+        c = counts[order].astype(float)
+        ys = Y[rows[order]]
+        cy = c[:, None] * ys
+        csum = np.cumsum(cy, axis=0)
+        csq = np.cumsum(cy * ys, axis=0)
+        ccum = np.cumsum(c)
+        tot, totsq, n = csum[-1], csq[-1], ccum[-1]
+        nl = ccum[:-1]
+        nr = n - nl
         sse_l = (csq[:-1] - csum[:-1] ** 2 / nl[:, None]).sum(axis=1)
-        sse_r = ((totsq - csq[:-1])
-                 - (tot - csum[:-1]) ** 2 / nr[:, None]).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sse_r = ((totsq - csq[:-1])
+                     - (tot - csum[:-1]) ** 2 / nr[:, None]).sum(axis=1)
         cost = sse_l + sse_r
-        valid = ((xs_s[1:] > xs_s[:-1]) & (pos >= min_leaf)
-                 & (n - pos >= min_leaf))
+        valid = ((xs_s[1:] > xs_s[:-1]) & (nl >= min_leaf)
+                 & (nr >= min_leaf))
         if not valid.any():
             continue
         cost = np.where(valid, cost, np.inf)
@@ -118,48 +122,61 @@ def _reference_split(X, Y, idx, features, min_leaf):
     return best
 
 
+def reference_bootstrap(m, seed, t):
+    """Tree t's bootstrap as train_rf counts it: the distinct rows of its
+    generator's first draw, ascending, and how often each was drawn; and
+    the generator, ready for the tree's candidate draws."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+    counts = np.bincount(rng.integers(0, m, size=m), minlength=m)
+    rows = np.flatnonzero(counts)
+    return rows, counts[rows], rng
+
+
 def reference_forest(X, Y, n_trees, max_depth, max_features, min_leaf, seed):
     """Tree dicts as train_rf grows them, with the same random draws: tree t
     seeds a generator with (seed, t), draws its bootstrap, then one feature
-    subset per splittable node in preorder. Each node sorts the rows it holds
-    (in bootstrap order) by each candidate feature, stably."""
+    subset per splittable node in preorder. A node holds distinct rows,
+    ascending, with their draw counts c: its mean is sum(c * y) / sum(c),
+    summed row by row from +0.0, its SSE sum(c * (y - mean) ** 2), and it
+    sorts its rows by each candidate feature, stably."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     m, d = X.shape
     mtry = min(max_features or int(math.ceil(math.sqrt(d))), d)
     trees = []
     for t in range(n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-        boot = rng.integers(0, m, size=m)
+        boot_rows, boot_counts, rng = reference_bootstrap(m, seed, t)
         tree = {"feature": [], "threshold": [], "left": [], "right": [],
                 "leaf_xy": []}
 
-        def build(idx, depth):
+        def build(rows, counts, depth):
             node = len(tree["feature"])
             for name, empty in (("feature", -1), ("threshold", 0.0),
                                 ("left", -1), ("right", -1)):
                 tree[name].append(empty)
-            y = Y[idx]
-            mean = y.mean(axis=0)
+            y = Y[rows]
+            c = counts.astype(float)
+            n = c.sum()
+            mean = (0.0 + np.cumsum(c[:, None] * y, axis=0)[-1]) / n
             tree["leaf_xy"].append([float(mean[0]), float(mean[1])])
-            sse = float(((y - mean) ** 2).sum())
-            if (len(idx) < 2 * min_leaf or sse <= 1e-12
+            sse = float((c[:, None] * (y - mean) ** 2).sum())
+            if (n < 2 * min_leaf or sse <= 1e-12
                     or (max_depth is not None and depth >= max_depth)):
                 return node
             cand = rng.choice(d, size=mtry, replace=False)
-            split = _reference_split(X, Y, idx, cand, min_leaf)
+            split = _reference_split(X, Y, rows, counts, cand, min_leaf)
             if split is None:
                 return node
             _, f, thr = split
-            mask = X[idx, f] <= thr
+            mask = X[rows, f] <= thr
             tree["feature"][node] = f
             tree["threshold"][node] = thr
             tree["leaf_xy"][node] = [0.0, 0.0]  # prediction reads leaves only
-            tree["left"][node] = build(idx[mask], depth + 1)
-            tree["right"][node] = build(idx[~mask], depth + 1)
+            tree["left"][node] = build(rows[mask], counts[mask], depth + 1)
+            tree["right"][node] = build(rows[~mask], counts[~mask], depth + 1)
             return node
 
-        build(boot, 0)
+        build(boot_rows, boot_counts, 0)
         trees.append(tree)
     return trees
 

@@ -299,10 +299,10 @@ class TestCvGridSearch:
         assert len(configs) == 2 * 2 * 3
         assert len({(c.n_trees, c.max_depth, c.seed) for c in configs}) == 12
         # the selection of the search that regrew the winner's fold forests
-        assert sel == SelectedParams("kf", 0.25, 500, 0.3, 3, 6, 4, 2.0, 1.0)
+        assert sel == SelectedParams("kf", 0.25, 500, 0.3, 3, 10, 4, 2.0, 0.5)
         assert sel.tables["fusion"] == [
-            ((0.5, 1.0), 1.166807226248751), ((2.0, 1.0), 0.13391556583077954),
-            ((0.5, 0.5), 1.2923338643795013), ((2.0, 0.5), 0.1350838366491801)]
+            ((0.5, 1.0), 1.1683475061619637), ((2.0, 1.0), 0.14099654972798745),
+            ((0.5, 0.5), 1.2936995557540623), ((2.0, 0.5), 0.1363050257345452)]
 
     def test_infeasible_rp_raises(self):
         rmap = synth_radio_map(SynthSpec(n_rp=2, samples_per_rp=1,

@@ -895,6 +895,39 @@ class TestCli:
         assert rc == 2
         assert "stage 'filter'" in err and "predict_sigma" in err
 
+    @pytest.mark.parametrize("method", ["kf", "ukf"])
+    @pytest.mark.parametrize("gamma", [1e308, 1e17])
+    def test_overflowing_process_noise_in_a_fit_is_a_usage_error(
+            self, tmp_path, capsys, method, gamma):
+        # q = gamma * r overflows or swamps r: the fit refuses it once r is
+        # bound, before any validation stream steps
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"synth": {"n_rp": 6, "samples_per_rp": 20},
+             "pipeline": {"filter": {"method": method, "gamma": gamma},
+                          "n_trees": 10}}))
+        rc = cli.main(["fit", "--config", str(cfg_path),
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "stage 'filter'" in err and f"gamma {gamma!r}" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "artifact.json").exists()
+
+    def test_overflowing_process_noise_in_a_grid_is_a_usage_error(
+            self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"synth": {"n_rp": 6, "samples_per_rp": 20},
+             "pipeline": {"filter": {"method": "kf"},
+                          "grids": {"gamma": [0.5, 1e308]}}}))
+        rc = cli.main(["fit", "--config", str(cfg_path),
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "stage 'grid-search'" in err and "gamma 1e+308" in err
+        assert not (tmp_path / "artifact.json").exists()
+
     @pytest.mark.parametrize("command", ["fit", "ablate"])
     def test_survey_too_small_for_the_split_is_a_usage_error(
             self, tmp_path, capsys, command):

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -340,6 +341,10 @@ class TestLockstepGrowth:
         assert depths >= {5, 6}  # max_depth 6 stops only some trees
         ref = reference_forest(X, Y, 30, 6, 1, 1, 5)
         assert_matches_reference(model, ref)
+        # candidate sets drawn one node at a time, and two at a time
+        for ahead in (1, 2):
+            monkeypatch.setattr(regress, "_DRAWS_AHEAD", ahead)
+            assert_matches_reference(train_rf(X, Y, cfg), ref)
         # one node per pass, then one tree at a time
         monkeypatch.setattr(regress, "_GROW_CELLS", 1)
         assert_matches_reference(train_rf(X, Y, cfg), ref)
@@ -361,6 +366,10 @@ class TestLockstepGrowth:
     # a few hundred rows over many passes and cohorts of two trees
     @example(seed=1, n=300, noisy_share=0.05, n_trees=24, max_depth=7,
              min_leaf=1, max_features=None, cells=200, positions=600)
+    # the root holds five distinct rows, one drawn five times: only its
+    # draw count reaches 2 * min_leaf, so the counts decide that it splits
+    @example(seed=114, n=10, noisy_share=1.0, n_trees=1, max_depth=None,
+             min_leaf=5, max_features=None, cells=None, positions=None)
     def test_matches_reference_grower(self, seed, n, noisy_share, n_trees,
                                       max_depth, min_leaf, max_features,
                                       cells, positions):
@@ -378,13 +387,13 @@ class TestLockstepGrowth:
                                     min_leaf, seed))
 
     @pytest.mark.parametrize("data_seed,scale,splits", [
-        (3, 8.984953022720096e-08, False),
-        (7, 1.5064802714465447e-07, True),
+        pytest.param(1, 1.3927686451455422e-07, False, id="leaf"),
+        pytest.param(18, 1.1299564476655703e-07, True, id="splits"),
     ])
     def test_purity_at_the_threshold(self, data_seed, scale, splits):
-        # found by search: the root's SSE is within an ulp of the purity
-        # threshold, where the pairwise sum and the padded rows' sum land on
-        # different sides of it; the pairwise sum decides
+        # found by search: the root's counted SSE is within an ulp of the
+        # purity threshold, where the pairwise sum and the padded rows' sum
+        # land on different sides of it; the pairwise sum decides
         X = np.arange(40.0)[:, None]
         Y = np.random.default_rng(data_seed).normal(size=(40, 2)) * scale
         model = train_rf(X, Y, RfConfig(1, 1, seed=0))
@@ -401,10 +410,83 @@ class TestLockstepGrowth:
         assert_matches_reference(train_rf(X, Y, RfConfig(5, None, seed=1)),
                                  reference_forest(X, Y, 5, None, None, 1, 1))
 
+    def test_one_row_whose_sse_rounds_above_the_threshold(self):
+        # a row drawn c times has mean c * y / c, which need not round to
+        # y: at targets near 1e12 its SSE is far above _PURITY_EPS, and the
+        # node, one distinct row, still stays a leaf
+        X = np.repeat(np.arange(4.0), 3)[:, None]
+        Y = 1e12 + np.column_stack([np.repeat(np.arange(4.0), 3),
+                                    np.arange(12.0)]) / 7.0
+        for seed in range(4):
+            assert_matches_reference(
+                train_rf(X, Y, RfConfig(6, None, seed=seed)),
+                reference_forest(X, Y, 6, None, None, 1, seed))
+
     def test_rejects_nan_features(self):
         X = np.array([[0.0], [np.nan], [1.0]])
         with pytest.raises(ValueError, match="NaN"):
             train_rf(X, np.zeros((3, 2)))
+
+
+class TestBootstrapAndDraws:
+    """A tree grows on the distinct rows of its bootstrap with their draw
+    counts, and draws its nodes' candidate sets several at a time; each set
+    must be the one rng.choice(d, mtry, replace=False) would draw."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(2, 400), n_trees=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_counts_are_the_first_draw(self, m, n_trees, seed):
+        rngs = [np.random.default_rng(np.random.SeedSequence(seed,
+                                                             spawn_key=(t,)))
+                for t in range(n_trees)]
+        rows, counts, first = regress._bootstrap(rngs, m)
+        assert first[0] == 0 and first[-1] == len(rows) == len(counts)
+        for t in range(n_trees):
+            draw = np.random.default_rng(np.random.SeedSequence(
+                seed, spawn_key=(t,))).integers(0, m, size=m)
+            held = rows[first[t]:first[t + 1]]
+            c = counts[first[t]:first[t + 1]]
+            assert c.sum() == m and (c > 0).all()
+            assert (np.diff(held) > 0).all()  # distinct, ascending
+            full = np.zeros(m, dtype=np.intp)
+            full[held] = c
+            assert full.tolist() == np.bincount(draw, minlength=m).tolist()
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_candidates_equal_choice(self, seed):
+        # every d up to 70 with a few mtry each; a bootstrap-like draw of
+        # odd length first, so some sets start on a buffered half-word
+        pick = np.random.default_rng([seed, 1])
+        for d in range(1, 71):
+            sizes = {1, d, int(math.ceil(math.sqrt(d))),
+                     int(pick.integers(1, d + 1))}
+            for mtry in sorted(sizes):
+                a, b = (np.random.default_rng([seed, d, mtry])
+                        for _ in range(2))
+                m = int(pick.integers(1, 50))
+                a.integers(0, m, size=m), b.integers(0, m, size=m)
+                got = regress._candidates([a], d, mtry, 20)[0]
+                want = [b.choice(d, mtry, replace=False) for _ in range(20)]
+                assert got.tolist() == np.array(want).tolist(), (d, mtry)
+                assert a.bit_generator.state == b.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 70), data=st.data(),
+           seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
+                          max_size=4),
+           n_nodes=st.integers(1, 20))
+    def test_several_generators_at_once(self, d, data, seeds, n_nodes):
+        mtry = data.draw(st.integers(1, d))
+        rngs = [np.random.default_rng(s) for s in seeds]
+        got = regress._candidates(rngs, d, mtry, n_nodes)
+        assert got.shape == (len(seeds), n_nodes, mtry)
+        for s, sets, rng in zip(seeds, got, rngs):
+            ref = np.random.default_rng(s)
+            want = [ref.choice(d, mtry, replace=False)
+                    for _ in range(n_nodes)]
+            assert sets.tolist() == np.array(want).tolist()
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def toy_index(m=40, d=4, seed=0):
